@@ -12,12 +12,14 @@
 //                --seconds S --trace 0|1 --workdir DIR
 // See perfbench/README.md for why each workload exists.
 #include <sched.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdarg>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -26,9 +28,11 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -79,7 +83,7 @@ const char* const kDataset = "pm";
 
 // Workload shapes (fixed operation counts per pass).
 constexpr size_t kPointRequests = 16384, kPointWindow = 32;
-constexpr size_t kBatchRequests = 128, kBatchBurst = 256, kBatchWindow = 4;
+constexpr size_t kBatchRequests = 512, kBatchBurst = 256, kBatchWindow = 4;
 constexpr size_t kPagedKeys = 256, kPagedSketches = 8;
 constexpr size_t kPagedRequests = 4096, kPagedBurst = 16, kPagedWindow = 4;
 constexpr double kPagedZipf = 0.99, kPagedBudget = 0.25;
@@ -145,6 +149,13 @@ int PinToOneCpu() {
     return sched_setaffinity(0, sizeof(one), &one) == 0 ? c : -1;
   }
   return -1;
+}
+
+/// CPU time of a clock such as CLOCK_PROCESS_CPUTIME_ID, in ns.
+double CpuNs(clockid_t clock) {
+  timespec ts;
+  clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
 }
 
 double PeakRssMb() {
@@ -250,6 +261,106 @@ class Report {
   std::vector<std::string> notes_;
 };
 
+
+// ----------------------------------------------------------- host speed
+/// A fixed reference computation that the benchmark owns, run between
+/// passes to measure how fast the host executes the kind of work the
+/// program does: a chained dense f64 matrix-vector product with ReLU (the
+/// forward pass), a branchy range filter over a 2 MiB column (the exact
+/// scan) and a mutex/condition-variable handoff between two threads on
+/// the pinned CPU (the engine's client/dispatcher handoff), sized to take
+/// about a third of its time each on the development VM. On a shared host
+/// the pinned CPU's speed moves by up to 2x in regimes seconds to minutes
+/// long; the probe moves with it, and program code cannot change it.
+///
+/// The probe is timed in CPU time, not wall time: a process that shares
+/// the CPU slows a CPU-bound probe by its full share, but the serving
+/// threads, which sleep and wake, by far less (measured with a spinning
+/// process on the pinned CPU), so wall time would over-correct.
+class SpeedProbe {
+ public:
+  /// A typical probe time on the development VM (4-vCPU Intel Xeon,
+  /// 2.0 GHz nominal); its speed over a day gave 1.0e7 to 1.5e7 ns.
+  /// Times are reported at the speed that gives this probe time.
+  static constexpr double kNominalNs = 1.45e7;
+
+  SpeedProbe() : mat_(kDim * kDim), vec_(kDim), col_(kColumn) {
+    for (size_t i = 0; i < mat_.size(); ++i) {
+      mat_[i] = static_cast<double>(i % 17) * 0.01 - 0.05;
+    }
+    for (size_t i = 0; i < kDim; ++i) vec_[i] = static_cast<double>(i) * 1e-3;
+    for (size_t i = 0; i < kColumn; ++i) {
+      col_[i] = static_cast<double>(i * 2654435761u % 1000) * 1e-3;
+    }
+    (void)Run();  // first touch of the inputs
+  }
+
+  /// Runs one probe and returns the CPU time its two threads used, in ns.
+  /// A thread the program left running would share the CPU with the probe,
+  /// so the probe fails if the process's other threads (idle pool workers,
+  /// say) used more than 2% of the time of its single-threaded parts.
+  double Run() {
+    const double proc0 = CpuNs(CLOCK_PROCESS_CPUTIME_ID);
+    const double self0 = CpuNs(CLOCK_THREAD_CPUTIME_ID);
+    std::vector<double> out(kDim);
+    for (size_t r = 0; r < kDenseReps; ++r) {
+      for (size_t i = 0; i < kDim; ++i) {
+        double a = 0.0;
+        for (size_t j = 0; j < kDim; ++j) a += mat_[i * kDim + j] * vec_[j];
+        out[i] = a > 0.0 ? a : 0.0;
+      }
+      vec_[r % kDim] = out[(r * 7) % kDim] * 1e-3 + 1e-3;
+    }
+    double acc = 0.0;
+    size_t hits = 0;
+    for (size_t r = 0; r < kScanReps; ++r) {
+      const double lo = 0.2, hi = 0.2 + 0.05 * static_cast<double>(r);
+      for (double v : col_) {
+        if (v > lo && v < hi) {
+          acc += v;
+          ++hits;
+        }
+      }
+    }
+    const double solo_ns = CpuNs(CLOCK_THREAD_CPUTIME_ID) - self0;
+    const double others = CpuNs(CLOCK_PROCESS_CPUTIME_ID) - proc0 - solo_ns;
+    if (others > 0.02 * solo_ns) {
+      throw std::runtime_error(Fmt(
+          "speed probe: other threads used %.0f of %.0f ns", others, solo_ns));
+    }
+    std::mutex m;
+    std::condition_variable cv;
+    bool ping = false;
+    double peer_ns = 0.0;
+    std::thread peer([&] {
+      const double c0 = CpuNs(CLOCK_THREAD_CPUTIME_ID);
+      for (size_t i = 0; i < kHandoffs; ++i) {
+        std::unique_lock<std::mutex> l(m);
+        cv.wait(l, [&] { return ping; });
+        ping = false;
+        cv.notify_one();
+      }
+      peer_ns = CpuNs(CLOCK_THREAD_CPUTIME_ID) - c0;
+    });
+    for (size_t i = 0; i < kHandoffs; ++i) {
+      std::unique_lock<std::mutex> l(m);
+      ping = true;
+      cv.notify_one();
+      cv.wait(l, [&] { return !ping; });
+    }
+    peer.join();
+    const double ns = CpuNs(CLOCK_THREAD_CPUTIME_ID) - self0 + peer_ns;
+    sink_ += out[3] + acc + static_cast<double>(hits);
+    return ns;
+  }
+
+ private:
+  static constexpr size_t kDim = 64, kDenseReps = 1500;
+  static constexpr size_t kColumn = size_t{1} << 18, kScanReps = 8;
+  static constexpr size_t kHandoffs = 500;
+  std::vector<double> mat_, vec_, col_;
+  volatile double sink_ = 0.0;  // keeps the computed values live
+};
 
 // ---------------------------------------------------------------- setup
 QueryFunctionSpec AvgSpec(size_t measure_col) {
@@ -1079,15 +1190,22 @@ int Run(const Args& args) {
   unsetenv("NEUROSKETCH_FORCE_F32_PLANS");
   unsetenv("NEUROSKETCH_FORCE_INT8_PLANS");
 
-  // Setup, several times: setup_s is the median; every repetition must
+  // Setup, several times: setup_s is the median, each at the probe's
+  // nominal speed (probes before and after it); every repetition must
   // build bit-identical sketch images.
-  std::vector<double> setup_s, train_s;
+  SpeedProbe probe;
+  std::vector<double> setup_s, setup_raw_s, train_s;
   std::unique_ptr<Fixture> f;
   uint64_t digest = 0;
   bool correct = true;
+  double probe_ns = probe.Run();
   for (size_t rep = 0; rep < kSetupReps; ++rep) {
     f = Setup(args.workload, args.workdir);
-    setup_s.push_back(f->setup_s);
+    const double before_ns = probe_ns;
+    probe_ns = probe.Run();
+    setup_raw_s.push_back(f->setup_s);
+    setup_s.push_back(f->setup_s * SpeedProbe::kNominalNs /
+                      (0.5 * (before_ns + probe_ns)));
     train_s.push_back(f->train_s);
     if (rep == 0) digest = f->digest;
     if (f->digest != digest) {
@@ -1148,9 +1266,10 @@ int Run(const Args& args) {
   // repeats rounds of an untraced, a traced and a null-layer pass plus
   // one replay, so each round's layer sum compares figures measured
   // within seconds of each other on the same CPU.
-  std::vector<double> qps, p50, lat;
+  std::vector<double> qps, p50, lat, probes;
   std::vector<Round> rounds;
   double nmae = -1.0;
+  if (!args.trace) probes.push_back(probe.Run());
   const Clock::time_point start = Clock::now();
   const size_t min_passes = args.trace ? 3 : kMinPasses;
   while (qps.size() < min_passes ||
@@ -1161,7 +1280,10 @@ int Run(const Args& args) {
     p50.push_back(Percentile(o.latency_us, 50));
     lat.insert(lat.end(), o.latency_us.begin(), o.latency_us.end());
     if (nmae < 0.0) nmae = stats::NormalizedMae(plan.truth, o.served);
-    if (!args.trace) continue;
+    if (!args.trace) {
+      probes.push_back(probe.Run());
+      continue;
+    }
     Round rd;
     rd.qps = qps.back();
     PassOut t = RunPass(args.workload, *f, in, plan, true, false);
@@ -1184,9 +1306,17 @@ int Run(const Args& args) {
   }
   report.Note("audit " + audit0.ToString());
   report.Note(Fmt("passes=%zu pass_qps ", qps.size()) + Quartiles(qps));
-  std::string per_pass = "per_pass qps,p50_us:";
+  // Host slowness of each pass: the mean of the probes on either side of
+  // it over the nominal probe time (1 = the development VM's speed).
+  std::vector<double> slow;
+  for (size_t i = 0; i + 1 < probes.size(); ++i) {
+    slow.push_back(0.5 * (probes[i] + probes[i + 1]) / SpeedProbe::kNominalNs);
+  }
+  std::string per_pass =
+      args.trace ? "per_pass qps,p50_us:" : "per_pass qps,p50_us,slowness:";
   for (size_t i = 0; i < qps.size(); ++i) {
     per_pass += Fmt(" %.6g,%.6g", qps[i], p50[i]);
+    if (!args.trace) per_pass += Fmt(",%.4g", slow[i]);
   }
   report.Note(per_pass);
   report.Note("pass_p50_us " + Quartiles(p50));
@@ -1196,11 +1326,23 @@ int Run(const Args& args) {
                   Percentile(lat, 99)));
 
   if (!args.trace) {
-    // The slowest tenth of passes: the host's speed moves in regimes
-    // seconds long, mostly as excursions above a contended floor, and the
-    // floor is what repeats from run to run (see perfbench/README.md).
-    report.Add("qps", Percentile(qps, 10), "1/s");
-    report.Add("p50_us", Percentile(p50, 90), "us");
+    // Medians over passes of each pass's figure at the probe's nominal
+    // speed: the host's speed moves between and within runs, and the
+    // probes on either side of a pass measure it (see perfbench/README.md).
+    std::vector<double> qps_at, p50_at;
+    for (size_t i = 0; i < qps.size(); ++i) {
+      qps_at.push_back(qps[i] * slow[i]);
+      p50_at.push_back(p50[i] / slow[i]);
+    }
+    report.Note("host_slowness " + Quartiles(slow) +
+                Fmt(" probe_nominal_ns=%.6g", SpeedProbe::kNominalNs));
+    std::string setups = "setup_s raw,at_nominal:";
+    for (size_t i = 0; i < setup_s.size(); ++i) {
+      setups += Fmt(" %.4g,%.4g", setup_raw_s[i], setup_s[i]);
+    }
+    report.Note(setups);
+    report.Add("qps", Median(qps_at), "1/s");
+    report.Add("p50_us", Median(p50_at), "us");
     report.Add("nmae", nmae, "ratio");
     report.Add("setup_s", Median(setup_s), "s");
     report.Add("peak_rss_mb", peak_rss_mb, "MiB");
