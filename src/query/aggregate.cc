@@ -10,20 +10,73 @@ namespace neurosketch {
 
 AggregateAccumulator::AggregateAccumulator(Aggregate agg) : agg_(agg) {}
 
-void AggregateAccumulator::Add(double v) {
-  if (count_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
+template <typename Get>
+void AggregateAccumulator::AddEach(size_t n, Get get) {
+  // Update only the state Finalize reads for this aggregate, in a local
+  // copy for the whole run; each value is folded in exactly as a lone Add
+  // folds it, so answers do not depend on how rows are grouped.
+  switch (agg_) {
+    case Aggregate::kCount:
+      break;
+    case Aggregate::kSum: {
+      double sum = sum_;
+      for (size_t j = 0; j < n; ++j) sum += get(j);
+      sum_ = sum;
+      break;
+    }
+    case Aggregate::kAvg: {  // Welford mean
+      double mean = mean_;
+      size_t c = count_;
+      for (size_t j = 0; j < n; ++j) {
+        const double v = get(j);
+        mean += (v - mean) / static_cast<double>(++c);
+      }
+      mean_ = mean;
+      break;
+    }
+    case Aggregate::kStd: {  // Welford mean and M2
+      double mean = mean_, m2 = m2_;
+      size_t c = count_;
+      for (size_t j = 0; j < n; ++j) {
+        const double v = get(j);
+        const double delta = v - mean;
+        mean += delta / static_cast<double>(++c);
+        m2 += delta * (v - mean);
+      }
+      mean_ = mean;
+      m2_ = m2;
+      break;
+    }
+    case Aggregate::kMedian:
+      for (size_t j = 0; j < n; ++j) buffer_.push_back(get(j));
+      break;
+    case Aggregate::kMin: {
+      double lo = min_;
+      for (size_t j = 0; j < n; ++j) {
+        lo = count_ + j == 0 ? get(j) : std::min(lo, get(j));
+      }
+      min_ = lo;
+      break;
+    }
+    case Aggregate::kMax: {
+      double hi = max_;
+      for (size_t j = 0; j < n; ++j) {
+        hi = count_ + j == 0 ? get(j) : std::max(hi, get(j));
+      }
+      max_ = hi;
+      break;
+    }
   }
-  ++count_;
-  sum_ += v;
-  // Welford update.
-  const double delta = v - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (v - mean_);
-  if (agg_ == Aggregate::kMedian) buffer_.push_back(v);
+  count_ += n;
+}
+
+void AggregateAccumulator::Add(double v) {
+  AddEach(1, [v](size_t) { return v; });
+}
+
+void AggregateAccumulator::AddSelected(const double* values,
+                                       const uint32_t* sel, size_t n) {
+  AddEach(n, [values, sel](size_t j) { return values[sel[j]]; });
 }
 
 double AggregateAccumulator::Finalize() const {

@@ -1,8 +1,11 @@
 // Aggregate accumulators. Streaming where possible (COUNT/SUM/AVG/STD/
-// MIN/MAX); MEDIAN buffers matched values. STD uses Welford's method.
+// MIN/MAX); MEDIAN buffers matched values. AVG and STD use Welford's
+// method. Add updates only the state its aggregate's Finalize reads.
 #ifndef NEUROSKETCH_QUERY_AGGREGATE_H_
 #define NEUROSKETCH_QUERY_AGGREGATE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "query/query.h"
@@ -18,6 +21,9 @@ class AggregateAccumulator {
   explicit AggregateAccumulator(Aggregate agg);
 
   void Add(double measure_value);
+  /// \brief Add values[sel[0]], ..., values[sel[n-1]] in that order;
+  /// the same state as n Add calls, without a call per value.
+  void AddSelected(const double* values, const uint32_t* sel, size_t n);
   double Finalize() const;
   size_t count() const { return count_; }
 
@@ -25,10 +31,13 @@ class AggregateAccumulator {
   static double Evaluate(Aggregate agg, const std::vector<double>& values);
 
  private:
+  template <typename Get>
+  void AddEach(size_t n, Get get);
+
   Aggregate agg_;
   size_t count_ = 0;
   double sum_ = 0.0;
-  double mean_ = 0.0, m2_ = 0.0;  // Welford state for STD
+  double mean_ = 0.0, m2_ = 0.0;  // Welford state: AVG (mean), STD
   double min_ = 0.0, max_ = 0.0;
   std::vector<double> buffer_;  // MEDIAN only
 };

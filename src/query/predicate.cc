@@ -28,6 +28,29 @@ bool AxisRangePredicate::Matches(const QueryInstance& q, const double* row,
   return true;
 }
 
+bool CompiledAxisRange::Compile(const PredicateFunction& predicate,
+                                const QueryInstance& q, size_t data_dim) {
+  num_active_ = 0;
+  if (dynamic_cast<const AxisRangePredicate*>(&predicate) == nullptr ||
+      q.dim() < 2 * data_dim) {
+    return false;
+  }
+  const double* c = q.q.data();
+  const double* r = q.q.data() + data_dim;
+  for (size_t i = 0; i < data_dim; ++i) {
+    if (c[i] == 0.0 && r[i] >= 1.0) continue;  // inactive, as in Matches
+    if (num_active_ == kMaxActive) {
+      num_active_ = 0;
+      return false;
+    }
+    column_[num_active_] = static_cast<uint32_t>(i);
+    lo_[num_active_] = c[i];
+    hi_[num_active_] = c[i] + r[i];
+    ++num_active_;
+  }
+  return true;
+}
+
 void AxisRangePredicate::QueryBox(const QueryInstance& q, size_t data_dim,
                                   std::vector<double>* lo,
                                   std::vector<double>* hi) const {

@@ -6,6 +6,7 @@
 #ifndef NEUROSKETCH_QUERY_PREDICATE_H_
 #define NEUROSKETCH_QUERY_PREDICATE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,6 +54,53 @@ class AxisRangePredicate : public PredicateFunction {
   static std::shared_ptr<const AxisRangePredicate> Make() {
     return std::make_shared<const AxisRangePredicate>();
   }
+};
+
+/// \brief One AxisRangePredicate query compiled for a scan: its active
+/// attributes with their [lo, hi) bounds. Exact and delta scans compile a
+/// query once and then test only the active columns of each row, instead
+/// of a virtual Matches call that re-derives the bounds per row.
+///
+/// Same match semantics as AxisRangePredicate::Matches, bit for bit:
+/// hi is `c + r` as Matches computes it, an attribute with
+/// `c == 0.0 && r >= 1.0` is inactive, and a value v matches when
+/// `!(v < lo) && !(v >= hi)`, so a NaN cell (or a NaN bound) matches
+/// exactly when Matches says it does.
+class CompiledAxisRange {
+ public:
+  /// Fixed capacity: compiling needs no allocation. A query with more
+  /// active attributes does not compile and keeps the per-row path.
+  static constexpr size_t kMaxActive = 64;
+
+  /// \brief Compiles `q` for rows of `data_dim` attributes. Returns false
+  /// (and the caller keeps the per-row Matches path) when `predicate` is
+  /// not an AxisRangePredicate or the query has over kMaxActive active
+  /// attributes.
+  bool Compile(const PredicateFunction& predicate, const QueryInstance& q,
+               size_t data_dim);
+
+  size_t num_active() const { return num_active_; }
+  size_t column(size_t k) const { return column_[k]; }
+  double lo(size_t k) const { return lo_[k]; }
+  double hi(size_t k) const { return hi_[k]; }
+
+  static bool InRange(double v, double lo, double hi) {
+    return !(v < lo) && !(v >= hi);
+  }
+
+  /// \brief Row-major test over the active attributes of one row.
+  bool Matches(const double* row) const {
+    for (size_t k = 0; k < num_active_; ++k) {
+      if (!InRange(row[column_[k]], lo_[k], hi_[k])) return false;
+    }
+    return true;
+  }
+
+ private:
+  size_t num_active_ = 0;
+  uint32_t column_[kMaxActive] = {};
+  double lo_[kMaxActive] = {};
+  double hi_[kMaxActive] = {};
 };
 
 /// \brief General rectangle (Table 2): q = (p_x, p_y, p'_x, p'_y, phi)

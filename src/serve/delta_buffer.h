@@ -19,6 +19,7 @@
 #ifndef NEUROSKETCH_SERVE_DELTA_BUFFER_H_
 #define NEUROSKETCH_SERVE_DELTA_BUFFER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -83,15 +84,20 @@ class DeltaBuffer {
 
     /// \brief Visit logical rows [from, to) in order; `fn(row)` gets a
     /// pointer to num_columns() doubles. The range is clamped to
-    /// [begin, end).
+    /// [begin, end). Walks chunk by chunk: one division to find the
+    /// first row, then a pointer stride per row.
     template <typename Fn>
     void ForEachRow(size_t from, size_t to, Fn&& fn) const {
       if (from < begin_) from = begin_;
       if (to > end_) to = end_;
-      for (size_t r = from; r < to; ++r) {
-        const size_t ci = (r - chunk_base_) / chunk_rows_;
-        const size_t off = (r - chunk_base_) % chunk_rows_;
-        fn(chunks_[ci]->data.data() + off * num_columns_);
+      if (from >= to) return;
+      size_t ci = (from - chunk_base_) / chunk_rows_;
+      size_t off = (from - chunk_base_) % chunk_rows_;
+      for (size_t left = to - from; left > 0; ++ci, off = 0) {
+        const size_t len = std::min(left, chunk_rows_ - off);
+        const double* row = chunks_[ci]->data.data() + off * num_columns_;
+        for (size_t j = 0; j < len; ++j, row += num_columns_) fn(row);
+        left -= len;
       }
     }
 

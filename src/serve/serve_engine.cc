@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "query/predicate.h"
+
 namespace neurosketch {
 namespace serve {
 
@@ -36,12 +38,31 @@ struct DeltaMatch {
   double max = 0.0;
 };
 
+/// Calls `fn(row)` for every delta row in [from, snap.end()) that
+/// matches q, in append order. An axis-range query is compiled once and
+/// tests only its active columns per row; any other predicate keeps the
+/// per-row Matches test.
+template <typename Fn>
+void ForEachDeltaMatch(const DeltaBuffer::Snapshot& snap, size_t from,
+                       const QueryFunctionSpec& spec, const QueryInstance& q,
+                       Fn&& fn) {
+  const size_t dim = snap.num_columns();
+  CompiledAxisRange range;
+  if (range.Compile(*spec.predicate, q, dim)) {
+    snap.ForEachRow(from, snap.end(), [&](const double* row) {
+      if (range.Matches(row)) fn(row);
+    });
+  } else {
+    snap.ForEachRow(from, snap.end(), [&](const double* row) {
+      if (spec.predicate->Matches(q, row, dim)) fn(row);
+    });
+  }
+}
+
 DeltaMatch ScanDelta(const DeltaBuffer::Snapshot& snap, size_t from,
                      const QueryFunctionSpec& spec, const QueryInstance& q) {
   DeltaMatch m;
-  const size_t dim = snap.num_columns();
-  snap.ForEachRow(from, snap.end(), [&](const double* row) {
-    if (!spec.predicate->Matches(q, row, dim)) return;
+  ForEachDeltaMatch(snap, from, spec, q, [&](const double* row) {
     const double v = row[spec.measure_col];
     if (m.matched == 0) {
       m.min = m.max = v;
@@ -84,13 +105,11 @@ double ExactWithDelta(const ExactEngine::PinnedBase& base,
                       const DeltaBuffer::Snapshot& snap) {
   AggregateAccumulator acc(spec.agg);
   ExactEngine::AccumulateOver(*base.table, spec, q, &acc);
-  const size_t dim = snap.num_columns();
   const size_t from = snap.begin() < base.folded
                           ? static_cast<size_t>(base.folded)
                           : snap.begin();
-  snap.ForEachRow(from, snap.end(), [&](const double* row) {
-    if (spec.predicate->Matches(q, row, dim)) acc.Add(row[spec.measure_col]);
-  });
+  ForEachDeltaMatch(snap, from, spec, q,
+                    [&](const double* row) { acc.Add(row[spec.measure_col]); });
   return acc.Finalize();
 }
 }  // namespace

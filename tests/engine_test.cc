@@ -1,13 +1,51 @@
-// Tests for the exact scan engine (ground truth provider).
+// Tests for the exact scan engine (ground truth provider), including the
+// compiled axis-range scan: bit-identity against a per-row Matches
+// reference and allocation silence on the warm path.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <new>
 
 #include "data/generators.h"
 #include "query/engine.h"
 #include "query/predicate.h"
 #include "query/workload.h"
+#include "util/random.h"
 #include "util/stats.h"
+
+// Global allocation counter for the zero-allocation test: every operator
+// new in the binary ticks it, so a scan that allocates cannot hide.
+namespace {
+std::atomic<size_t> g_heap_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t sz) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(sz == 0 ? 1 : sz);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new[](std::size_t sz) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(sz == 0 ? 1 : sz);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+// Out of line, so GCC cannot inline a delete next to its matching new and
+// misreport the malloc/free pair as mismatched.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace neurosketch {
 namespace {
@@ -146,6 +184,177 @@ TEST(EngineTest, RotatedRectPredicateWorks) {
   QueryInstance q(std::vector<double>{px, py, qx, qy, phi});
   const double count = engine.Answer(spec, q);
   EXPECT_NEAR(count / 20000.0, 0.06, 0.01);
+}
+
+// ---------------------------------------------------------------------
+// Compiled axis-range scan vs the per-row Matches reference.
+
+constexpr Aggregate kAllAggregates[] = {
+    Aggregate::kCount, Aggregate::kSum,    Aggregate::kAvg, Aggregate::kStd,
+    Aggregate::kMedian, Aggregate::kMin,   Aggregate::kMax};
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+/// The reference the compiled scan must reproduce: gather each row and
+/// ask the predicate, feeding matches in row order.
+void ReferenceAccumulate(const Table& t, const QueryFunctionSpec& spec,
+                         const QueryInstance& q, AggregateAccumulator* acc) {
+  const size_t dim = t.num_columns();
+  std::vector<double> row(dim);
+  for (size_t i = 0; i < t.num_rows(); ++i) {
+    for (size_t c = 0; c < dim; ++c) row[c] = t.at(i, c);
+    if (spec.predicate->Matches(q, row.data(), dim)) {
+      acc->Add(t.at(i, spec.measure_col));
+    }
+  }
+}
+
+/// Random query over `dim` attributes with `active` of them constrained;
+/// the rest carry the inactive encoding (0, 1). Some active attributes
+/// start at exactly 0 or carry a NaN bound to probe the inactive rule and
+/// the NaN comparison semantics.
+QueryInstance RandomAxisQuery(size_t dim, size_t active, Rng* rng) {
+  std::vector<double> c(dim, 0.0), r(dim, 1.0);
+  for (size_t a : rng->SampleWithoutReplacement(dim, active)) {
+    const double u = rng->Uniform();
+    if (u < 0.1) {
+      c[a] = 0.0;  // active despite c == 0: r < 1
+      r[a] = rng->Uniform(0.05, 0.95);
+    } else if (u < 0.13) {
+      c[a] = std::numeric_limits<double>::quiet_NaN();
+      r[a] = 0.3;
+    } else {
+      c[a] = rng->Uniform(0.0, 0.9);
+      r[a] = rng->Uniform(0.01, 1.0 - c[a]);
+    }
+  }
+  return QueryInstance::AxisRange(c, r);
+}
+
+/// Random table whose cells include NaN, exact lower bounds c, exact
+/// upper bounds c + r (as Matches computes them) and 1.0 under inactive
+/// attributes.
+Table RandomEdgeTable(size_t rows, size_t dim, const QueryInstance& q,
+                      Rng* rng) {
+  std::vector<std::vector<double>> cols(dim, std::vector<double>(rows));
+  for (size_t col = 0; col < dim; ++col) {
+    const double c = q[col], r = q[dim + col];
+    const bool inactive = c == 0.0 && r >= 1.0;
+    for (double& v : cols[col]) {
+      const double u = rng->Uniform();
+      if (u < 0.03) {
+        v = std::numeric_limits<double>::quiet_NaN();
+      } else if (u < 0.08) {
+        v = inactive ? 1.0 : c;
+      } else if (u < 0.13) {
+        v = inactive ? 1.0 : c + r;
+      } else {
+        v = rng->Uniform();
+      }
+    }
+  }
+  Schema s;
+  for (size_t col = 0; col < dim; ++col) {
+    s.columns.push_back("a" + std::to_string(col));
+  }
+  Table t(s);
+  EXPECT_TRUE(t.SetColumns(std::move(cols)).ok());
+  return t;
+}
+
+TEST(EngineScanTest, CompiledScanMatchesPerRowReferenceBitForBit) {
+  Rng rng(4242);
+  size_t compared = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    const size_t dim = 1 + static_cast<size_t>(rng.Int(0, 19));
+    const size_t active = static_cast<size_t>(rng.Int(0, dim));
+    // 0 rows (empty table), a partial block, and several full blocks.
+    const size_t rows = trial % 12 == 0
+                            ? 0
+                            : static_cast<size_t>(rng.Int(1, 2600));
+    const QueryInstance q = RandomAxisQuery(dim, active, &rng);
+    const Table t = RandomEdgeTable(rows, dim, q, &rng);
+    ExactEngine engine(&t);
+    for (Aggregate agg : kAllAggregates) {
+      const QueryFunctionSpec spec = AxisSpec(agg, rng.Index(dim));
+      AggregateAccumulator got(agg), want(agg);
+      ExactEngine::AccumulateOver(t, spec, q, &got);
+      ReferenceAccumulate(t, spec, q, &want);
+      ASSERT_EQ(got.count(), want.count())
+          << "trial " << trial << " dim " << dim << " active " << active;
+      ASSERT_EQ(Bits(got.Finalize()), Bits(want.Finalize()))
+          << "trial " << trial << " agg " << AggregateName(agg);
+      ASSERT_EQ(engine.CountMatches(spec, q), want.count())
+          << "trial " << trial;
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 240u * 7u);
+}
+
+TEST(EngineScanTest, QueriesBeyondCompiledCapacityKeepPerRowPath) {
+  // More active attributes than CompiledAxisRange holds: the query does
+  // not compile and the generic path answers it, still exactly.
+  const size_t dim = CompiledAxisRange::kMaxActive + 6;
+  Rng rng(77);
+  const QueryInstance q = RandomAxisQuery(dim, dim, &rng);
+  CompiledAxisRange range;
+  EXPECT_FALSE(range.Compile(AxisRangePredicate(), q, dim));
+  const Table t = RandomEdgeTable(500, dim, q, &rng);
+  for (Aggregate agg : kAllAggregates) {
+    const QueryFunctionSpec spec = AxisSpec(agg, 3);
+    AggregateAccumulator got(agg), want(agg);
+    ExactEngine::AccumulateOver(t, spec, q, &got);
+    ReferenceAccumulate(t, spec, q, &want);
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(Bits(got.Finalize()), Bits(want.Finalize()));
+  }
+}
+
+TEST(EngineScanTest, CompileKeepsOnlyActiveAttributes) {
+  CompiledAxisRange range;
+  const QueryInstance q =
+      QueryInstance::AxisRange({0.0, 0.2, 0.0, 0.0}, {1.0, 0.3, 0.5, 1.5});
+  ASSERT_TRUE(range.Compile(AxisRangePredicate(), q, 4));
+  ASSERT_EQ(range.num_active(), 2u);
+  EXPECT_EQ(range.column(0), 1u);
+  EXPECT_EQ(range.lo(0), 0.2);
+  EXPECT_EQ(range.hi(0), 0.2 + 0.3);
+  EXPECT_EQ(range.column(1), 2u);
+  EXPECT_EQ(range.hi(1), 0.5);
+  // Non-axis predicates do not compile.
+  EXPECT_FALSE(range.Compile(HalfSpacePredicate(), q, 4));
+}
+
+TEST(EngineScanTest, AxisScanIsZeroAllocationWhenWarm) {
+  const Table t = MakeUniformTable(5000, 4, 91);
+  ExactEngine engine(&t);
+  WorkloadConfig cfg;
+  cfg.num_active = 2;
+  cfg.seed = 92;
+  WorkloadGenerator gen(4, cfg);
+  const auto queries = gen.GenerateMany(32);
+  const QueryFunctionSpec spec = AxisSpec(Aggregate::kAvg, 3);
+  AggregateAccumulator acc(Aggregate::kAvg);
+  size_t sink = 0;
+  for (const auto& q : queries) {  // warm-up
+    ExactEngine::AccumulateOver(t, spec, q, &acc);
+    sink += engine.CountMatches(spec, q);
+  }
+
+  const size_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (const auto& q : queries) {
+    ExactEngine::AccumulateOver(t, spec, q, &acc);
+    sink += engine.CountMatches(spec, q);
+  }
+  const size_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "the axis-range scan allocated";
+  EXPECT_EQ(acc.count(), sink);
+  EXPECT_GT(sink, 0u);
 }
 
 }  // namespace

@@ -140,6 +140,40 @@ TEST(DeltaBufferTest, AppendSnapshotTrimKeepLogicalIndicesStable) {
   EXPECT_EQ(stats.appends, 10u);
 }
 
+TEST(DeltaBufferTest, ForEachRowWalksEveryRangeAcrossChunkEdges) {
+  // Every [from, to) over a 4-row-chunk buffer: starts and ends mid-chunk,
+  // exactly on chunk edges, past either end, empty, and after a Trim.
+  DeltaBuffer buf(2, /*chunk_rows=*/4);
+  {
+    size_t visits = 0;
+    buf.Snap().ForEachRow(0, 10, [&](const double*) { ++visits; });
+    EXPECT_EQ(visits, 0u);  // empty buffer
+  }
+  for (int i = 0; i < 23; ++i) {
+    buf.Append({static_cast<double>(i), -static_cast<double>(i)});
+  }
+  auto check_all_ranges = [](const DeltaBuffer::Snapshot& snap) {
+    for (size_t from = 0; from <= snap.end() + 2; ++from) {
+      for (size_t to = 0; to <= snap.end() + 2; ++to) {
+        const size_t lo = std::max(from, snap.begin());
+        const size_t hi = std::min(to, snap.end());
+        size_t next = lo;
+        snap.ForEachRow(from, to, [&](const double* row) {
+          ASSERT_EQ(row[0], static_cast<double>(next));
+          ASSERT_EQ(row[1], -static_cast<double>(next));
+          ++next;
+        });
+        EXPECT_EQ(next, hi > lo ? hi : lo) << "from " << from << " to " << to;
+      }
+    }
+  };
+  check_all_ranges(buf.Snap());
+  EXPECT_EQ(buf.Trim(9), 8u);  // chunk_base moves to logical row 8
+  const DeltaBuffer::Snapshot trimmed = buf.Snap();
+  EXPECT_EQ(trimmed.begin(), 8u);
+  check_all_ranges(trimmed);
+}
+
 TEST(DeltaBufferTest, ConcurrentAppendersPublishOnlyWholeRows) {
   DeltaBuffer buf(3, /*chunk_rows=*/8);
   std::atomic<bool> stop{false};
