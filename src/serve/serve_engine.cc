@@ -122,7 +122,8 @@ ServeEngine::ServeEngine(const SketchStore* store, ServeOptions options)
                                            : 0) {
   shards_.reserve(options_.num_shards);
   for (size_t i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(options_.submit_queue_capacity));
+    shards_.push_back(
+        std::make_unique<Shard>(options_.submit_queue_capacity, i));
   }
   for (auto& shard : shards_) {
     Shard* s = shard.get();
@@ -267,7 +268,7 @@ void ServeEngine::DispatchLoop(Shard* shard) {
     const auto now = Clock::now();
     const bool stopping = stop_.load(std::memory_order_relaxed);
     KeyState* chosen = nullptr;
-    ServeKey chosen_key;
+    const ServeKey* chosen_key = nullptr;
     Clock::time_point chosen_deadline{};
     bool have_deadline = false;
     Clock::time_point earliest{};
@@ -278,7 +279,7 @@ void ServeEngine::DispatchLoop(Shard* shard) {
           stopping || deadline <= now) {
         if (chosen == nullptr || deadline < chosen_deadline) {
           chosen = &st;
-          chosen_key = key;
+          chosen_key = &key;
           chosen_deadline = deadline;
         }
         continue;
@@ -289,6 +290,14 @@ void ServeEngine::DispatchLoop(Shard* shard) {
       }
     }
     if (chosen == nullptr) {
+      // Nothing is dispatchable, so nothing is worth holding answers for:
+      // publish before sleeping (or stopping — the destructor relies on
+      // this to resolve every held answer).
+      if (!shard->held.empty()) {
+        lock.unlock();
+        Publish(shard);
+        lock.lock();
+      }
       if (stopping && shard->pending_count == 0 && shard->ring.Empty()) {
         return;
       }
@@ -310,35 +319,39 @@ void ServeEngine::DispatchLoop(Shard* shard) {
       continue;
     }
 
-    std::vector<Request> batch;
     const size_t take = std::min(options_.max_batch, chosen->pending.size());
-    batch.reserve(take);
     for (size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(chosen->pending.front()));
+      shard->batch.push_back(std::move(chosen->pending.front()));
       chosen->pending.pop_front();
     }
     shard->pending_count -= take;
     const bool allow_sketch = !chosen->demoted;
-    const QueryFunctionSpec spec = chosen->spec;
-    const std::shared_ptr<StoreCounters> counters = chosen->counters;
+    // Hold the group through this batch only if it is predicted (from the
+    // key's previous batch) to finish within kMaxHold of the group's
+    // first held answer; otherwise publish now, so a cheap answer never
+    // waits behind slow work.
+    const bool publish_first =
+        !shard->held.empty() &&
+        now - shard->held_since + chosen->last_batch >= kMaxHold;
 
     lock.unlock();
+    if (publish_first) Publish(shard);
+    const bool new_group = shard->held.empty();
     // The queue-wait / batch-assembly boundary: everything before this
     // instant is time spent waiting in the per-key queue.
-    ExecuteBatch(shard, chosen_key, spec, allow_sketch, &batch, Clock::now(),
-                 counters.get());
+    const Clock::time_point collected = Clock::now();
+    const Clock::time_point answered =
+        ExecuteBatch(shard, chosen, *chosen_key, allow_sketch, collected);
+    shard->batch.clear();
+    if (new_group) shard->held_since = answered;
     lock.lock();
+    chosen->last_batch = answered - collected;
   }
 }
 
-double ServeEngine::Fulfill(Shard* shard, Request* r, double value,
-                            bool used_sketch, PlanPrecision tier,
-                            StoreCounters* sc, Clock::time_point* now_out) {
-  const Clock::time_point now = Clock::now();
-  if (now_out != nullptr) *now_out = now;  // free timestamp for tracing
-  const double us = MicrosBetween(r->enqueued, now);
-  shard->latency.Add(us);
-  sc->latency.Add(us);
+void ServeEngine::Fulfill(Shard* shard, Request* r, double value,
+                          bool used_sketch, PlanPrecision tier,
+                          StoreCounters* sc) {
   shard->queries.fetch_add(1, std::memory_order_relaxed);
   sc->queries.fetch_add(1, std::memory_order_relaxed);
   if (used_sketch) {
@@ -360,24 +373,83 @@ double ServeEngine::Fulfill(Shard* shard, Request* r, double value,
     shard->fallback_answers.fetch_add(1, std::memory_order_relaxed);
     sc->fallback_answers.fetch_add(1, std::memory_order_relaxed);
   }
+  const ServeResult result{value, used_sketch};
   if (r->wave != nullptr) {
-    r->wave->results[r->wave_slot] = ServeResult{value, used_sketch};
-    if (r->wave->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      r->wave->promise.set_value(std::move(r->wave->results));
+    r->wave->results[r->wave_slot] = result;
+    if (r->wave->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+      return;  // the burst resolves with its last answer
     }
-    return us;
   }
-  r->promise->set_value(ServeResult{value, used_sketch});
-  return us;
+  Held h;
+  h.promise = std::move(r->promise);
+  h.wave = std::move(r->wave);
+  h.result = result;
+  h.tier = tier;
+  h.enqueued = r->enqueued;
+  h.sc = sc;
+  // ExecuteBatch records the running batch's stamps after its last
+  // Fulfill, at exactly this index.
+  h.batch = static_cast<uint32_t>(shard->held_batches.size());
+  shard->held.push_back(std::move(h));
 }
 
-void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
-                               const QueryFunctionSpec& spec,
-                               bool allow_sketch, std::vector<Request>* batch,
-                               Clock::time_point collected,
-                               StoreCounters* sc) {
+void ServeEngine::Publish(Shard* shard) {
+  const Clock::time_point now = Clock::now();
+  const bool tracing = options_.stage_tracing;
+  if (tracing) {
+    for (const HeldBatch& b : shard->held_batches) {
+      shard->stage_fulfill.Add(MicrosBetween(b.answered, now));
+    }
+  }
+  // Newest first: a FIFO client blocked on its oldest future wakes once,
+  // when everything behind that future is already resolved. Each
+  // answer's stats land before its own future resolves.
+  for (auto it = shard->held.rbegin(); it != shard->held.rend(); ++it) {
+    Held& h = *it;
+    const double us = MicrosBetween(h.enqueued, now);
+    const uint64_t answers = h.wave != nullptr ? h.wave->results.size() : 1;
+    shard->latency.Add(us, answers);
+    h.sc->latency.Add(us, answers);
+    // Everything past the lock-free threshold gate is lazy (trace
+    // strings, the stage split), so the common case costs one relaxed
+    // load and one compare.
+    if (tracing && us > slow_queries_.min_kept_us()) {
+      const HeldBatch& b = shard->held_batches[h.batch];
+      metrics::SlowQueryTrace t;
+      t.total_us = us;
+      t.queue_us = MicrosBetween(h.enqueued, b.collected);
+      t.assembly_us = MicrosBetween(b.collected, b.infer_start);
+      t.inference_us = MicrosBetween(b.infer_start, b.answered);
+      const double rest = us - t.queue_us - t.assembly_us - t.inference_us;
+      t.fulfill_us = rest > 0.0 ? rest : 0.0;
+      t.store = h.sc->display;
+      t.tier = h.result.used_sketch        ? PlanPrecisionName(h.tier)
+               : std::isnan(h.result.value) ? "failed"
+                                            : "exact";
+      t.batch_size = b.size;
+      t.shard = shard->index;
+      slow_queries_.Offer(std::move(t));
+    }
+    if (h.wave != nullptr) {
+      h.wave->promise.set_value(std::move(h.wave->results));
+    } else {
+      h.promise->set_value(h.result);
+    }
+  }
+  shard->held.clear();
+  shard->held_batches.clear();
+}
+
+ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
+    Shard* shard, KeyState* st, const ServeKey& key, bool allow_sketch,
+    Clock::time_point collected) {
   shard->batches.fetch_add(1, std::memory_order_relaxed);
   const bool tracing = options_.stage_tracing;
+  // The key's spec and counters are set when it is created and never
+  // change, so they are read here without the shard lock.
+  const QueryFunctionSpec& spec = st->spec;
+  StoreCounters* sc = st->counters.get();
+  std::vector<Request>& batch = shard->batch;
   // Acquisition order matters for compaction safety: the delta SNAPSHOT
   // comes first, then the (sketch, watermarks) view, then the pinned base
   // version. Watermarks and the base fold watermark only ever advance, so
@@ -409,63 +481,25 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
 
   // Requests own their queries and never read them again; steal the
   // buffers instead of cloning one heap allocation per query.
-  std::vector<QueryInstance> queries;
-  queries.reserve(batch->size());
-  for (auto& r : *batch) queries.push_back(std::move(r.q));
+  std::vector<QueryInstance>& queries = shard->batch_queries;
+  queries.clear();
+  for (auto& r : batch) queries.push_back(std::move(r.q));
 
   // Stage boundaries: assembly = collection -> inference start (store
-  // lookup + query stealing), inference = inference start -> the FIRST
-  // answer's delivery clock read (so it absorbs the NaN scan and budget
-  // accounting), fulfill = first -> last answer's delivery clock read,
-  // measured per micro-batch. Tracing latency discipline: on the
-  // latency-critical singleton-batch path, tracing adds ZERO clock reads
-  // — inference start reuses the collection stamp (assembly reads 0 and
-  // its sub-microsecond lookup cost is absorbed into inference) and both
-  // downstream boundaries reuse the clock reads Fulfill already pays
-  // for; multi-query batches, where per-request cost is amortized, pay
-  // one dedicated read to keep the full 4-way split. Every histogram
-  // update is deferred to after the final promise resolves. This keeps
-  // the tracing-on single-query p50 within the <2% budget that
-  // tools/check_serving_overhead.sh gates.
-  Clock::time_point infer_start{};
-  Clock::time_point infer_end{};
-  Clock::time_point fulfill_end{};
-  Clock::time_point* fulfill_now = tracing ? &fulfill_end : nullptr;
-  const char* tier_name = "exact";
-
-  // Offers this request's trace to the slow-query ring; everything past
-  // the lock-free threshold gate is lazy (trace strings, the queue-wait
-  // split, the shard hash), so the common (fast-query) case costs one
-  // relaxed load and one compare.
-  auto maybe_trace = [&](double total_us, Clock::time_point enqueued,
-                         const char* tier) {
-    if (total_us <= slow_queries_.min_kept_us()) return;
-    metrics::SlowQueryTrace t;
-    t.total_us = total_us;
-    t.queue_us = MicrosBetween(enqueued, collected);
-    t.assembly_us = MicrosBetween(collected, infer_start);
-    t.inference_us = MicrosBetween(infer_start, infer_end);
-    const double rest = total_us - t.queue_us - t.assembly_us - t.inference_us;
-    t.fulfill_us = rest > 0.0 ? rest : 0.0;
-    t.store = sc->display;
-    t.tier = tier;
-    t.batch_size = batch->size();
-    t.shard = ShardIndexOf(key);
-    slow_queries_.Offer(std::move(t));
-  };
-
-  // Deferred stage bookkeeping: queue waits are recomputed from the
-  // requests' enqueue stamps (still valid after the query steal), so no
-  // per-request state needs buffering on the critical path.
-  auto record_stages = [&] {
-    if (!tracing) return;
-    for (const auto& r : *batch) {
-      shard->stage_queue.Add(MicrosBetween(r.enqueued, collected));
-    }
-    shard->stage_assembly.Add(MicrosBetween(collected, infer_start));
-    shard->stage_inference.Add(MicrosBetween(infer_start, infer_end));
-    shard->stage_fulfill.Add(MicrosBetween(infer_end, fulfill_end));
-  };
+  // lookup + query stealing), inference = inference start -> every
+  // answer computed and held (so it absorbs composition, repairs, the
+  // NaN scan, budget accounting and counters), fulfill = held -> the
+  // group's publication (Publish records it). Tracing latency
+  // discipline: on the latency-critical singleton-batch path, tracing
+  // adds ZERO clock reads — inference start reuses the collection stamp
+  // (assembly reads 0 and its sub-microsecond lookup cost is absorbed
+  // into inference) and the other boundaries reuse the clock reads the
+  // dispatcher pays anyway (batch end, publish); multi-query batches,
+  // where per-request cost is amortized, pay one dedicated read to keep
+  // the full 4-way split. This keeps the tracing-on single-query p50
+  // within the <2% budget that tools/check_serving_overhead.sh gates.
+  Clock::time_point infer_start = collected;
+  if (tracing && batch.size() > 1) infer_start = Clock::now();
 
   if (sketch != nullptr) {
     // Dispatcher-thread answer buffer: capacity is retained across
@@ -475,7 +509,6 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
     // thread ever warms this sketch's arena.
     thread_local std::vector<double> answers;
     answers.resize(queries.size());
-    if (tracing) infer_start = batch->size() == 1 ? collected : Clock::now();
     sketch->AnswerBatchVectorizedTo(queries, answers.data());
     // Streaming composition: correct each sketch answer with the exact
     // contribution of the delta rows its leaf has not folded yet. Per
@@ -527,33 +560,31 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
         // sketch answer — there is nothing better to compose from.
       }
     }
-    // infer_end is the first Fulfill's clock read, set in the loop below.
     size_t nans = 0;
     for (double a : answers) nans += std::isnan(a) ? 1 : 0;
     const size_t genuine = answers.size() - nans;
     const PlanPrecision tier = sketch->plan_precision();
-    tier_name = PlanPrecisionName(tier);
 
     bool tripped = false;
     {
-      // Error-budget accounting BEFORE any request is fulfilled: the
-      // moment the last Fulfill resolves a client future, that client may
-      // Snapshot() — the demotion decision must already be visible.
+      // Error-budget accounting BEFORE any answer is held: the moment
+      // Publish resolves a client future, that client may Snapshot() —
+      // the demotion decision must already be visible.
       // sketch_answers counts only genuinely sketch-answered queries —
       // repaired (NaN) queries must not dilute the failure-rate
       // denominator, or a half-broken sketch is demoted late or never.
       // The key lives on this shard, so the shard lock suffices (and is
       // uncontended: only this dispatcher and rare Snapshots take it).
       std::lock_guard<std::mutex> lock(shard->mu);
-      KeyState& st = shard->keys[key];
-      st.sketch_answers += genuine;
-      st.sketch_nans += nans;
-      if (!st.demoted &&
-          st.sketch_answers + st.sketch_nans >= options_.budget_min_samples &&
-          static_cast<double>(st.sketch_nans) >
+      st->sketch_answers += genuine;
+      st->sketch_nans += nans;
+      if (!st->demoted &&
+          st->sketch_answers + st->sketch_nans >=
+              options_.budget_min_samples &&
+          static_cast<double>(st->sketch_nans) >
               options_.max_sketch_failure_rate *
-                  static_cast<double>(st.sketch_answers)) {
-        st.demoted = true;
+                  static_cast<double>(st->sketch_answers)) {
+        st->demoted = true;
         tripped = true;
         shard->budget_trips.fetch_add(1, std::memory_order_relaxed);
       }
@@ -566,8 +597,6 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
     if (tripped) store_->NotePenalized(key);
 
     for (size_t i = 0; i < answers.size(); ++i) {
-      double total_us;
-      const char* served_as;
       if (std::isnan(answers[i]) && engine != nullptr) {
         // Per-query exact repair: the sketch could not route/answer this
         // instance (e.g. out-of-domain), but the batch as a whole stays
@@ -576,18 +605,14 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
         // delta the repair composes over base + appended rows, so the
         // repaired answer honors the same freshness contract.
         const double repaired = ExactWithDelta(pinned, spec, queries[i], dsnap);
-        total_us = Fulfill(shard, &(*batch)[i], repaired, false,
-                           PlanPrecision::kF64, sc, fulfill_now);
-        served_as = "exact";
+        Fulfill(shard, &batch[i], repaired, false, PlanPrecision::kF64, sc);
       } else if (modes[i] == 2) {
         // Non-decomposable aggregate recomputed exactly over base+delta:
         // counted as a fallback answer (used_sketch=false) plus the
         // delta_exact sub-counter.
         shard->delta_exact_answers.fetch_add(1, std::memory_order_relaxed);
         sc->delta_exact_answers.fetch_add(1, std::memory_order_relaxed);
-        total_us = Fulfill(shard, &(*batch)[i], answers[i], false,
-                           PlanPrecision::kF64, sc, fulfill_now);
-        served_as = "exact";
+        Fulfill(shard, &batch[i], answers[i], false, PlanPrecision::kF64, sc);
       } else {
         if (modes[i] == 1) {
           shard->delta_corrected_answers.fetch_add(1,
@@ -595,22 +620,11 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
           sc->delta_corrected_answers.fetch_add(1, std::memory_order_relaxed);
         }
         const bool genuine_answer = !std::isnan(answers[i]);
-        total_us = Fulfill(shard, &(*batch)[i], answers[i], genuine_answer,
-                           genuine_answer ? tier : PlanPrecision::kF64, sc,
-                           fulfill_now);
-        served_as = genuine_answer ? tier_name : "failed";
-      }
-      if (tracing) {
-        if (i == 0) infer_end = fulfill_end;
-        maybe_trace(total_us, (*batch)[i].enqueued, served_as);
+        Fulfill(shard, &batch[i], answers[i], genuine_answer,
+                genuine_answer ? tier : PlanPrecision::kF64, sc);
       }
     }
-    record_stages();
-    return;
-  }
-
-  if (engine != nullptr) {
-    if (tracing) infer_start = batch->size() == 1 ? collected : Clock::now();
+  } else if (engine != nullptr) {
     std::vector<double> answers;
     if (has_delta) {
       // Exact path with a live delta (demoted key, or no sketch yet):
@@ -626,27 +640,28 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
       answers = engine->AnswerBatch(spec, queries, options_.exact_batch_threads);
     }
     for (size_t i = 0; i < answers.size(); ++i) {
-      const double total_us = Fulfill(shard, &(*batch)[i], answers[i], false,
-                                      PlanPrecision::kF64, sc, fulfill_now);
-      if (tracing) {
-        if (i == 0) infer_end = fulfill_end;
-        maybe_trace(total_us, (*batch)[i].enqueued,
-                    std::isnan(answers[i]) ? "failed" : "exact");
-      }
+      Fulfill(shard, &batch[i], answers[i], false, PlanPrecision::kF64, sc);
     }
-    record_stages();
-    return;
+  } else {
+    // Neither a sketch nor an exact engine: answer NaN rather than hang.
+    for (auto& r : batch) {
+      Fulfill(shard, &r, std::nan(""), false, PlanPrecision::kF64, sc);
+    }
   }
 
-  // Neither a sketch nor an exact engine: answer NaN rather than hang —
-  // no inference happens, so both boundaries reuse the collection stamp.
-  if (tracing) infer_start = infer_end = collected;
-  for (auto& r : *batch) {
-    const double total_us = Fulfill(shard, &r, std::nan(""), false,
-                                    PlanPrecision::kF64, sc, fulfill_now);
-    if (tracing) maybe_trace(total_us, r.enqueued, "failed");
+  const Clock::time_point answered = Clock::now();
+  if (tracing) {
+    // Queue waits are recomputed from the requests' enqueue stamps (still
+    // valid after the query steal), so no per-request state is buffered.
+    for (const auto& r : batch) {
+      shard->stage_queue.Add(MicrosBetween(r.enqueued, collected));
+    }
+    shard->stage_assembly.Add(MicrosBetween(collected, infer_start));
+    shard->stage_inference.Add(MicrosBetween(infer_start, answered));
+    shard->held_batches.push_back(
+        HeldBatch{collected, infer_start, answered, batch.size()});
   }
-  record_stages();
+  return answered;
 }
 
 void ServeEngine::DemoteStore(const std::string& dataset,
@@ -923,7 +938,7 @@ void ServeEngine::ExportMetrics(metrics::MetricsRegistry* registry,
     LatencyHistogram latency;
     for (const auto& sh : shards_) latency.AddFrom(sh->latency);
     copy_hist(prefix + "latency_us", latency,
-              "Submit->answer latency, microseconds");
+              "Submit->publish latency, microseconds");
   }
   if (const metrics::LogHistogram* faultin = store_->FaultinLatency()) {
     copy_hist(prefix + "faultin_latency_us", *faultin,
@@ -957,7 +972,7 @@ void ServeEngine::ExportMetrics(metrics::MetricsRegistry* registry,
                        ss.demoted ? 1.0 : 0.0,
                        "1 when the error budget tripped for this store");
     registry->SetGauge(prefix + "store_p99_us" + label, ss.latency.p99_us,
-                       "Per-store submit->answer p99, microseconds");
+                       "Per-store submit->publish p99, microseconds");
   }
   // Per-shard series: tail attribution can tell a hot shard (one
   // dispatcher saturated) from a hot store (one key saturated).
@@ -974,7 +989,7 @@ void ServeEngine::ExportMetrics(metrics::MetricsRegistry* registry,
                        static_cast<double>(sd.resident_keys),
                        "Store keys routed to this shard");
     registry->SetGauge(prefix + "shard_p99_us" + label, sd.latency.p99_us,
-                       "Per-shard submit->answer p99, microseconds");
+                       "Per-shard submit->publish p99, microseconds");
   }
 }
 

@@ -16,6 +16,13 @@
 // dispatcher drains the ring into per-key queues (batch assembly) each
 // time it comes back from a forward pass.
 //
+// Answers are published in groups: a computed answer is held on its
+// shard and resolved with the rest of its group, newest first, so a
+// pipelined client blocked on its oldest future wakes once per group
+// rather than once per answer. A group is published before the
+// dispatcher sleeps, and before any batch that is predicted to push the
+// group's age past kMaxHold (see DispatchLoop).
+//
 // Batching semantics are unchanged from the single-queue engine: time/
 // size bounded micro-batches per (dataset, query function), one
 // vectorized forward pass per batch (NeuroSketch::AnswerBatchVectorized:
@@ -34,6 +41,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <future>
 #include <map>
@@ -86,7 +94,7 @@ struct ServeOptions {
   /// Per-stage pipeline tracing + slow-query capture. When off, the
   /// engine skips the stage clock reads and histogram increments — the
   /// residual cost is one branch per micro-batch; the aggregate counters
-  /// and submit->answer latency histogram are always maintained.
+  /// and submit->publish latency histogram are always maintained.
   bool stage_tracing = true;
   /// Capacity of the slowest-K query trace ring (0 disables capture;
   /// only consulted when stage_tracing is on).
@@ -184,6 +192,10 @@ class ServeEngine {
     std::promise<std::vector<ServeResult>> promise;
   };
 
+  /// Longest a computed answer may be held for group publication,
+  /// counting the predicted duration of the batch about to run.
+  static constexpr std::chrono::microseconds kMaxHold{50};
+
   struct Request {
     QueryInstance q;
     Clock::time_point enqueued;
@@ -233,6 +245,29 @@ class ServeEngine {
     uint64_t sketch_nans = 0;     // sketch NaNs (repaired or failed)
     bool demoted = false;  // error budget exceeded; serve exact only
     std::shared_ptr<StoreCounters> counters;  // created on first Submit
+    /// Collection -> answers computed, of this key's previous batch: the
+    /// prediction for its next one. No batch yet counts as too long.
+    Clock::duration last_batch = kMaxHold;
+  };
+
+  /// A computed answer waiting for its group's publication: one single
+  /// Submit, or one SubmitMany burst whose last slot was just answered.
+  struct Held {
+    std::unique_ptr<std::promise<ServeResult>> promise;  // single Submit
+    std::shared_ptr<Wave> wave;                          // SubmitMany
+    ServeResult result;  // the single answer, or the burst's last one
+    PlanPrecision tier = PlanPrecision::kF64;
+    Clock::time_point enqueued;
+    StoreCounters* sc = nullptr;
+    uint32_t batch = 0;  // index into Shard::held_batches (tracing only)
+  };
+
+  /// Stage boundaries of one executed batch, kept until its answers are
+  /// published for the fulfill stage and slow-query traces (tracing
+  /// only).
+  struct HeldBatch {
+    Clock::time_point collected, infer_start, answered;
+    size_t size = 0;
   };
 
   /// One dispatcher shard: submission ring, dedicated thread, per-key
@@ -274,7 +309,19 @@ class ServeEngine {
     LatencyHistogram stage_inference;
     LatencyHistogram stage_fulfill;
 
-    explicit Shard(size_t ring_capacity) : ring(ring_capacity) {}
+    // Dispatcher-owned (never touched by another thread): the held
+    // answer group, its batches' stage stamps, and per-batch buffers
+    // whose capacity is reused from batch to batch.
+    std::vector<Held> held;
+    Clock::time_point held_since;  // when the group's first answer was held
+    std::vector<HeldBatch> held_batches;
+    std::vector<Request> batch;
+    std::vector<QueryInstance> batch_queries;
+
+    const size_t index;  // position in shards_, for slow-query traces
+
+    Shard(size_t ring_capacity, size_t shard_index)
+        : ring(ring_capacity), index(shard_index) {}
   };
 
   void DispatchLoop(Shard* shard);
@@ -284,20 +331,21 @@ class ServeEngine {
   /// Routes a submission to its shard: one ring Push (wait-free claim)
   /// plus the sleep/wake handshake.
   void Route(Submission s);
-  /// `collected` is the instant the dispatcher picked the batch off the
-  /// queue — the queue-wait / batch-assembly stage boundary.
-  void ExecuteBatch(Shard* shard, const ServeKey& key,
-                    const QueryFunctionSpec& spec, bool allow_sketch,
-                    std::vector<Request>* batch, Clock::time_point collected,
-                    StoreCounters* sc);
+  /// Answers `shard->batch` for key `st`. `collected` is the instant the
+  /// dispatcher picked the batch off the queue — the queue-wait / batch-
+  /// assembly stage boundary. Returns the instant every answer was
+  /// computed and held.
+  Clock::time_point ExecuteBatch(Shard* shard, KeyState* st,
+                                 const ServeKey& key, bool allow_sketch,
+                                 Clock::time_point collected);
+  /// Ticks the answer's counters and holds it for the next Publish.
   /// `tier` is the precision the answer was served from; only meaningful
   /// when used_sketch is true (fallback/failed answers pass kF64).
-  /// Returns the submit->answer latency in microseconds. When `now_out`
-  /// is non-null it receives the clock read Fulfill pays for anyway, so
-  /// tracing can bound the fulfill stage without an extra Clock::now().
-  double Fulfill(Shard* shard, Request* r, double value, bool used_sketch,
-                 PlanPrecision tier, StoreCounters* sc,
-                 Clock::time_point* now_out = nullptr);
+  void Fulfill(Shard* shard, Request* r, double value, bool used_sketch,
+               PlanPrecision tier, StoreCounters* sc);
+  /// Resolves every held answer, newest first, and records their
+  /// submit->publish latencies (one clock read for the whole group).
+  void Publish(Shard* shard);
   /// Locates (creating on demand) the KeyState for a submission; caller
   /// must hold the shard's lock. Only the owning dispatcher calls this.
   KeyState& KeyStateLocked(Shard* shard, const ServeKey& key,

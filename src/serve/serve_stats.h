@@ -57,7 +57,7 @@ struct StoreStatsSnapshot {
   uint64_t delta_exact_answers = 0;
   bool demoted = false;          ///< error budget tripped
   double fallback_rate = 0.0;    ///< fallback_answers / queries
-  LatencyBreakdown latency;      ///< submit->answer for this key only
+  LatencyBreakdown latency;      ///< submit->publish for this key only
 };
 
 /// \brief Per-dispatcher-shard serving view: each (dataset, query
@@ -78,7 +78,7 @@ struct ShardStatsSnapshot {
   uint64_t backpressure_waits = 0;
   size_t resident_keys = 0;      ///< store keys routed to this shard
   double mean_batch_size = 0.0;
-  LatencyBreakdown latency;      ///< submit->answer for this shard only
+  LatencyBreakdown latency;      ///< submit->publish for this shard only
 };
 
 /// \brief Point-in-time view of a ServeEngine's counters.
@@ -88,8 +88,11 @@ struct ShardStatsSnapshot {
 /// snapshot is at most ~one in-flight micro-batch stale and cross-field
 /// invariants (queries == sketch + fallback + failed, per-store sums ==
 /// engine totals, histogram count == queries) may be off by the requests
-/// fulfilled mid-snapshot. Quiesce clients first when exact equalities
-/// are required. ResetStats() zeroes counters, histograms, per-store
+/// fulfilled mid-snapshot. Counters tick when an answer is computed,
+/// before it is held for group publication, so they always include every
+/// answer a client has observed; latency samples land at publication, so
+/// histogram counts may trail `queries` by one held group. Quiesce
+/// clients first when exact equalities are required. ResetStats() zeroes counters, histograms, per-store
 /// state and the elapsed clock as one operation under the engine lock;
 /// answers in flight during the reset may still land afterwards and
 /// count toward the new window.
@@ -118,8 +121,10 @@ struct ServeStats {
   double qps = 0.0;              ///< queries / elapsed_seconds
   double mean_batch_size = 0.0;
   double fallback_rate = 0.0;    ///< fallback_answers / queries
-  /// Submit->answer percentiles (p999 carries the same sub-bucket
-  /// interpolation error bound as the rest).
+  /// Submit->publish percentiles: each sample ends when the client's
+  /// future becomes ready, so time an answer is held for group
+  /// publication counts (p999 carries the same sub-bucket interpolation
+  /// error bound as the rest).
   double p50_us = 0.0, p95_us = 0.0, p99_us = 0.0, p999_us = 0.0;
 
   /// True when the engine was tracing pipeline stages (ServeOptions::
@@ -130,12 +135,13 @@ struct ServeStats {
   /// micro-batches (the stage is shared by the whole batch).
   LatencyBreakdown stage_queue;      ///< enqueue -> picked into a batch
   LatencyBreakdown stage_assembly;   ///< batch collection -> inference
-  /// Inference start -> first answer's delivery clock read: the forward
-  /// pass (or exact batch) plus the NaN scan and error-budget accounting.
+  /// Inference start -> every answer computed and held: the forward
+  /// pass (or exact batch), delta composition, repairs, the NaN scan,
+  /// error-budget accounting and counters.
   LatencyBreakdown stage_inference;
-  /// First -> last answer's delivery clock read (0 for batches of one).
-  /// Boundaries reuse the clock reads fulfillment already pays, so stage
-  /// tracing adds only one extra clock read to the critical path.
+  /// Answers held -> their group published (futures ready): the hold
+  /// plus the publish step. Boundaries reuse clock reads the dispatcher
+  /// pays anyway, so stage tracing adds at most one clock read per batch.
   LatencyBreakdown stage_fulfill;
 
   /// One entry per (dataset, query function) key that has served

@@ -71,8 +71,9 @@ class LogHistogram {
   static constexpr size_t kBucketsPerOctave = 4;
   static constexpr size_t kNumBuckets = 96;  // 24 octaves
 
-  void Add(double us) {
-    buckets_[BucketIndex(us)].fetch_add(1, std::memory_order_relaxed);
+  /// Records `count` samples of value `us`.
+  void Add(double us, uint64_t count = 1) {
+    buckets_[BucketIndex(us)].fetch_add(count, std::memory_order_relaxed);
   }
 
   uint64_t TotalCount() const {

@@ -30,7 +30,7 @@ struct SlowQueryTrace {
   double queue_us = 0.0;      ///< enqueue -> picked into a micro-batch
   double assembly_us = 0.0;   ///< batch collection -> inference start
   double inference_us = 0.0;  ///< forward pass (or exact-engine batch)
-  double fulfill_us = 0.0;    ///< residual: answer delivery
+  double fulfill_us = 0.0;    ///< residual: hold + group publication
   std::string store;          ///< serve key, e.g. "taxi/avg(col 2)"
   std::string tier;           ///< precision tier or "exact" / "failed"
   size_t batch_size = 0;      ///< micro-batch this query rode in

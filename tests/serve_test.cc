@@ -595,8 +595,7 @@ TEST(ServeEngineTest, ResetStatsRestartsTheWindowAtomically) {
   EXPECT_EQ(serve.Snapshot().queries, f.queries.size());
 }
 
-/// Polls Snapshot until the trailing stage-histogram adds of the final
-/// in-flight batch land (they happen after the last promise resolves).
+/// Polls Snapshot until the stage-histogram adds of the final batch land.
 serve::ServeStats SettledSnapshot(const ServeEngine& serve) {
   serve::ServeStats s = serve.Snapshot();
   for (int spin = 0; spin < 2000; ++spin) {
@@ -610,7 +609,7 @@ serve::ServeStats SettledSnapshot(const ServeEngine& serve) {
   return s;
 }
 
-// Stage tracing splits submit->answer into queue / assembly / inference /
+// Stage tracing splits submit->publish into queue / assembly / inference /
 // fulfill: queue counts requests, the other stages count micro-batches.
 TEST(ServeEngineTest, StageTracingRecordsPerStageHistograms) {
   ServeFixture f = ServeFixture::Make(128);
