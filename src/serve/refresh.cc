@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "query/aggregate.h"
 #include "query/engine.h"
 
 namespace neurosketch {
@@ -13,14 +12,6 @@ namespace serve {
 
 namespace {
 using Clock = std::chrono::steady_clock;
-
-std::string DisplayKey(const std::string& dataset,
-                       const QueryFunctionSpec& spec) {
-  // Matches ServeEngine's StoreCounters display so refresh gauges and
-  // serve counters join on the same {store="…"} label.
-  return dataset + "/" + AggregateName(spec.agg) + "(col " +
-         std::to_string(spec.measure_col) + ")";
-}
 }  // namespace
 
 RefreshController::RefreshController(SketchStore* store, ServeEngine* engine,
@@ -46,12 +37,12 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
   RefreshOutcome out;
   const QueryFunctionSpec& spec = target.monitor.spec();
   const ServeKey key = ServeKey::From(target.dataset, spec);
-  const std::string display = DisplayKey(target.dataset, spec);
+  const std::string label = StoreLabel(target.dataset, spec);
   const Clock::time_point t0 = Clock::now();
 
   const ServedView view = store_->LookupServed(key);
   if (view.sketch == nullptr) {
-    out.message = "no sketch registered for " + display;
+    out.message = "no sketch registered for " + label;
     return out;
   }
   const ExactEngine* base = store_->Engine(target.dataset);
@@ -101,8 +92,8 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
     if (report.conclusive) {
       // Drift back in bound clears the failure streak: the store earned
       // its way out of the demotion countdown.
-      failure_streak_.erase(display);
-      last_mae_[display] = report.normalized_mae;
+      failure_streak_.erase(label);
+      last_mae_[label] = report.normalized_mae;
     }
     refresh_duration_us_.Add(
         std::chrono::duration<double, std::micro>(Clock::now() - t0).count());
@@ -233,13 +224,13 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
   if (ok) {
     ++stats_.swaps;
     stats_.retrained_leaves += out.retrained_leaves;
-    failure_streak_.erase(display);
-    last_mae_[display] = out.post_mae;
+    failure_streak_.erase(label);
+    last_mae_[label] = out.post_mae;
   } else {
     out.failed = true;
     out.message = fail_msg;
     ++stats_.failures;
-    const size_t streak = ++failure_streak_[display];
+    const size_t streak = ++failure_streak_[label];
     if (options_.max_failures_before_demote > 0 &&
         streak >= options_.max_failures_before_demote && engine_ != nullptr) {
       // Drift is outrunning refresh: stop serving the stale sketch.
@@ -293,7 +284,7 @@ Result<RefreshOutcome> RefreshController::RefreshNow(
   }
   if (target == nullptr) {
     return Status::InvalidArgument("no refresh target for " +
-                                   DisplayKey(dataset, spec));
+                                   StoreLabel(dataset, spec));
   }
   std::lock_guard<std::mutex> run(run_mu_);
   RefreshOutcome out = RefreshTargetLocked(*target);

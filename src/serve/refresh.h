@@ -159,8 +159,8 @@ class RefreshController {
 
   mutable std::mutex mu_;  // targets, streaks, stats, hook, last-MAE map
   std::vector<RefreshTarget> targets_;
-  std::map<std::string, size_t> failure_streak_;  // by display key
-  std::map<std::string, double> last_mae_;        // by display key
+  std::map<std::string, size_t> failure_streak_;  // by store label
+  std::map<std::string, double> last_mae_;        // by store label
   RefreshStats stats_;
   std::function<void(NeuroSketch*)> fault_hook_;
   metrics::LogHistogram refresh_duration_us_;

@@ -29,6 +29,23 @@ double MicrosBetween(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
+double Ratio(uint64_t num, uint64_t den) {
+  return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
+}
+
+/// ServeStats' stage breakdowns in Shard::stages order, with their
+/// exported `stage` label.
+struct StageInfo {
+  LatencyBreakdown ServeStats::*field;
+  const char* name;
+};
+constexpr StageInfo kStageTable[] = {
+    {&ServeStats::stage_queue, "queue"},
+    {&ServeStats::stage_assembly, "assembly"},
+    {&ServeStats::stage_inference, "inference"},
+    {&ServeStats::stage_fulfill, "fulfill"},
+};
+
 /// Exact match statistics of one query over a delta row range — the
 /// ingredients of the decomposable-aggregate composition.
 struct DeltaMatch {
@@ -151,11 +168,9 @@ size_t ServeEngine::ShardOf(const std::string& dataset,
 ServeEngine::KeyState& ServeEngine::KeyStateLocked(
     Shard* shard, const ServeKey& key, const QueryFunctionSpec& spec) {
   KeyState& st = shard->keys[key];
-  if (st.spec.predicate == nullptr) st.spec = spec;
-  if (st.counters == nullptr) {
-    st.counters = std::make_shared<StoreCounters>();
-    st.counters->display = key.dataset + "/" + AggregateName(spec.agg) +
-                           "(col " + std::to_string(spec.measure_col) + ")";
+  if (st.spec.predicate == nullptr) {
+    st.spec = spec;
+    st.label = StoreLabel(key.dataset, spec);
   }
   return st;
 }
@@ -350,28 +365,22 @@ void ServeEngine::DispatchLoop(Shard* shard) {
 }
 
 void ServeEngine::Fulfill(Shard* shard, Request* r, double value,
-                          bool used_sketch, PlanPrecision tier,
-                          StoreCounters* sc) {
-  shard->queries.fetch_add(1, std::memory_order_relaxed);
-  sc->queries.fetch_add(1, std::memory_order_relaxed);
+                          bool used_sketch, PlanPrecision tier, KeyState* st) {
+  ServeCounters& c = st->counters;
+  c.Tick(Counter::kQueries);
   if (used_sketch) {
-    shard->sketch_answers.fetch_add(1, std::memory_order_relaxed);
-    sc->sketch_answers.fetch_add(1, std::memory_order_relaxed);
-    // Ticked together with sketch_answers (and before the promise
-    // resolves) so the per-tier counters are always a consistent subset.
+    c.Tick(Counter::kSketch);
+    // Ticked together with sketch_answers (and before the answer is
+    // held) so the per-tier counters are always a consistent subset.
     if (tier == PlanPrecision::kF32) {
-      shard->f32_sketch_answers.fetch_add(1, std::memory_order_relaxed);
-      sc->f32_sketch_answers.fetch_add(1, std::memory_order_relaxed);
+      c.Tick(Counter::kF32);
     } else if (tier == PlanPrecision::kInt8) {
-      shard->int8_sketch_answers.fetch_add(1, std::memory_order_relaxed);
-      sc->int8_sketch_answers.fetch_add(1, std::memory_order_relaxed);
+      c.Tick(Counter::kInt8);
     }
   } else if (std::isnan(value)) {
-    shard->failed_answers.fetch_add(1, std::memory_order_relaxed);
-    sc->failed_answers.fetch_add(1, std::memory_order_relaxed);
+    c.Tick(Counter::kFailed);
   } else {
-    shard->fallback_answers.fetch_add(1, std::memory_order_relaxed);
-    sc->fallback_answers.fetch_add(1, std::memory_order_relaxed);
+    c.Tick(Counter::kFallback);
   }
   const ServeResult result{value, used_sketch};
   if (r->wave != nullptr) {
@@ -386,7 +395,7 @@ void ServeEngine::Fulfill(Shard* shard, Request* r, double value,
   h.result = result;
   h.tier = tier;
   h.enqueued = r->enqueued;
-  h.sc = sc;
+  h.st = st;
   // ExecuteBatch records the running batch's stamps after its last
   // Fulfill, at exactly this index.
   h.batch = static_cast<uint32_t>(shard->held_batches.size());
@@ -398,7 +407,7 @@ void ServeEngine::Publish(Shard* shard) {
   const bool tracing = options_.stage_tracing;
   if (tracing) {
     for (const HeldBatch& b : shard->held_batches) {
-      shard->stage_fulfill.Add(MicrosBetween(b.answered, now));
+      shard->stages[kFulfill].Add(MicrosBetween(b.answered, now));
     }
   }
   // Newest first: a FIFO client blocked on its oldest future wakes once,
@@ -408,8 +417,7 @@ void ServeEngine::Publish(Shard* shard) {
     Held& h = *it;
     const double us = MicrosBetween(h.enqueued, now);
     const uint64_t answers = h.wave != nullptr ? h.wave->results.size() : 1;
-    shard->latency.Add(us, answers);
-    h.sc->latency.Add(us, answers);
+    h.st->counters.latency.Add(us, answers);
     // Everything past the lock-free threshold gate is lazy (trace
     // strings, the stage split), so the common case costs one relaxed
     // load and one compare.
@@ -422,7 +430,7 @@ void ServeEngine::Publish(Shard* shard) {
       t.inference_us = MicrosBetween(b.infer_start, b.answered);
       const double rest = us - t.queue_us - t.assembly_us - t.inference_us;
       t.fulfill_us = rest > 0.0 ? rest : 0.0;
-      t.store = h.sc->display;
+      t.store = h.st->label;
       t.tier = h.result.used_sketch        ? PlanPrecisionName(h.tier)
                : std::isnan(h.result.value) ? "failed"
                                             : "exact";
@@ -443,12 +451,12 @@ void ServeEngine::Publish(Shard* shard) {
 ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
     Shard* shard, KeyState* st, const ServeKey& key, bool allow_sketch,
     Clock::time_point collected) {
-  shard->batches.fetch_add(1, std::memory_order_relaxed);
+  // The key's spec is set when it is created and never changes, and its
+  // counters are atomics, so both are used here without the shard lock.
+  ServeCounters& counters = st->counters;
+  counters.Tick(Counter::kBatches);
   const bool tracing = options_.stage_tracing;
-  // The key's spec and counters are set when it is created and never
-  // change, so they are read here without the shard lock.
   const QueryFunctionSpec& spec = st->spec;
-  StoreCounters* sc = st->counters.get();
   std::vector<Request>& batch = shard->batch;
   // Acquisition order matters for compaction safety: the delta SNAPSHOT
   // comes first, then the (sketch, watermarks) view, then the pinned base
@@ -586,7 +594,7 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
                   static_cast<double>(st->sketch_answers)) {
         st->demoted = true;
         tripped = true;
-        shard->budget_trips.fetch_add(1, std::memory_order_relaxed);
+        counters.Tick(Counter::kBudgetTrips);
       }
     }
     // Eviction-policy signals for the paged catalog (no-ops for fully
@@ -605,23 +613,18 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
         // delta the repair composes over base + appended rows, so the
         // repaired answer honors the same freshness contract.
         const double repaired = ExactWithDelta(pinned, spec, queries[i], dsnap);
-        Fulfill(shard, &batch[i], repaired, false, PlanPrecision::kF64, sc);
+        Fulfill(shard, &batch[i], repaired, false, PlanPrecision::kF64, st);
       } else if (modes[i] == 2) {
         // Non-decomposable aggregate recomputed exactly over base+delta:
         // counted as a fallback answer (used_sketch=false) plus the
         // delta_exact sub-counter.
-        shard->delta_exact_answers.fetch_add(1, std::memory_order_relaxed);
-        sc->delta_exact_answers.fetch_add(1, std::memory_order_relaxed);
-        Fulfill(shard, &batch[i], answers[i], false, PlanPrecision::kF64, sc);
+        counters.Tick(Counter::kDeltaExact);
+        Fulfill(shard, &batch[i], answers[i], false, PlanPrecision::kF64, st);
       } else {
-        if (modes[i] == 1) {
-          shard->delta_corrected_answers.fetch_add(1,
-                                                   std::memory_order_relaxed);
-          sc->delta_corrected_answers.fetch_add(1, std::memory_order_relaxed);
-        }
+        if (modes[i] == 1) counters.Tick(Counter::kDeltaCorrected);
         const bool genuine_answer = !std::isnan(answers[i]);
         Fulfill(shard, &batch[i], answers[i], genuine_answer,
-                genuine_answer ? tier : PlanPrecision::kF64, sc);
+                genuine_answer ? tier : PlanPrecision::kF64, st);
       }
     }
   } else if (engine != nullptr) {
@@ -640,12 +643,12 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
       answers = engine->AnswerBatch(spec, queries, options_.exact_batch_threads);
     }
     for (size_t i = 0; i < answers.size(); ++i) {
-      Fulfill(shard, &batch[i], answers[i], false, PlanPrecision::kF64, sc);
+      Fulfill(shard, &batch[i], answers[i], false, PlanPrecision::kF64, st);
     }
   } else {
     // Neither a sketch nor an exact engine: answer NaN rather than hang.
     for (auto& r : batch) {
-      Fulfill(shard, &r, std::nan(""), false, PlanPrecision::kF64, sc);
+      Fulfill(shard, &r, std::nan(""), false, PlanPrecision::kF64, st);
     }
   }
 
@@ -654,10 +657,10 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
     // Queue waits are recomputed from the requests' enqueue stamps (still
     // valid after the query steal), so no per-request state is buffered.
     for (const auto& r : batch) {
-      shard->stage_queue.Add(MicrosBetween(r.enqueued, collected));
+      shard->stages[kQueue].Add(MicrosBetween(r.enqueued, collected));
     }
-    shard->stage_assembly.Add(MicrosBetween(collected, infer_start));
-    shard->stage_inference.Add(MicrosBetween(infer_start, answered));
+    shard->stages[kAssembly].Add(MicrosBetween(collected, infer_start));
+    shard->stages[kInference].Add(MicrosBetween(infer_start, answered));
     shard->held_batches.push_back(
         HeldBatch{collected, infer_start, answered, batch.size()});
   }
@@ -678,7 +681,7 @@ void ServeEngine::DemoteStore(const std::string& dataset,
     if (!st.demoted) {
       st.demoted = true;
       tripped = true;
-      shard->budget_trips.fetch_add(1, std::memory_order_relaxed);
+      st.counters.Tick(Counter::kBudgetTrips);
     }
   }
   // Demotion zeroes serving heat: a store whose drift outruns refresh is
@@ -686,120 +689,97 @@ void ServeEngine::DemoteStore(const std::string& dataset,
   if (tripped) store_->NotePenalized(key);
 }
 
+ServeCounts ServeEngine::ServeCounters::Read() const {
+  ServeCounts out;
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    out.*kCounterTable[i].field = counts[i].load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
+void ServeEngine::ServeCounters::Reset() {
+  for (auto& c : counts) c.store(0, std::memory_order_relaxed);
+  latency.Reset();
+}
+
 ServeStats ServeEngine::Snapshot() const {
+  MergedHistograms merged;
+  return Collect(&merged);
+}
+
+ServeStats ServeEngine::Collect(MergedHistograms* merged) const {
   ServeStats s;
   s.num_shards = shards_.size();
-  LatencyHistogram latency;
-  LatencyHistogram stage_queue, stage_assembly, stage_inference, stage_fulfill;
-  s.per_shard.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& sh = *shards_[i];
-    ShardStatsSnapshot sd;
-    sd.shard = i;
-    sd.queries = sh.queries.load(std::memory_order_relaxed);
-    sd.sketch_answers = sh.sketch_answers.load(std::memory_order_relaxed);
-    sd.fallback_answers = sh.fallback_answers.load(std::memory_order_relaxed);
-    sd.failed_answers = sh.failed_answers.load(std::memory_order_relaxed);
-    sd.batches = sh.batches.load(std::memory_order_relaxed);
-    sd.budget_trips = sh.budget_trips.load(std::memory_order_relaxed);
-    sd.backpressure_waits =
-        sh.backpressure_waits.load(std::memory_order_relaxed);
-    sd.mean_batch_size =
-        sd.batches > 0
-            ? static_cast<double>(sd.queries) / static_cast<double>(sd.batches)
-            : 0.0;
-    sd.latency = LatencyBreakdown::From(sh.latency);
-
-    s.queries += sd.queries;
-    s.sketch_answers += sd.sketch_answers;
-    s.f32_sketch_answers +=
-        sh.f32_sketch_answers.load(std::memory_order_relaxed);
-    s.int8_sketch_answers +=
-        sh.int8_sketch_answers.load(std::memory_order_relaxed);
-    s.fallback_answers += sd.fallback_answers;
-    s.failed_answers += sd.failed_answers;
-    s.delta_corrected_answers +=
-        sh.delta_corrected_answers.load(std::memory_order_relaxed);
-    s.delta_exact_answers +=
-        sh.delta_exact_answers.load(std::memory_order_relaxed);
-    s.batches += sd.batches;
-    s.budget_trips += sd.budget_trips;
-    latency.AddFrom(sh.latency);
-    if (options_.stage_tracing) {
-      stage_queue.AddFrom(sh.stage_queue);
-      stage_assembly.AddFrom(sh.stage_assembly);
-      stage_inference.AddFrom(sh.stage_inference);
-      stage_fulfill.AddFrom(sh.stage_fulfill);
-    }
-    s.per_shard.push_back(std::move(sd));
-  }
-  s.elapsed_seconds = uptime_.ElapsedSeconds();
-  s.qps = s.elapsed_seconds > 0.0
-              ? static_cast<double>(s.queries) / s.elapsed_seconds
-              : 0.0;
-  s.mean_batch_size =
-      s.batches > 0
-          ? static_cast<double>(s.queries) / static_cast<double>(s.batches)
-          : 0.0;
-  s.fallback_rate =
-      s.queries > 0
-          ? static_cast<double>(s.fallback_answers) /
-                static_cast<double>(s.queries)
-          : 0.0;
-  s.p50_us = latency.PercentileUs(50);
-  s.p95_us = latency.PercentileUs(95);
-  s.p99_us = latency.PercentileUs(99);
-  s.p999_us = latency.PercentileUs(99.9);
-
-  s.stage_tracing = options_.stage_tracing;
-  if (s.stage_tracing) {
-    s.stage_queue = LatencyBreakdown::From(stage_queue);
-    s.stage_assembly = LatencyBreakdown::From(stage_assembly);
-    s.stage_inference = LatencyBreakdown::From(stage_inference);
-    s.stage_fulfill = LatencyBreakdown::From(stage_fulfill);
-  }
-
-  // Per-store view: each shard's key map is only touched long enough to
-  // copy the counter pointers; the counters themselves are read
-  // lock-free.
-  std::vector<std::pair<std::shared_ptr<StoreCounters>, bool>> stores;
+  s.per_shard.resize(shards_.size());
+  // Each shard's key map is only touched long enough to note its keys
+  // (stable addresses: nodes are never erased) and their budget state;
+  // the counter blocks are read after unlocking, so a scrape never stalls
+  // a dispatcher.
+  struct KeyRef {
+    size_t shard;
+    const KeyState* st;
+    bool demoted;
+  };
+  std::vector<KeyRef> keys;
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& sh = *shards_[i];
     std::lock_guard<std::mutex> lock(sh.mu);
     s.per_shard[i].resident_keys = sh.keys.size();
     for (const auto& [key, st] : sh.keys) {
       (void)key;
-      if (st.counters != nullptr) stores.emplace_back(st.counters, st.demoted);
+      keys.push_back({i, &st, st.demoted});
     }
   }
-  s.per_store.reserve(stores.size());
-  for (const auto& [sc, demoted] : stores) {
+  // Shard rows are sums of the store rows read here, so every scope
+  // agrees within one snapshot.
+  std::vector<LatencyHistogram> shard_latency(shards_.size());
+  s.per_store.reserve(keys.size());
+  for (const KeyRef& k : keys) {
+    LatencyHistogram latency;
+    latency.CopyFrom(k.st->counters.latency);
     StoreStatsSnapshot ss;
-    ss.store = sc->display;
-    ss.queries = sc->queries.load(std::memory_order_relaxed);
-    ss.sketch_answers = sc->sketch_answers.load(std::memory_order_relaxed);
-    ss.f32_sketch_answers =
-        sc->f32_sketch_answers.load(std::memory_order_relaxed);
-    ss.int8_sketch_answers =
-        sc->int8_sketch_answers.load(std::memory_order_relaxed);
-    ss.fallback_answers = sc->fallback_answers.load(std::memory_order_relaxed);
-    ss.failed_answers = sc->failed_answers.load(std::memory_order_relaxed);
-    ss.delta_corrected_answers =
-        sc->delta_corrected_answers.load(std::memory_order_relaxed);
-    ss.delta_exact_answers =
-        sc->delta_exact_answers.load(std::memory_order_relaxed);
-    ss.demoted = demoted;
-    ss.fallback_rate = ss.queries > 0
-                           ? static_cast<double>(ss.fallback_answers) /
-                                 static_cast<double>(ss.queries)
-                           : 0.0;
-    ss.latency = LatencyBreakdown::From(sc->latency);
+    static_cast<ServeCounts&>(ss) = k.st->counters.Read();
+    ss.store = k.st->label;
+    ss.demoted = k.demoted;
+    ss.fallback_rate = Ratio(ss.fallback_answers, ss.queries);
+    ss.latency = LatencyBreakdown::From(latency);
+    s.per_shard[k.shard] += ss;
+    shard_latency[k.shard].AddFrom(latency);
     s.per_store.push_back(std::move(ss));
   }
   std::sort(s.per_store.begin(), s.per_store.end(),
             [](const StoreStatsSnapshot& a, const StoreStatsSnapshot& b) {
               return a.store < b.store;
             });
+
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    const Shard& sh = *shards_[i];
+    ShardStatsSnapshot& sd = s.per_shard[i];
+    sd.shard = i;
+    sd.backpressure_waits =
+        sh.backpressure_waits.load(std::memory_order_relaxed);
+    sd.mean_batch_size = Ratio(sd.queries, sd.batches);
+    sd.latency = LatencyBreakdown::From(shard_latency[i]);
+    s += sd;
+    merged->latency.AddFrom(shard_latency[i]);
+    for (size_t g = 0; g < kNumStages; ++g) {
+      merged->stages[g].AddFrom(sh.stages[g]);
+    }
+  }
+  s.elapsed_seconds = uptime_.ElapsedSeconds();
+  s.qps = s.elapsed_seconds > 0.0
+              ? static_cast<double>(s.queries) / s.elapsed_seconds
+              : 0.0;
+  s.mean_batch_size = Ratio(s.queries, s.batches);
+  s.fallback_rate = Ratio(s.fallback_answers, s.queries);
+  s.p50_us = merged->latency.PercentileUs(50);
+  s.p95_us = merged->latency.PercentileUs(95);
+  s.p99_us = merged->latency.PercentileUs(99);
+  s.p999_us = merged->latency.PercentileUs(99.9);
+  s.stage_tracing = options_.stage_tracing;
+  for (size_t g = 0; g < kNumStages; ++g) {
+    s.*kStageTable[g].field = LatencyBreakdown::From(merged->stages[g]);
+  }
   return s;
 }
 
@@ -809,36 +789,12 @@ void ServeEngine::ResetStats() {
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size());
   for (auto& sh : shards_) locks.emplace_back(sh->mu);
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    sh.queries.store(0, std::memory_order_relaxed);
-    sh.sketch_answers.store(0, std::memory_order_relaxed);
-    sh.f32_sketch_answers.store(0, std::memory_order_relaxed);
-    sh.int8_sketch_answers.store(0, std::memory_order_relaxed);
-    sh.fallback_answers.store(0, std::memory_order_relaxed);
-    sh.failed_answers.store(0, std::memory_order_relaxed);
-    sh.delta_corrected_answers.store(0, std::memory_order_relaxed);
-    sh.delta_exact_answers.store(0, std::memory_order_relaxed);
-    sh.batches.store(0, std::memory_order_relaxed);
-    sh.budget_trips.store(0, std::memory_order_relaxed);
-    sh.backpressure_waits.store(0, std::memory_order_relaxed);
-    sh.latency.Reset();
-    sh.stage_queue.Reset();
-    sh.stage_assembly.Reset();
-    sh.stage_inference.Reset();
-    sh.stage_fulfill.Reset();
-    for (auto& [key, st] : sh.keys) {
+  for (auto& sh : shards_) {
+    sh->backpressure_waits.store(0, std::memory_order_relaxed);
+    for (LatencyHistogram& h : sh->stages) h.Reset();
+    for (auto& [key, st] : sh->keys) {
       (void)key;
-      if (st.counters == nullptr) continue;
-      st.counters->queries.store(0, std::memory_order_relaxed);
-      st.counters->sketch_answers.store(0, std::memory_order_relaxed);
-      st.counters->f32_sketch_answers.store(0, std::memory_order_relaxed);
-      st.counters->int8_sketch_answers.store(0, std::memory_order_relaxed);
-      st.counters->fallback_answers.store(0, std::memory_order_relaxed);
-      st.counters->failed_answers.store(0, std::memory_order_relaxed);
-      st.counters->delta_corrected_answers.store(0, std::memory_order_relaxed);
-      st.counters->delta_exact_answers.store(0, std::memory_order_relaxed);
-      st.counters->latency.Reset();
+      st.counters.Reset();
     }
   }
   slow_queries_.Clear();
@@ -851,29 +807,11 @@ std::vector<metrics::SlowQueryTrace> ServeEngine::SlowQueries() const {
 
 void ServeEngine::ExportMetrics(metrics::MetricsRegistry* registry,
                                 const std::string& prefix) const {
-  const ServeStats s = Snapshot();
-  registry->SetCounter(prefix + "queries_total", s.queries,
-                       "Answers delivered");
-  registry->SetCounter(prefix + "sketch_answers_total", s.sketch_answers,
-                       "Answered by a sketch forward pass");
-  registry->SetCounter(prefix + "f32_sketch_answers_total",
-                       s.f32_sketch_answers);
-  registry->SetCounter(prefix + "int8_sketch_answers_total",
-                       s.int8_sketch_answers);
-  registry->SetCounter(prefix + "fallback_answers_total", s.fallback_answers,
-                       "Answered by the exact engine");
-  registry->SetCounter(prefix + "failed_answers_total", s.failed_answers,
-                       "NaN with no fallback available");
-  registry->SetCounter(prefix + "delta_corrected_answers_total",
-                       s.delta_corrected_answers,
-                       "Sketch answers corrected with unfolded delta rows");
-  registry->SetCounter(prefix + "delta_exact_answers_total",
-                       s.delta_exact_answers,
-                       "Non-decomposable answers recomputed over base+delta");
-  registry->SetCounter(prefix + "batches_total", s.batches,
-                       "Micro-batches dispatched");
-  registry->SetCounter(prefix + "budget_trips_total", s.budget_trips,
-                       "Stores demoted by the error budget");
+  MergedHistograms merged;
+  const ServeStats s = Collect(&merged);
+  for (const CounterInfo& c : kCounterTable) {
+    registry->SetCounter(prefix + c.name + "_total", s.*c.field, c.help);
+  }
   registry->SetGauge(prefix + "elapsed_seconds", s.elapsed_seconds,
                      "Seconds since engine start or last ResetStats");
   registry->SetGauge(prefix + "mean_batch_size", s.mean_batch_size);
@@ -934,40 +872,26 @@ void ServeEngine::ExportMetrics(metrics::MetricsRegistry* registry,
     LatencyHistogram* dst = registry->GetHistogram(name, help);
     if (dst != nullptr) dst->CopyFrom(h);
   };
-  {
-    LatencyHistogram latency;
-    for (const auto& sh : shards_) latency.AddFrom(sh->latency);
-    copy_hist(prefix + "latency_us", latency,
-              "Submit->publish latency, microseconds");
-  }
+  copy_hist(prefix + "latency_us", merged.latency,
+            "Submit->publish latency, microseconds");
   if (const metrics::LogHistogram* faultin = store_->FaultinLatency()) {
     copy_hist(prefix + "faultin_latency_us", *faultin,
               "Paged-catalog fault-in (disk load) latency, microseconds");
   }
   if (options_.stage_tracing) {
-    LatencyHistogram q, a, inf, ful;
-    for (const auto& sh : shards_) {
-      q.AddFrom(sh->stage_queue);
-      a.AddFrom(sh->stage_assembly);
-      inf.AddFrom(sh->stage_inference);
-      ful.AddFrom(sh->stage_fulfill);
+    for (size_t g = 0; g < kNumStages; ++g) {
+      copy_hist(prefix + "stage_us{stage=\"" + kStageTable[g].name + "\"}",
+                merged.stages[g],
+                "Per-stage serve pipeline latency, microseconds");
     }
-    copy_hist(prefix + "stage_us{stage=\"queue\"}", q,
-              "Per-stage serve pipeline latency, microseconds");
-    copy_hist(prefix + "stage_us{stage=\"assembly\"}", a, "");
-    copy_hist(prefix + "stage_us{stage=\"inference\"}", inf, "");
-    copy_hist(prefix + "stage_us{stage=\"fulfill\"}", ful, "");
   }
   for (const auto& ss : s.per_store) {
     const std::string label = "{store=\"" + ss.store + "\"}";
-    registry->SetCounter(prefix + "store_queries_total" + label, ss.queries,
-                         "Answers delivered per store");
-    registry->SetCounter(prefix + "store_sketch_answers_total" + label,
-                         ss.sketch_answers);
-    registry->SetCounter(prefix + "store_fallback_answers_total" + label,
-                         ss.fallback_answers);
-    registry->SetCounter(prefix + "store_failed_answers_total" + label,
-                         ss.failed_answers);
+    for (const CounterInfo& c : kCounterTable) {
+      if (!c.per_store) continue;
+      registry->SetCounter(prefix + "store_" + c.name + "_total" + label,
+                           ss.*c.field, c.help + std::string(" per store"));
+    }
     registry->SetGauge(prefix + "store_demoted" + label,
                        ss.demoted ? 1.0 : 0.0,
                        "1 when the error budget tripped for this store");
@@ -978,10 +902,11 @@ void ServeEngine::ExportMetrics(metrics::MetricsRegistry* registry,
   // dispatcher saturated) from a hot store (one key saturated).
   for (const auto& sd : s.per_shard) {
     const std::string label = "{shard=\"" + std::to_string(sd.shard) + "\"}";
-    registry->SetCounter(prefix + "shard_queries_total" + label, sd.queries,
-                         "Answers delivered per dispatcher shard");
-    registry->SetCounter(prefix + "shard_batches_total" + label, sd.batches,
-                         "Micro-batches dispatched per shard");
+    for (const CounterInfo& c : kCounterTable) {
+      if (!c.per_shard) continue;
+      registry->SetCounter(prefix + "shard_" + c.name + "_total" + label,
+                           sd.*c.field, c.help + std::string(" per shard"));
+    }
     registry->SetCounter(prefix + "shard_backpressure_waits_total" + label,
                          sd.backpressure_waits,
                          "Submissions that blocked on a full shard ring");

@@ -2,10 +2,10 @@
 // Sec. 4 / Alg. 5 turned into a serving system), rearchitected shard-per-
 // core. Stores are partitioned across N dispatcher shards by a stable
 // hash of their (dataset, query function) key; each shard owns a
-// dedicated dispatcher thread, its own wait-free MPSC submission ring,
-// its own per-key micro-batch queues, and its own counter/histogram
-// block, so dispatchers never contend with each other and a sketch's
-// thread-local workspace arena is only ever warmed by one core.
+// dedicated dispatcher thread, its own wait-free MPSC submission ring and
+// its own per-key micro-batch queues, so dispatchers never contend with
+// each other and a sketch's thread-local workspace arena is only ever
+// warmed by one core.
 //
 // Client submission is wait-free: Submit/SubmitMany claim a ring slot
 // with one unconditional fetch_add (no engine-wide mutex, no CAS retry
@@ -30,14 +30,19 @@
 // allocations per query), exact-engine fallback and per-store error
 // budgets. Answers are bit-identical to serial NeuroSketch::AnswerBatch.
 //
-// Observability: every counter and stage histogram is kept per shard
-// (merged at Snapshot), so the export carries both per-store and
-// per-shard labeled series — a hot shard is distinguishable from a hot
-// store. The slow-query ring records the serving shard in each trace.
-// All stage tracing remains behind ServeOptions::stage_tracing.
+// Observability: each answer is counted once, in its key's counter block
+// (answer counters plus the submit->publish histogram). A key lives on
+// exactly one shard, so Snapshot derives each shard row as the sum over
+// that shard's keys, and engine totals as the sum over shards; a shard
+// itself keeps only backpressure waits and the stage histograms. The
+// export carries both per-store and per-shard labeled series — a hot
+// shard is distinguishable from a hot store. The slow-query ring records
+// the serving shard in each trace. All stage tracing remains behind
+// ServeOptions::stage_tracing.
 #ifndef NEUROSKETCH_SERVE_SERVE_ENGINE_H_
 #define NEUROSKETCH_SERVE_SERVE_ENGINE_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -137,13 +142,13 @@ class ServeEngine {
   ServeResult Answer(const std::string& dataset,
                      const QueryFunctionSpec& spec, QueryInstance q);
 
-  /// \brief Current counters; cheap enough to poll. Engine-wide values
-  /// are sums over the per-shard blocks. Consistency contract documented
-  /// on ServeStats (relaxed reads, ~one batch stale).
+  /// \brief Current counters; cheap enough to poll. Shard rows and
+  /// engine-wide values are sums over the per-key blocks. Consistency
+  /// contract documented on ServeStats (relaxed reads, ~one batch stale).
   ServeStats Snapshot() const;
 
   /// \brief Restart the stats window as one operation: zeroes every
-  /// counter and histogram (per-shard, per-stage, and per-store),
+  /// counter and histogram (per-key, per-stage, and backpressure),
   /// empties the slow-query ring, and resets the elapsed-time clock,
   /// holding every shard lock so no new batch lands between the counter
   /// clear and the clock restart. Error-budget state (per-store failure
@@ -219,32 +224,33 @@ class ServeEngine {
     std::shared_ptr<Wave> wave;
   };
 
-  /// Per-store lock-free counters, updated on the fulfill path and read
-  /// by Snapshot. Owned via shared_ptr so ExecuteBatch can update them
-  /// after dropping the shard lock.
-  struct StoreCounters {
-    std::string display;  // "dataset/agg(col N)"
-    std::atomic<uint64_t> queries{0};
-    std::atomic<uint64_t> sketch_answers{0};
-    std::atomic<uint64_t> f32_sketch_answers{0};
-    std::atomic<uint64_t> int8_sketch_answers{0};
-    std::atomic<uint64_t> fallback_answers{0};
-    std::atomic<uint64_t> failed_answers{0};
-    std::atomic<uint64_t> delta_corrected_answers{0};
-    std::atomic<uint64_t> delta_exact_answers{0};
+  /// One key's answer counters (relaxed atomics indexed by Counter) and
+  /// its submit->publish histogram. Ticked by the key's dispatcher (and
+  /// by DemoteStore), read lock-free by Snapshot.
+  struct ServeCounters {
+    std::array<std::atomic<uint64_t>, kNumCounters> counts{};
     LatencyHistogram latency;
+
+    void Tick(Counter c) {
+      counts[static_cast<size_t>(c)].fetch_add(1, std::memory_order_relaxed);
+    }
+    ServeCounts Read() const;
+    void Reset();
   };
 
-  /// Per (dataset, query function) pending queue + error-budget health.
-  /// Owned by exactly one shard; mutated only by that shard's dispatcher
-  /// under the shard lock (Snapshot takes the same lock to read).
+  /// Per (dataset, query function) pending queue, error-budget health and
+  /// counter block. Owned by exactly one shard; mutated only by that
+  /// shard's dispatcher under the shard lock (Snapshot takes the same lock
+  /// to read). Map nodes are never erased, so a KeyState's address is
+  /// stable for the engine's lifetime.
   struct KeyState {
     QueryFunctionSpec spec;  // canonical spec, set by the first Submit
+    std::string label;       // StoreLabel, set with spec
     std::deque<Request> pending;
     uint64_t sketch_answers = 0;  // genuinely sketch-answered (non-NaN)
     uint64_t sketch_nans = 0;     // sketch NaNs (repaired or failed)
     bool demoted = false;  // error budget exceeded; serve exact only
-    std::shared_ptr<StoreCounters> counters;  // created on first Submit
+    ServeCounters counters;
     /// Collection -> answers computed, of this key's previous batch: the
     /// prediction for its next one. No batch yet counts as too long.
     Clock::duration last_batch = kMaxHold;
@@ -258,7 +264,7 @@ class ServeEngine {
     ServeResult result;  // the single answer, or the burst's last one
     PlanPrecision tier = PlanPrecision::kF64;
     Clock::time_point enqueued;
-    StoreCounters* sc = nullptr;
+    KeyState* st = nullptr;
     uint32_t batch = 0;  // index into Shard::held_batches (tracing only)
   };
 
@@ -270,9 +276,13 @@ class ServeEngine {
     size_t size = 0;
   };
 
+  /// Stages of the serve pipeline, indexing Shard::stages.
+  enum Stage : size_t { kQueue, kAssembly, kInference, kFulfill, kNumStages };
+
   /// One dispatcher shard: submission ring, dedicated thread, per-key
-  /// queues, and its own counter/histogram block. Cacheline-aligned so
-  /// neighboring shards' hot atomics never share a line.
+  /// queues, backpressure count and stage histograms. Answer counters live
+  /// in the keys. Cacheline-aligned so neighboring shards' hot atomics
+  /// never share a line.
   struct alignas(64) Shard {
     MpscRing<Submission> ring;
     std::thread dispatcher;
@@ -290,24 +300,11 @@ class ServeEngine {
     std::map<ServeKey, KeyState> keys;
     size_t pending_count = 0;
 
-    // Shard-local metrics (relaxed atomics; Snapshot sums across shards).
-    std::atomic<uint64_t> queries{0};
-    std::atomic<uint64_t> sketch_answers{0};
-    std::atomic<uint64_t> f32_sketch_answers{0};
-    std::atomic<uint64_t> int8_sketch_answers{0};
-    std::atomic<uint64_t> fallback_answers{0};
-    std::atomic<uint64_t> failed_answers{0};
-    std::atomic<uint64_t> delta_corrected_answers{0};
-    std::atomic<uint64_t> delta_exact_answers{0};
-    std::atomic<uint64_t> batches{0};
-    std::atomic<uint64_t> budget_trips{0};
+    // Metrics with no key: backpressure is counted on the client thread
+    // before any KeyState exists; stage histograms are only written when
+    // options_.stage_tracing.
     std::atomic<uint64_t> backpressure_waits{0};
-    LatencyHistogram latency;
-    // Stage histograms (only written when options_.stage_tracing).
-    LatencyHistogram stage_queue;
-    LatencyHistogram stage_assembly;
-    LatencyHistogram stage_inference;
-    LatencyHistogram stage_fulfill;
+    std::array<LatencyHistogram, kNumStages> stages;
 
     // Dispatcher-owned (never touched by another thread): the held
     // answer group, its batches' stage stamps, and per-batch buffers
@@ -323,6 +320,14 @@ class ServeEngine {
     Shard(size_t ring_capacity, size_t shard_index)
         : ring(ring_capacity), index(shard_index) {}
   };
+
+  /// Engine-wide histograms merged while collecting a ServeStats.
+  struct MergedHistograms {
+    LatencyHistogram latency;
+    std::array<LatencyHistogram, kNumStages> stages;
+  };
+  /// Snapshot, also returning the merged histograms ExportMetrics copies.
+  ServeStats Collect(MergedHistograms* merged) const;
 
   void DispatchLoop(Shard* shard);
   /// Moves every published ring entry into the shard's per-key queues.
@@ -342,7 +347,7 @@ class ServeEngine {
   /// `tier` is the precision the answer was served from; only meaningful
   /// when used_sketch is true (fallback/failed answers pass kF64).
   void Fulfill(Shard* shard, Request* r, double value, bool used_sketch,
-               PlanPrecision tier, StoreCounters* sc);
+               PlanPrecision tier, KeyState* st);
   /// Resolves every held answer, newest first, and records their
   /// submit->publish latencies (one clock read for the whole group).
   void Publish(Shard* shard);

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -38,65 +39,13 @@ struct LatencyBreakdown {
   }
 };
 
-/// \brief Per-(dataset, query function) serving view: where the traffic
-/// went and what its tail looks like, so hot/cold store skew is visible.
-struct StoreStatsSnapshot {
-  std::string store;             ///< "dataset/agg(col N)" display key
-  uint64_t queries = 0;          ///< answers delivered for this key
-  uint64_t sketch_answers = 0;
-  uint64_t f32_sketch_answers = 0;
-  uint64_t int8_sketch_answers = 0;
-  uint64_t fallback_answers = 0;
-  uint64_t failed_answers = 0;
-  /// Streaming composition counters: sketch answers adjusted with an
-  /// exact correction over unfolded delta rows (decomposable aggregates)
-  /// vs answers recomputed exactly over base+delta because the aggregate
-  /// does not decompose (AVG/STD/MEDIAN with matching unfolded rows —
-  /// these also count under fallback_answers).
-  uint64_t delta_corrected_answers = 0;
-  uint64_t delta_exact_answers = 0;
-  bool demoted = false;          ///< error budget tripped
-  double fallback_rate = 0.0;    ///< fallback_answers / queries
-  LatencyBreakdown latency;      ///< submit->publish for this key only
-};
-
-/// \brief Per-dispatcher-shard serving view: each (dataset, query
-/// function) key is pinned to exactly one shard, so shard rows expose
-/// load imbalance (a hot shard) independently of store skew (a hot
-/// store). Counters follow the same relaxed scrape contract as the rest
-/// of ServeStats.
-struct ShardStatsSnapshot {
-  size_t shard = 0;              ///< shard index, 0-based
-  uint64_t queries = 0;          ///< answers delivered by this shard
-  uint64_t sketch_answers = 0;
-  uint64_t fallback_answers = 0;
-  uint64_t failed_answers = 0;
-  uint64_t batches = 0;          ///< micro-batches this shard dispatched
-  uint64_t budget_trips = 0;     ///< demotions decided on this shard
-  /// Submissions that found this shard's ring full and had to wait for
-  /// backpressure (counted per Submit/SubmitMany call, not per query).
-  uint64_t backpressure_waits = 0;
-  size_t resident_keys = 0;      ///< store keys routed to this shard
-  double mean_batch_size = 0.0;
-  LatencyBreakdown latency;      ///< submit->publish for this shard only
-};
-
-/// \brief Point-in-time view of a ServeEngine's counters.
-///
-/// Consistency contract (the one place it is documented): every field is
-/// read with a relaxed atomic load while dispatchers keep serving, so a
-/// snapshot is at most ~one in-flight micro-batch stale and cross-field
-/// invariants (queries == sketch + fallback + failed, per-store sums ==
-/// engine totals, histogram count == queries) may be off by the requests
-/// fulfilled mid-snapshot. Counters tick when an answer is computed,
-/// before it is held for group publication, so they always include every
-/// answer a client has observed; latency samples land at publication, so
-/// histogram counts may trail `queries` by one held group. Quiesce
-/// clients first when exact equalities are required. ResetStats() zeroes counters, histograms, per-store
-/// state and the elapsed clock as one operation under the engine lock;
-/// answers in flight during the reset may still land afterwards and
-/// count toward the new window.
-struct ServeStats {
+/// \brief The answer counters every serving scope reports: engine-wide
+/// (ServeStats), per store (StoreStatsSnapshot) and per dispatcher shard
+/// (ShardStatsSnapshot). The engine counts each answer once, on its
+/// store key; shard rows and engine totals are sums over keys. Adding a
+/// counter takes one Counter value, one field here and one row in
+/// kCounterTable.
+struct ServeCounts {
   uint64_t queries = 0;          ///< answers delivered
   uint64_t sketch_answers = 0;   ///< answered by a sketch forward pass
   /// Subsets of sketch_answers by the sketch's active tier at answer
@@ -117,6 +66,112 @@ struct ServeStats {
   uint64_t delta_exact_answers = 0;
   uint64_t batches = 0;          ///< micro-batches dispatched
   uint64_t budget_trips = 0;     ///< stores demoted by the error budget
+
+  ServeCounts& operator+=(const ServeCounts& other);
+};
+
+/// \brief Index of each ServeCounts field in kCounterTable.
+enum class Counter : size_t {
+  kQueries,
+  kSketch,
+  kF32,
+  kInt8,
+  kFallback,
+  kFailed,
+  kDeltaCorrected,
+  kDeltaExact,
+  kBatches,
+  kBudgetTrips,
+};
+inline constexpr size_t kNumCounters =
+    static_cast<size_t>(Counter::kBudgetTrips) + 1;
+
+/// \brief One counter's field and its exported series: engine-wide as
+/// `<prefix><name>_total`, plus `<prefix>store_<name>_total{store="…"}`
+/// and `<prefix>shard_<name>_total{shard="i"}` when flagged.
+struct CounterInfo {
+  uint64_t ServeCounts::*field;
+  const char* name;
+  const char* help;
+  bool per_store;
+  bool per_shard;
+};
+
+/// \brief Indexed by Counter.
+inline constexpr CounterInfo kCounterTable[] = {
+    {&ServeCounts::queries, "queries", "Answers delivered", true, true},
+    {&ServeCounts::sketch_answers, "sketch_answers",
+     "Answered by a sketch forward pass", true, false},
+    {&ServeCounts::f32_sketch_answers, "f32_sketch_answers",
+     "Sketch answers from an f32 plan", false, false},
+    {&ServeCounts::int8_sketch_answers, "int8_sketch_answers",
+     "Sketch answers from an int8 plan", false, false},
+    {&ServeCounts::fallback_answers, "fallback_answers",
+     "Answered by the exact engine", true, false},
+    {&ServeCounts::failed_answers, "failed_answers",
+     "NaN with no fallback available", true, false},
+    {&ServeCounts::delta_corrected_answers, "delta_corrected_answers",
+     "Sketch answers corrected with unfolded delta rows", false, false},
+    {&ServeCounts::delta_exact_answers, "delta_exact_answers",
+     "Non-decomposable answers recomputed over base+delta", false, false},
+    {&ServeCounts::batches, "batches", "Micro-batches dispatched", false,
+     true},
+    {&ServeCounts::budget_trips, "budget_trips",
+     "Stores demoted by the error budget", false, false},
+};
+
+static_assert(std::size(kCounterTable) == kNumCounters,
+              "kCounterTable needs one row per Counter");
+
+inline ServeCounts& ServeCounts::operator+=(const ServeCounts& other) {
+  for (const CounterInfo& c : kCounterTable) this->*c.field += other.*c.field;
+  return *this;
+}
+
+/// \brief Per-(dataset, query function) serving view: where the traffic
+/// went and what its tail looks like, so hot/cold store skew is visible.
+struct StoreStatsSnapshot : ServeCounts {
+  std::string store;  ///< StoreLabel: "dataset/AGG(col N) WHERE family"
+  bool demoted = false;          ///< error budget tripped
+  double fallback_rate = 0.0;    ///< fallback_answers / queries
+  LatencyBreakdown latency;      ///< submit->publish for this key only
+};
+
+/// \brief Per-dispatcher-shard serving view: each (dataset, query
+/// function) key is pinned to exactly one shard, so shard rows expose
+/// load imbalance (a hot shard) independently of store skew (a hot
+/// store). The counters and latency are sums over the shard's keys and
+/// follow the same relaxed scrape contract as the rest of ServeStats.
+struct ShardStatsSnapshot : ServeCounts {
+  size_t shard = 0;              ///< shard index, 0-based
+  /// Submissions that found this shard's ring full and had to wait for
+  /// backpressure (counted per Submit/SubmitMany call, not per query).
+  uint64_t backpressure_waits = 0;
+  size_t resident_keys = 0;      ///< store keys routed to this shard
+  double mean_batch_size = 0.0;
+  LatencyBreakdown latency;      ///< submit->publish for this shard only
+};
+
+/// \brief Point-in-time view of a ServeEngine's counters.
+///
+/// Consistency contract (the one place it is documented): every field is
+/// read with a relaxed atomic load while dispatchers keep serving, so a
+/// snapshot is at most ~one in-flight micro-batch stale and cross-field
+/// invariants (queries == sketch + fallback + failed, histogram count ==
+/// queries) may be off by the requests fulfilled mid-snapshot. Engine
+/// totals and per-shard rows are summed from the per-store rows of the
+/// same snapshot, so those sums always agree exactly.
+///
+/// Counters tick when an answer is computed, before it is held for group
+/// publication, so they always include every answer a client has
+/// observed; latency samples land at publication, so histogram counts may
+/// trail `queries` by one held group. Quiesce clients first when exact
+/// equalities are required.
+///
+/// ResetStats() zeroes counters, histograms and the elapsed clock as one
+/// operation while holding every shard lock; answers in flight during the
+/// reset may still land afterwards and count toward the new window.
+struct ServeStats : ServeCounts {
   double elapsed_seconds = 0.0;  ///< since engine start (or last reset)
   double qps = 0.0;              ///< queries / elapsed_seconds
   double mean_batch_size = 0.0;
@@ -145,12 +200,11 @@ struct ServeStats {
   LatencyBreakdown stage_fulfill;
 
   /// One entry per (dataset, query function) key that has served
-  /// traffic, sorted by display key.
+  /// traffic, sorted by store label.
   std::vector<StoreStatsSnapshot> per_store;
 
   /// One entry per dispatcher shard, indexed 0..num_shards-1. The
-  /// engine-wide counters above are the sums of these rows (up to the
-  /// usual in-flight staleness).
+  /// engine-wide counters above are the sums of these rows.
   size_t num_shards = 0;
   std::vector<ShardStatsSnapshot> per_shard;
 };

@@ -51,6 +51,14 @@ struct ServeKey {
   }
 };
 
+/// \brief A key's `store` label in serve and refresh metrics, e.g.
+/// "gmm/AVG(col 2) WHERE axis_range". It names every ServeKey field, so
+/// two keys never share a label.
+inline std::string StoreLabel(const std::string& dataset,
+                              const QueryFunctionSpec& spec) {
+  return dataset + "/" + spec.ToString();
+}
+
 /// \brief One registered sketch version, for listings. `size_bytes` is
 /// the serialized (on-disk) footprint; `resident_bytes` is what the
 /// version actually occupies in memory right now — 0 for a cold paged

@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -571,22 +573,39 @@ TEST(ServeEngineTest, ResetStatsRestartsTheWindowAtomically) {
   ServeEngine serve(&store, opts);
 
   (void)serve.SubmitMany("gmm", f.spec, f.queries).get();
+  // A demotion is error-budget state, not stats: it must survive.
+  serve.DemoteStore("gmm", f.spec);
   const auto before = serve.Snapshot();
   EXPECT_EQ(before.queries, f.queries.size());
+  EXPECT_GT(before.batches, 0u);
+  EXPECT_EQ(before.budget_trips, 1u);
   EXPECT_GT(before.p50_us, 0.0);
+  EXPECT_GT(before.stage_fulfill.count, 0u);
 
   serve.ResetStats();
   const auto after = serve.Snapshot();
-  EXPECT_EQ(after.queries, 0u);
-  EXPECT_EQ(after.batches, 0u);
+  for (const serve::CounterInfo& c : serve::kCounterTable) {
+    EXPECT_EQ(after.*c.field, 0u) << c.name;
+    for (const auto& ss : after.per_store) {
+      EXPECT_EQ(ss.*c.field, 0u) << c.name;
+    }
+    for (const auto& sd : after.per_shard) {
+      EXPECT_EQ(sd.*c.field, 0u) << c.name;
+    }
+  }
   EXPECT_DOUBLE_EQ(after.p50_us, 0.0);
   EXPECT_DOUBLE_EQ(after.p999_us, 0.0);
-  EXPECT_EQ(after.stage_queue.count, 0u);
-  EXPECT_EQ(after.stage_inference.count, 0u);
+  for (const auto* stage : {&after.stage_queue, &after.stage_assembly,
+                            &after.stage_inference, &after.stage_fulfill}) {
+    EXPECT_EQ(stage->count, 0u);
+  }
   EXPECT_LT(after.elapsed_seconds, before.elapsed_seconds);
-  for (const auto& ss : after.per_store) {
-    EXPECT_EQ(ss.queries, 0u);
-    EXPECT_EQ(ss.latency.count, 0u);
+  ASSERT_EQ(after.per_store.size(), 1u);
+  EXPECT_EQ(after.per_store[0].latency.count, 0u);
+  EXPECT_TRUE(after.per_store[0].demoted);
+  for (const auto& sd : after.per_shard) {
+    EXPECT_EQ(sd.latency.count, 0u);
+    EXPECT_EQ(sd.backpressure_waits, 0u);
   }
   EXPECT_TRUE(serve.SlowQueries().empty());
 
@@ -726,6 +745,116 @@ TEST(ServeEngineTest, ExportMetricsProducesExposition) {
             std::string::npos);
   const std::string json = reg.Json();
   EXPECT_NE(json.find("\"nsketch_serve_queries_total\": "), std::string::npos);
+
+  // The exported surface: exactly these metric families, no more, no less.
+  std::set<std::string> families;
+  const std::string type_tag = "# TYPE nsketch_serve_";
+  for (size_t pos = text.find(type_tag); pos != std::string::npos;
+       pos = text.find(type_tag, pos + 1)) {
+    const size_t from = pos + type_tag.size();
+    families.insert(text.substr(from, text.find(' ', from) - from));
+  }
+  const std::set<std::string> want = {
+      "batches_total",
+      "budget_trips_total",
+      "delta_corrected_answers_total",
+      "delta_exact_answers_total",
+      "elapsed_seconds",
+      "evictions_total",
+      "f32_sketch_answers_total",
+      "failed_answers_total",
+      "fallback_answers_total",
+      "faultin_hits_total",
+      "faultins_total",
+      "int8_sketch_answers_total",
+      "latency_us",
+      "mean_batch_size",
+      "queries_total",
+      "resident_budget_bytes",
+      "resident_bytes",
+      "resident_bytes_peak",
+      "shard_backpressure_waits_total",
+      "shard_batches_total",
+      "shard_p99_us",
+      "shard_queries_total",
+      "shard_resident_keys",
+      "shards",
+      "sketch_answers_total",
+      "stage_us",
+      "store_demoted",
+      "store_failed_answers_total",
+      "store_fallback_answers_total",
+      "store_p99_us",
+      "store_queries_total",
+      "store_sketch_answers_total",
+  };
+  EXPECT_EQ(families, want);
+
+  // Labeled series carry the same values as the Snapshot rows.
+  const auto stats = serve.Snapshot();
+  ASSERT_EQ(stats.per_shard.size(), serve.num_shards());
+  for (const auto& sd : stats.per_shard) {
+    EXPECT_NE(text.find("nsketch_serve_shard_queries_total{shard=\"" +
+                        std::to_string(sd.shard) + "\"} " +
+                        std::to_string(sd.queries) + "\n"),
+              std::string::npos)
+        << "shard " << sd.shard;
+  }
+  ASSERT_EQ(stats.per_store.size(), 1u);
+  for (const auto& ss : stats.per_store) {
+    EXPECT_NE(text.find("nsketch_serve_store_queries_total{store=\"" +
+                        ss.store + "\"} " + std::to_string(ss.queries) +
+                        "\n"),
+              std::string::npos)
+        << ss.store;
+  }
+}
+
+// Two keys on one dataset with the same aggregate and measure column but
+// different predicate families are different stores: their labels must
+// differ, or one key's exported series would overwrite the other's.
+TEST(ServeEngineTest, StoreLabelsTellPredicateFamiliesApart) {
+  ServeFixture f = ServeFixture::Make(40);
+  ExactEngine engine(&f.table);
+  SketchStore store;
+  ASSERT_TRUE(store.RegisterDataset("gmm", &engine).ok());
+  QueryFunctionSpec circular = f.spec;
+  circular.predicate = CircularPredicate::Make(2);
+  std::vector<QueryInstance> circular_q;
+  for (int i = 0; i < 24; ++i) {
+    circular_q.emplace_back(std::vector<double>{0.3 + 0.01 * i, 0.5, 0.4});
+  }
+  ServeOptions opts;
+  opts.max_batch = 16;
+  opts.batch_window_us = 50.0;
+  ServeEngine serve(&store, opts);
+  (void)serve.SubmitMany("gmm", f.spec, f.queries).get();
+  (void)serve.SubmitMany("gmm", circular, circular_q).get();
+
+  const std::string axis_label = "gmm/" + f.spec.ToString();
+  const std::string circular_label = "gmm/" + circular.ToString();
+  EXPECT_EQ(axis_label, "gmm/AVG(col " + std::to_string(f.spec.measure_col) +
+                            ") WHERE axis_range");
+  const auto stats = serve.Snapshot();
+  ASSERT_EQ(stats.per_store.size(), 2u);
+  EXPECT_EQ(stats.per_store[0].store, axis_label);
+  EXPECT_EQ(stats.per_store[0].queries, f.queries.size());
+  EXPECT_EQ(stats.per_store[1].store, circular_label);
+  EXPECT_EQ(stats.per_store[1].queries, circular_q.size());
+
+  metrics::MetricsRegistry reg;
+  serve.ExportMetrics(&reg);
+  const std::string text = reg.TextExposition();
+  EXPECT_NE(text.find("nsketch_serve_store_queries_total{store=\"" +
+                      axis_label + "\"} " +
+                      std::to_string(f.queries.size()) + "\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("nsketch_serve_store_queries_total{store=\"" +
+                      circular_label + "\"} " +
+                      std::to_string(circular_q.size()) + "\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(LatencyHistogramTest, PercentilesLandInBucketTolerance) {

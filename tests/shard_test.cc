@@ -272,17 +272,24 @@ TEST(ShardEngineTest, KeyToShardPinningStableAcrossStoreChurn) {
   EXPECT_EQ(stats.queries, f.queries.size());
 }
 
+// Sketch-served keys spread over four shards, plus one exact-only key
+// (fallback answers) and one key with no exact engine (failed answers):
+// every counter must add up across the engine, shard and store scopes.
 TEST(ShardEngineTest, CrossShardBurstsBitIdenticalAndSummable) {
-  constexpr size_t kDatasets = 6;
+  constexpr size_t kSketched = 6;
   ShardFixture f = ShardFixture::Make(128);
   ExactEngine engine(&f.table);
   SketchStore store;
   std::vector<std::string> names;
-  for (size_t i = 0; i < kDatasets; ++i) {
+  for (size_t i = 0; i < kSketched; ++i) {
     names.push_back("ds" + std::to_string(i));
     ASSERT_TRUE(store.RegisterDataset(names.back(), &engine).ok());
     ASSERT_TRUE(store.Register(names.back(), f.spec, f.sketch).ok());
   }
+  names.push_back("exact_only");  // an engine, no sketch
+  ASSERT_TRUE(store.RegisterDataset(names.back(), &engine).ok());
+  names.push_back("no_engine");  // neither: every answer fails
+  const size_t kDatasets = names.size();
 
   ServeOptions opts;
   opts.num_shards = 4;
@@ -298,25 +305,37 @@ TEST(ShardEngineTest, CrossShardBurstsBitIdenticalAndSummable) {
     });
   }
   for (auto& t : clients) t.join();
+  const std::vector<double> exact = engine.AnswerBatch(f.spec, f.queries);
   for (size_t d = 0; d < kDatasets; ++d) {
     const auto results = futs[d].get();
     ASSERT_EQ(results.size(), f.queries.size());
     for (size_t i = 0; i < results.size(); ++i) {
-      EXPECT_TRUE(results[i].used_sketch);
-      // Bit-identical regardless of which shard served the burst.
-      EXPECT_EQ(results[i].value, f.expected[i]) << names[d] << " q" << i;
+      if (d < kSketched) {
+        EXPECT_TRUE(results[i].used_sketch);
+        // Bit-identical regardless of which shard served the burst.
+        EXPECT_EQ(results[i].value, f.expected[i]) << names[d] << " q" << i;
+      } else if (names[d] == "exact_only") {
+        EXPECT_FALSE(results[i].used_sketch);
+        EXPECT_EQ(results[i].value, exact[i]) << names[d] << " q" << i;
+      } else {
+        EXPECT_FALSE(results[i].used_sketch);
+        EXPECT_TRUE(std::isnan(results[i].value)) << names[d] << " q" << i;
+      }
     }
   }
 
   const auto stats = serve.Snapshot();
   const size_t total = kDatasets * f.queries.size();
   EXPECT_EQ(stats.queries, total);
+  EXPECT_GT(stats.sketch_answers, 0u);
+  EXPECT_GT(stats.fallback_answers, 0u);
+  EXPECT_EQ(stats.failed_answers, f.queries.size());
+  EXPECT_EQ(stats.queries, stats.sketch_answers + stats.fallback_answers +
+                               stats.failed_answers);
   ASSERT_EQ(stats.per_shard.size(), 4u);
-  uint64_t shard_queries = 0, shard_batches = 0;
+  ASSERT_EQ(stats.per_store.size(), kDatasets);
   size_t resident = 0;
   for (const auto& sd : stats.per_shard) {
-    shard_queries += sd.queries;
-    shard_batches += sd.batches;
     resident += sd.resident_keys;
     // Each dataset's traffic lands wholly on its advertised shard.
     uint64_t want = 0;
@@ -326,10 +345,24 @@ TEST(ShardEngineTest, CrossShardBurstsBitIdenticalAndSummable) {
       }
     }
     EXPECT_EQ(sd.queries, want) << "shard " << sd.shard;
+    EXPECT_EQ(sd.queries,
+              sd.sketch_answers + sd.fallback_answers + sd.failed_answers);
   }
-  EXPECT_EQ(shard_queries, total);  // engine totals == sum of shards
-  EXPECT_EQ(shard_batches, stats.batches);
   EXPECT_EQ(resident, kDatasets);
+  for (const auto& ss : stats.per_store) {
+    EXPECT_EQ(ss.queries, f.queries.size()) << ss.store;
+    EXPECT_EQ(ss.queries,
+              ss.sketch_answers + ss.fallback_answers + ss.failed_answers)
+        << ss.store;
+  }
+  // Every counter: engine total == sum of shards == sum of stores.
+  for (const serve::CounterInfo& c : serve::kCounterTable) {
+    uint64_t shard_sum = 0, store_sum = 0;
+    for (const auto& sd : stats.per_shard) shard_sum += sd.*c.field;
+    for (const auto& ss : stats.per_store) store_sum += ss.*c.field;
+    EXPECT_EQ(shard_sum, stats.*c.field) << c.name;
+    EXPECT_EQ(store_sum, stats.*c.field) << c.name;
+  }
 }
 
 TEST(ShardEngineTest, ResetStatsDuringTrafficKeepsAWellFormedWindow) {

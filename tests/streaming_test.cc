@@ -374,6 +374,17 @@ TEST(StreamingSketchPathTest, DecomposableCorrectedNonDecomposableExact) {
   const auto stats = serve.Snapshot();
   EXPECT_GT(stats.delta_corrected_answers, 0u);
   EXPECT_EQ(stats.delta_exact_answers, exact_recomputed);
+  // The composition counters add up across scopes: engine total == sum
+  // of shards == sum of stores.
+  for (uint64_t serve::ServeCounts::*field :
+       {&serve::ServeCounts::delta_corrected_answers,
+        &serve::ServeCounts::delta_exact_answers}) {
+    uint64_t shard_sum = 0, store_sum = 0;
+    for (const auto& sd : stats.per_shard) shard_sum += sd.*field;
+    for (const auto& ss : stats.per_store) store_sum += ss.*field;
+    EXPECT_EQ(shard_sum, stats.*field);
+    EXPECT_EQ(store_sum, stats.*field);
+  }
 }
 
 // Tier coverage: the composition contract holds regardless of the active
