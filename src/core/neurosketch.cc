@@ -631,13 +631,21 @@ size_t NeuroSketch::ResidentBytes() const {
   return bytes;
 }
 
-double NeuroSketch::Answer(const QueryInstance& q) const {
+int NeuroSketch::RouteToModel(const QueryInstance& q) const {
   const auto* leaf = tree_.Route(q);
   if (leaf == nullptr || leaf->leaf_id < 0 ||
       static_cast<size_t>(leaf->leaf_id) >= plans_.size()) {
-    return std::nan("");
+    return -1;
   }
-  const int id = leaf->leaf_id;
+  return leaf->leaf_id;
+}
+
+double NeuroSketch::Answer(const QueryInstance& q) const {
+  return AnswerWithModel(q, RouteToModel(q));
+}
+
+double NeuroSketch::AnswerWithModel(const QueryInstance& q, int id) const {
+  if (id < 0) return std::nan("");
   nn::Workspace& ws = nn::Workspace::ThreadLocal();
   double raw;
   if (precision_ == PlanPrecision::kInt8 && !plans_i8_[id].empty()) {
@@ -682,12 +690,15 @@ std::vector<double> NeuroSketch::AnswerBatchVectorized(
 }
 
 void NeuroSketch::AnswerBatchVectorizedTo(
-    const std::vector<QueryInstance>& queries, double* out) const {
+    const std::vector<QueryInstance>& queries, double* out,
+    int* leaf_ids) const {
   if (queries.empty()) return;
   if (queries.size() == 1) {
     // Serve fast path: a single-query "batch" skips bucket bookkeeping and
     // runs the zero-allocation compiled plan directly.
-    out[0] = Answer(queries[0]);
+    const int id = RouteToModel(queries[0]);
+    if (leaf_ids != nullptr) leaf_ids[0] = id;
+    out[0] = AnswerWithModel(queries[0], id);
     return;
   }
   for (size_t i = 0; i < queries.size(); ++i) out[i] = std::nan("");
@@ -696,12 +707,9 @@ void NeuroSketch::AnswerBatchVectorizedTo(
   nn::Workspace& ws = nn::Workspace::ThreadLocal();
   std::vector<std::vector<size_t>>& buckets = ws.Buckets(plans_.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    const auto* leaf = tree_.Route(queries[i]);
-    if (leaf == nullptr || leaf->leaf_id < 0 ||
-        static_cast<size_t>(leaf->leaf_id) >= plans_.size()) {
-      continue;
-    }
-    buckets[leaf->leaf_id].push_back(i);
+    const int id = RouteToModel(queries[i]);
+    if (leaf_ids != nullptr) leaf_ids[i] = id;
+    if (id >= 0) buckets[id].push_back(i);
   }
   const size_t qdim = tree_.query_dim();
   for (size_t m = 0; m < plans_.size(); ++m) {

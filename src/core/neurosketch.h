@@ -209,9 +209,11 @@ class NeuroSketch {
   /// \brief Allocation-free core of AnswerBatchVectorized: writes
   /// queries.size() answers to `out` (caller-owned), staging all bucketing
   /// scratch in the thread-local workspace arena. Zero heap allocations
-  /// once the calling thread's arena is warm.
+  /// once the calling thread's arena is warm. When `leaf_ids` is given it
+  /// receives, per query, the leaf model the kd-tree routed it to, or -1
+  /// when no model answers it (its answer is then NaN).
   void AnswerBatchVectorizedTo(const std::vector<QueryInstance>& queries,
-                               double* out) const;
+                               double* out, int* leaf_ids = nullptr) const;
 
   /// \brief Serialized model size in bytes — the paper's storage metric.
   /// Exactly the number of bytes Save() writes. Independent of which
@@ -393,6 +395,11 @@ class NeuroSketch {
 
  private:
   size_t TrainerBytes() const;
+  /// The kd-tree route of q as a model slot, or -1 when no model answers.
+  int RouteToModel(const QueryInstance& q) const;
+  /// Forward pass of model `id` (from RouteToModel) on the active tier;
+  /// NaN for id -1.
+  double AnswerWithModel(const QueryInstance& q, int id) const;
 
   QuerySpaceKdTree tree_;
   /// Trainable/reference forms, indexed by leaf_id. Mutable + latch:

@@ -24,23 +24,26 @@ void AggregateAccumulator::AddEach(size_t n, Get get) {
       sum_ = sum;
       break;
     }
+    // Welford divides by the running count. It is kept as a double:
+    // exact below 2^53, so `c += 1.0` is the double of the incremented
+    // integer count, without a conversion per value.
     case Aggregate::kAvg: {  // Welford mean
       double mean = mean_;
-      size_t c = count_;
+      double c = static_cast<double>(count_);
       for (size_t j = 0; j < n; ++j) {
         const double v = get(j);
-        mean += (v - mean) / static_cast<double>(++c);
+        mean += (v - mean) / (c += 1.0);
       }
       mean_ = mean;
       break;
     }
     case Aggregate::kStd: {  // Welford mean and M2
       double mean = mean_, m2 = m2_;
-      size_t c = count_;
+      double c = static_cast<double>(count_);
       for (size_t j = 0; j < n; ++j) {
         const double v = get(j);
         const double delta = v - mean;
-        mean += delta / static_cast<double>(++c);
+        mean += delta / (c += 1.0);
         m2 += delta * (v - mean);
       }
       mean_ = mean;
@@ -77,6 +80,102 @@ void AggregateAccumulator::Add(double v) {
 void AggregateAccumulator::AddSelected(const double* values,
                                        const uint32_t* sel, size_t n) {
   AddEach(n, [values, sel](size_t j) { return values[sel[j]]; });
+}
+
+struct AggregateAccumulator::Chain {
+  AggregateAccumulator* acc;
+  const uint32_t* sel;  // the lane's next value
+  size_t left;          // values the lane still has
+};
+
+template <size_t... I>
+void AggregateAccumulator::WelfordLockstep(std::index_sequence<I...>,
+                                           Chain* chains,
+                                           const double* values,
+                                           size_t steps) {
+  // The next `steps` values of every chain, one value of each chain at a
+  // time, with each chain's state in registers (the pack expansion
+  // unrolls the chain loop). The per-lane updates are AddEach's, count
+  // kept as a double included.
+  double mean[] = {chains[I].acc->mean_...};
+  double m2[] = {chains[I].acc->m2_...};
+  double n[] = {static_cast<double>(chains[I].acc->count_)...};
+  const uint32_t* sel[] = {chains[I].sel...};
+  if (chains[0].acc->agg_ == Aggregate::kAvg) {
+    for (size_t j = 0; j < steps; ++j) {
+      ((mean[I] += (values[sel[I][j]] - mean[I]) / (n[I] += 1.0)), ...);
+    }
+  } else {
+    auto update = [](double v, double* mean_l, double* m2_l, double* n_l) {
+      const double delta = v - *mean_l;
+      *mean_l += delta / (*n_l += 1.0);
+      *m2_l += delta * (v - *mean_l);
+    };
+    for (size_t j = 0; j < steps; ++j) {
+      (update(values[sel[I][j]], &mean[I], &m2[I], &n[I]), ...);
+    }
+  }
+  ((chains[I].acc->mean_ = mean[I], chains[I].acc->m2_ = m2[I],
+    chains[I].acc->count_ += steps, chains[I].sel += steps,
+    chains[I].left -= steps),
+   ...);
+}
+
+void AggregateAccumulator::AddSelectedLanes(AggregateAccumulator* accs,
+                                            size_t lanes, const double* values,
+                                            const uint32_t* const* sels,
+                                            const size_t* counts) {
+  if (lanes < 2 ||
+      (accs[0].agg_ != Aggregate::kAvg && accs[0].agg_ != Aggregate::kStd)) {
+    for (size_t l = 0; l < lanes; ++l) {
+      accs[l].AddSelected(values, sels[l], counts[l]);
+    }
+    return;
+  }
+  // Lanes longest first: the longest lane bounds the walk, so it starts
+  // at once. kWelfordChains lanes are in flight; all of them advance in
+  // lockstep until the shortest runs out, whose chain then takes the
+  // next waiting lane. Once no lane waits, the rest drain on fewer
+  // chains, down to the last lane's final values alone.
+  uint8_t order[kMaxLanes];
+  for (size_t l = 0; l < lanes; ++l) {
+    size_t at = l;
+    for (; at > 0 && counts[order[at - 1]] < counts[l]; --at) {
+      order[at] = order[at - 1];
+    }
+    order[at] = static_cast<uint8_t>(l);
+  }
+  static_assert(kWelfordChains == 4, "the switch below covers 1..4 chains");
+  Chain chains[kWelfordChains];
+  size_t active = 0;
+  for (size_t next = 0;;) {
+    for (; active < kWelfordChains && next < lanes; ++next) {
+      const size_t l = order[next];
+      if (counts[l] > 0) chains[active++] = Chain{&accs[l], sels[l], counts[l]};
+    }
+    if (active == 0) break;
+    size_t steps = chains[0].left;
+    for (size_t c = 1; c < active; ++c) steps = std::min(steps, chains[c].left);
+    switch (active) {
+      case 4:
+        WelfordLockstep(std::make_index_sequence<4>(), chains, values, steps);
+        break;
+      case 3:
+        WelfordLockstep(std::make_index_sequence<3>(), chains, values, steps);
+        break;
+      case 2:
+        WelfordLockstep(std::make_index_sequence<2>(), chains, values, steps);
+        break;
+      default:
+        WelfordLockstep(std::make_index_sequence<1>(), chains, values, steps);
+        break;
+    }
+    size_t kept = 0;
+    for (size_t c = 0; c < active; ++c) {
+      if (chains[c].left > 0) chains[kept++] = chains[c];
+    }
+    active = kept;
+  }
 }
 
 double AggregateAccumulator::Finalize() const {

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "query/query.h"
@@ -24,6 +25,19 @@ class AggregateAccumulator {
   /// \brief Add values[sel[0]], ..., values[sel[n-1]] in that order;
   /// the same state as n Add calls, without a call per value.
   void AddSelected(const double* values, const uint32_t* sel, size_t n);
+  /// \brief Lanes of one shared scan: for l < lanes (at most
+  /// kMaxLanes, all of one aggregate), the same state as
+  /// `accs[l].AddSelected(values, sels[l], counts[l])`. AVG and STD keep
+  /// the Welford updates of kWelfordChains lanes in flight at once, so
+  /// their division chains overlap; each lane's own sequence of
+  /// operations is unchanged, and its state is bit-identical to the
+  /// separate call.
+  static constexpr size_t kMaxLanes = 16;
+  static constexpr size_t kWelfordChains = 4;
+  static void AddSelectedLanes(AggregateAccumulator* accs, size_t lanes,
+                               const double* values,
+                               const uint32_t* const* sels,
+                               const size_t* counts);
   double Finalize() const;
   size_t count() const { return count_; }
 
@@ -33,6 +47,10 @@ class AggregateAccumulator {
  private:
   template <typename Get>
   void AddEach(size_t n, Get get);
+  struct Chain;
+  template <size_t... I>
+  static void WelfordLockstep(std::index_sequence<I...>, Chain* chains,
+                              const double* values, size_t steps);
 
   Aggregate agg_;
   size_t count_ = 0;

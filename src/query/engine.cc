@@ -7,64 +7,28 @@
 
 namespace neurosketch {
 
-namespace {
-/// Rows per filter block: the selection vector lives on the stack.
-constexpr size_t kScanBlock = 1024;
-
-/// Calls `fn(begin, sel, k)` for each block of rows of `t`, in row order:
-/// rows begin + sel[0] < ... < begin + sel[k-1] are the block's matches
-/// for q. An axis-range query is compiled once and filtered over its
-/// active columns only, branch-free, into the selection vector (the
-/// vectorized-scan shape of MonetDB/X100): no per-row gather, no virtual
-/// call, no allocation. Any other predicate fills the same selection
-/// vector from its per-row Matches test, its only path.
-template <typename Fn>
-void ForEachMatchBlock(const Table& t, const QueryFunctionSpec& spec,
-                       const QueryInstance& q, Fn&& fn) {
-  const size_t dim = t.num_columns();
-  const size_t n = t.num_rows();
-  CompiledAxisRange range;
-  const bool compiled = range.Compile(*spec.predicate, q, dim);
-  std::vector<double> row(compiled ? 0 : dim);
-  uint32_t sel[kScanBlock] = {};
-  for (size_t begin = 0; begin < n; begin += kScanBlock) {
-    const size_t len = std::min(kScanBlock, n - begin);
-    size_t k = 0;
-    if (!compiled) {
-      for (size_t j = 0; j < len; ++j) {
-        for (size_t c = 0; c < dim; ++c) row[c] = t.column(c)[begin + j];
-        sel[k] = static_cast<uint32_t>(j);
-        k += spec.predicate->Matches(q, row.data(), dim);
-      }
-    } else if (range.num_active() == 0) {
-      for (size_t j = 0; j < len; ++j) sel[j] = static_cast<uint32_t>(j);
-      k = len;
-    } else {
-      // The first active column fills the selection vector; each further
-      // column narrows it. Every step writes its slot and advances by the
-      // test result, so the loops have no data-dependent branch.
-      const double* x = t.column(range.column(0)).data() + begin;
-      const double lo = range.lo(0), hi = range.hi(0);
-      for (size_t j = 0; j < len; ++j) {
-        sel[k] = static_cast<uint32_t>(j);
-        k += CompiledAxisRange::InRange(x[j], lo, hi);
-      }
-      for (size_t a = 1; a < range.num_active(); ++a) {
-        const double* y = t.column(range.column(a)).data() + begin;
-        const double lo_a = range.lo(a), hi_a = range.hi(a);
-        size_t kept = 0;
-        for (size_t j = 0; j < k; ++j) {
-          const uint32_t r = sel[j];
-          sel[kept] = r;
-          kept += CompiledAxisRange::InRange(y[r], lo_a, hi_a);
-        }
-        k = kept;
-      }
-    }
-    if (k > 0) fn(begin, sel, k);
-  }
+BatchScan& BatchScan::ThreadLocal() {
+  thread_local BatchScan scan;
+  return scan;
 }
-}  // namespace
+
+BatchScan::BatchScan() : queries_(kMaxQueries), sel_(kMaxQueries * kBlock) {}
+
+void BatchScan::Prepare(const QueryFunctionSpec& spec,
+                        const QueryInstance* const* queries, size_t n,
+                        size_t dim) {
+  spec_ = &spec;
+  n_ = n;
+  dim_ = dim;
+  bool per_row = false;
+  for (size_t i = 0; i < n; ++i) {
+    queries_[i].q = queries[i];
+    queries_[i].compiled =
+        queries_[i].range.Compile(*spec.predicate, *queries[i], dim);
+    per_row |= !queries_[i].compiled;
+  }
+  if (per_row && row_.size() < dim) row_.resize(dim);
+}
 
 ExactEngine::ExactEngine(const Table* table) : table_(table) {}
 
@@ -99,11 +63,26 @@ void ExactEngine::AccumulateOver(const Table& table,
                                  const QueryFunctionSpec& spec,
                                  const QueryInstance& q,
                                  AggregateAccumulator* acc) {
+  const QueryInstance* one = &q;
+  AccumulateBatchOver(table, spec, &one, 1, acc);
+}
+
+void ExactEngine::AccumulateBatchOver(const Table& table,
+                                      const QueryFunctionSpec& spec,
+                                      const QueryInstance* const* queries,
+                                      size_t n, AggregateAccumulator* accs) {
+  const size_t rows = table.num_rows();
   const double* measure = table.column(spec.measure_col).data();
-  ForEachMatchBlock(table, spec, q,
-                    [&](size_t begin, const uint32_t* sel, size_t k) {
-                      acc->AddSelected(measure + begin, sel, k);
-                    });
+  BatchScan& scan = BatchScan::ThreadLocal();
+  for (size_t first = 0; first < n; first += BatchScan::kMaxQueries) {
+    const size_t m = std::min(BatchScan::kMaxQueries, n - first);
+    scan.Prepare(spec, queries + first, m, table.num_columns());
+    for (size_t begin = 0; begin < rows; begin += BatchScan::kBlock) {
+      scan.Feed([&](size_t c) { return table.column(c).data() + begin; }, 1,
+                std::min(BatchScan::kBlock, rows - begin), measure + begin,
+                accs + first, [](size_t) { return false; });
+    }
+  }
 }
 
 void ExactEngine::Accumulate(const QueryFunctionSpec& spec,
@@ -115,11 +94,9 @@ void ExactEngine::Accumulate(const QueryFunctionSpec& spec,
 
 size_t ExactEngine::CountMatches(const QueryFunctionSpec& spec,
                                  const QueryInstance& q) const {
-  const PinnedBase pinned = Pin();
-  size_t matches = 0;
-  ForEachMatchBlock(*pinned.table, spec, q,
-                    [&](size_t, const uint32_t*, size_t k) { matches += k; });
-  return matches;
+  AggregateAccumulator count(Aggregate::kCount);
+  Accumulate(spec, q, &count);
+  return count.count();
 }
 
 std::vector<double> ExactEngine::AnswerBatch(
@@ -129,23 +106,31 @@ std::vector<double> ExactEngine::AnswerBatch(
   // split a batch across two base versions.
   const PinnedBase pinned = Pin();
   const Table& t = *pinned.table;
-  auto answer_one = [&](const QueryInstance& q) {
-    AggregateAccumulator acc(spec.agg);
-    AccumulateOver(t, spec, q, &acc);
-    return acc.Finalize();
-  };
   std::vector<double> out(queries.size());
+  // Walks of BatchScan::kMaxQueries queries each, which also bounds the
+  // MEDIAN value buffers alive at once.
+  constexpr size_t kWalk = BatchScan::kMaxQueries;
+  auto answer_range = [&](size_t begin, size_t end) {
+    const QueryInstance* group[kWalk];
+    std::vector<AggregateAccumulator> accs;
+    for (size_t first = begin; first < end; first += kWalk) {
+      const size_t m = std::min(kWalk, end - first);
+      for (size_t i = 0; i < m; ++i) group[i] = &queries[first + i];
+      accs.assign(m, AggregateAccumulator(spec.agg));
+      AccumulateBatchOver(t, spec, group, m, accs.data());
+      for (size_t i = 0; i < m; ++i) out[first + i] = accs[i].Finalize();
+    }
+  };
   ThreadPool& pool = ThreadPool::Shared();
   const size_t parallelism =
       num_threads == 0 ? pool.num_threads() + 1 : num_threads;
   if (parallelism <= 1 || queries.size() < 2 * parallelism) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      out[i] = answer_one(queries[i]);
-    }
-    return out;
+    answer_range(0, queries.size());
+  } else {
+    pool.ParallelForShards(
+        queries.size(), parallelism,
+        [&](size_t, size_t begin, size_t end) { answer_range(begin, end); });
   }
-  pool.ParallelFor(queries.size(), parallelism,
-                   [&](size_t i) { out[i] = answer_one(queries[i]); });
   return out;
 }
 

@@ -19,6 +19,91 @@
 
 namespace neurosketch {
 
+/// \brief The shared-scan kernel: up to kMaxQueries queries of one spec
+/// walk the same rows together (the cooperative scan of Zukowski et al.,
+/// "Cooperative Scans", VLDB 2007). Prepare compiles each query once;
+/// Feed then reads one block of rows for all of them. Each query filters
+/// the block into its own selection vector — branch-free for an
+/// axis-range query (CompiledAxisRange::Select), a per-row Matches test
+/// for any other predicate — and feeds the matches' measures to its own
+/// accumulator in row order, AVG/STD lanes in lockstep
+/// (AggregateAccumulator::AddSelectedLanes). So after a walk every
+/// accumulator holds exactly what a scan of that query alone leaves.
+///
+/// A block is any `len <= kBlock` rows whose attribute c of row j sits
+/// at `column_at(c)[j * stride]`: a column block of a Table (stride 1)
+/// and a row-major run of the streaming delta (stride = row width) both
+/// qualify. Each thread reuses one instance (ThreadLocal), so a warm walk
+/// allocates nothing.
+class BatchScan {
+ public:
+  static constexpr size_t kBlock = 1024;
+  static constexpr size_t kMaxQueries = AggregateAccumulator::kMaxLanes;
+
+  static BatchScan& ThreadLocal();
+
+  /// \brief Prepares queries[0, n), n <= kMaxQueries, for rows of `dim`
+  /// attributes. `spec` and the queries must outlive the Feed calls.
+  void Prepare(const QueryFunctionSpec& spec,
+               const QueryInstance* const* queries, size_t n, size_t dim);
+
+  /// \brief Query i's compiled form, or nullptr when the query keeps the
+  /// per-row Matches test.
+  const CompiledAxisRange* compiled(size_t i) const {
+    return queries_[i].compiled ? &queries_[i].range : nullptr;
+  }
+
+  /// \brief Feeds one block to every prepared query: query i's matches
+  /// go to accs[i]; the measure of row j is `measure[j * stride]`.
+  /// `skip(i)` returning true says query i has no match in the block
+  /// (the caller knows it from a zone map), and its filter does not run.
+  template <typename ColumnAt, typename Skip>
+  void Feed(ColumnAt column_at, size_t stride, size_t len,
+            const double* measure, AggregateAccumulator* accs, Skip skip);
+
+ private:
+  BatchScan();
+
+  struct Query {
+    const QueryInstance* q = nullptr;
+    bool compiled = false;
+    CompiledAxisRange range;
+  };
+  const QueryFunctionSpec* spec_ = nullptr;
+  size_t n_ = 0;
+  size_t dim_ = 0;
+  std::vector<Query> queries_;  // kMaxQueries
+  std::vector<uint32_t> sel_;   // one kBlock selection vector per query
+  std::vector<double> row_;     // a gathered row, for per-row predicates
+};
+
+template <typename ColumnAt, typename Skip>
+void BatchScan::Feed(ColumnAt column_at, size_t stride, size_t len,
+                     const double* measure, AggregateAccumulator* accs,
+                     Skip skip) {
+  const uint32_t* sel[kMaxQueries];
+  size_t counts[kMaxQueries];
+  for (size_t i = 0; i < n_; ++i) {
+    uint32_t* out = &sel_[i * kBlock];
+    sel[i] = out;
+    const Query& query = queries_[i];
+    if (skip(i)) {
+      counts[i] = 0;
+    } else if (query.compiled) {
+      counts[i] = query.range.Select(column_at, stride, len, out);
+    } else {
+      size_t k = 0;
+      for (size_t j = 0; j < len; ++j) {
+        for (size_t c = 0; c < dim_; ++c) row_[c] = column_at(c)[j * stride];
+        out[k] = static_cast<uint32_t>(j * stride);
+        k += spec_->predicate->Matches(*query.q, row_.data(), dim_);
+      }
+      counts[i] = k;
+    }
+  }
+  AggregateAccumulator::AddSelectedLanes(accs, n_, measure, sel, counts);
+}
+
 /// \brief Exact evaluator over a (normalized) table.
 ///
 /// Two modes share one interface:
@@ -74,6 +159,17 @@ class ExactEngine {
   static void AccumulateOver(const Table& table, const QueryFunctionSpec& spec,
                              const QueryInstance& q,
                              AggregateAccumulator* acc);
+
+  /// \brief AccumulateOver for `n` queries in one walk of the table
+  /// (BatchScan): each 1024-row block is read once for all of them, and
+  /// each accumulator `accs[i]` ends bit-identical to
+  /// `AccumulateOver(table, spec, *queries[i], &accs[i])`. AVG/STD
+  /// queries keep four Welford chains in flight. Allocation-free once
+  /// the calling thread is warm (MEDIAN's value buffers aside).
+  static void AccumulateBatchOver(const Table& table,
+                                  const QueryFunctionSpec& spec,
+                                  const QueryInstance* const* queries,
+                                  size_t n, AggregateAccumulator* accs);
 
   /// \brief Number of rows matching the predicate.
   size_t CountMatches(const QueryFunctionSpec& spec,

@@ -64,8 +64,13 @@ class AxisRangePredicate : public PredicateFunction {
 /// Same match semantics as AxisRangePredicate::Matches, bit for bit:
 /// hi is `c + r` as Matches computes it, an attribute with
 /// `c == 0.0 && r >= 1.0` is inactive, and a value v matches when
-/// `!(v < lo) && !(v >= hi)`, so a NaN cell (or a NaN bound) matches
+/// `!(v < lo) & !(v >= hi)`, so a NaN cell (or a NaN bound) matches
 /// exactly when Matches says it does.
+///
+/// The two tests combine with a non-short-circuit `&` (Ross, "Selection
+/// Conditions in Main Memory", TODS 2004): both comparisons always run,
+/// so a scan at mid selectivity has no data-dependent branch to
+/// mispredict. Select fills a selection vector the same way.
 class CompiledAxisRange {
  public:
   /// Fixed capacity: compiling needs no allocation. A query with more
@@ -85,15 +90,47 @@ class CompiledAxisRange {
   double hi(size_t k) const { return hi_[k]; }
 
   static bool InRange(double v, double lo, double hi) {
-    return !(v < lo) && !(v >= hi);
+    return !(v < lo) & !(v >= hi);
   }
 
-  /// \brief Row-major test over the active attributes of one row.
-  bool Matches(const double* row) const {
-    for (size_t k = 0; k < num_active_; ++k) {
-      if (!InRange(row[column_[k]], lo_[k], hi_[k])) return false;
+  /// \brief Filters `len` rows into the selection vector `sel`, in row
+  /// order, and returns the number of matches. Attribute c of row j is
+  /// `column_at(c)[j * stride]`, so one call serves a column block
+  /// (stride 1) and a row-major block (stride = row width) alike. `sel`
+  /// receives the offsets `j * stride` of the matching rows: with
+  /// `values = column_at(c)`, `values[sel[i]]` is attribute c of the i-th
+  /// match. The first active attribute fills `sel` and each further one
+  /// narrows it; every step writes its slot and advances by the test
+  /// result, so no loop has a data-dependent branch. A query with no
+  /// active attribute selects every row.
+  template <typename ColumnAt>
+  size_t Select(ColumnAt column_at, size_t stride, size_t len,
+                uint32_t* sel) const {
+    if (num_active_ == 0) {
+      for (size_t j = 0; j < len; ++j) {
+        sel[j] = static_cast<uint32_t>(j * stride);
+      }
+      return len;
     }
-    return true;
+    const double* x = column_at(column_[0]);
+    const double lo = lo_[0], hi = hi_[0];
+    size_t k = 0;
+    for (size_t j = 0; j < len; ++j) {
+      sel[k] = static_cast<uint32_t>(j * stride);
+      k += InRange(x[j * stride], lo, hi);
+    }
+    for (size_t a = 1; a < num_active_; ++a) {
+      const double* y = column_at(column_[a]);
+      const double lo_a = lo_[a], hi_a = hi_[a];
+      size_t kept = 0;
+      for (size_t j = 0; j < k; ++j) {
+        const uint32_t r = sel[j];
+        sel[kept] = r;
+        kept += InRange(y[r], lo_a, hi_a);
+      }
+      k = kept;
+    }
+    return k;
   }
 
  private:

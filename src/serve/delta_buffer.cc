@@ -7,20 +7,30 @@ DeltaBuffer::DeltaBuffer(size_t num_columns, size_t chunk_rows)
     : num_columns_(num_columns == 0 ? 1 : num_columns),
       chunk_rows_(chunk_rows == 0 ? 1 : chunk_rows) {}
 
-size_t DeltaBuffer::Append(const std::vector<double>& row) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t n = size_.load(std::memory_order_relaxed);
+void DeltaBuffer::WriteRowLocked(size_t n,
+                                 const std::vector<double>& row) {
   const size_t slot = n - chunk_base_;
   if (slot / chunk_rows_ >= chunks_.size()) {
     auto chunk = std::make_shared<Chunk>();
     chunk->data.resize(chunk_rows_ * num_columns_);
     chunks_.push_back(std::move(chunk));
+    open_zone_.assign(num_columns_, ColumnZone{});
   }
-  double* dst = chunks_[slot / chunk_rows_]->data.data() +
-                (slot % chunk_rows_) * num_columns_;
+  Chunk& chunk = *chunks_[slot / chunk_rows_];
+  double* dst = chunk.data.data() + (slot % chunk_rows_) * num_columns_;
   for (size_t c = 0; c < num_columns_; ++c) {
     dst[c] = c < row.size() ? row[c] : 0.0;
+    open_zone_[c].Add(dst[c]);
   }
+  // The chunk's last slot: seal its zone map. Readers that saw the chunk
+  // open keep their own copy and never read this field.
+  if (slot % chunk_rows_ == chunk_rows_ - 1) chunk.zone = open_zone_;
+}
+
+size_t DeltaBuffer::Append(const std::vector<double>& row) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const size_t n = size_.load(std::memory_order_relaxed);
+  WriteRowLocked(n, row);
   ++appends_;
   ++rows_appended_;
   // Publish after the row data is fully written: a reader that observes
@@ -32,20 +42,7 @@ size_t DeltaBuffer::Append(const std::vector<double>& row) {
 size_t DeltaBuffer::AppendRows(const std::vector<std::vector<double>>& rows) {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = size_.load(std::memory_order_relaxed);
-  for (const auto& row : rows) {
-    const size_t slot = n - chunk_base_;
-    if (slot / chunk_rows_ >= chunks_.size()) {
-      auto chunk = std::make_shared<Chunk>();
-      chunk->data.resize(chunk_rows_ * num_columns_);
-      chunks_.push_back(std::move(chunk));
-    }
-    double* dst = chunks_[slot / chunk_rows_]->data.data() +
-                  (slot % chunk_rows_) * num_columns_;
-    for (size_t c = 0; c < num_columns_; ++c) {
-      dst[c] = c < row.size() ? row[c] : 0.0;
-    }
-    ++n;
-  }
+  for (const auto& row : rows) WriteRowLocked(n++, row);
   // One call, one append — batch size lands in rows_appended. (Append and
   // AppendRows used to disagree here: per-row vs per-batch.)
   ++appends_;
@@ -81,6 +78,14 @@ DeltaBuffer::Snapshot DeltaBuffer::Snap() const {
     snap.chunks_.assign(chunks_.begin(), chunks_.end());
     snap.chunk_base_ = chunk_base_;
     snap.begin_ = trimmed_;
+    // An open last chunk's zone map still changes with every append:
+    // copy it here, under the writers' lock, where it covers every row
+    // published so far and so every row of this snapshot.
+    const size_t held = size_.load(std::memory_order_relaxed) - chunk_base_;
+    if (held < chunks_.size() * chunk_rows_) {
+      snap.open_chunk_ = chunks_.size() - 1;
+      snap.open_zone_ = open_zone_;
+    }
   }
   snap.chunk_rows_ = chunk_rows_;
   snap.num_columns_ = num_columns_;

@@ -21,11 +21,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
+
+#include "query/predicate.h"
 
 namespace neurosketch {
 namespace serve {
@@ -40,10 +44,31 @@ struct DeltaBufferStats {
   uint64_t trimmed_rows = 0;   ///< rows dropped by Trim (compaction)
 };
 
+/// \brief Zone map entry: the range of one column's values over the
+/// rows of one chunk. `min`/`max` cover the non-NaN values; `nan` says
+/// whether any value is NaN.
+struct ColumnZone {
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+  bool nan = false;
+
+  void Add(double v) {
+    if (std::isnan(v)) {
+      nan = true;
+    } else {
+      min = std::min(min, v);
+      max = std::max(max, v);
+    }
+  }
+};
+
 /// \brief Append-only, chunked row buffer for one streaming dataset.
 class DeltaBuffer {
   struct Chunk {
     std::vector<double> data;  // chunk_rows_ * num_columns_, write-once
+    // Per-column zone map, written once under mu_ when the chunk fills
+    // (seals) and never changed after; empty while the chunk is open.
+    std::vector<ColumnZone> zone;
   };
 
  public:
@@ -75,6 +100,9 @@ class DeltaBuffer {
   /// shared_ptrs); keeps trimmed-away chunks alive while in scope.
   class Snapshot {
    public:
+    /// Rows per ForEachRun run at most.
+    static constexpr size_t kRun = 1024;
+
     Snapshot() = default;
 
     size_t begin() const { return begin_; }
@@ -84,10 +112,23 @@ class DeltaBuffer {
 
     /// \brief Visit logical rows [from, to) in order; `fn(row)` gets a
     /// pointer to num_columns() doubles. The range is clamped to
-    /// [begin, end). Walks chunk by chunk: one division to find the
-    /// first row, then a pointer stride per row.
+    /// [begin, end).
     template <typename Fn>
     void ForEachRow(size_t from, size_t to, Fn&& fn) const {
+      ForEachRun(from, to, [&](size_t, const double* rows, size_t len) {
+        for (size_t j = 0; j < len; ++j) fn(rows + j * num_columns_);
+        return true;
+      });
+    }
+
+    /// \brief Calls `fn(chunk, rows, len)` for logical rows [from, to),
+    /// clamped to [begin, end), in append order, one run of at most kRun
+    /// rows of one chunk at a time: `rows` points at the run's first row
+    /// (row-major, num_columns() doubles per row), and `chunk` identifies
+    /// the chunk for Disjoint. `fn` returns false to stop the walk. One
+    /// division finds the first row; the rest is pointer strides.
+    template <typename Fn>
+    void ForEachRun(size_t from, size_t to, Fn&& fn) const {
       if (from < begin_) from = begin_;
       if (to > end_) to = end_;
       if (from >= to) return;
@@ -95,15 +136,65 @@ class DeltaBuffer {
       size_t off = (from - chunk_base_) % chunk_rows_;
       for (size_t left = to - from; left > 0; ++ci, off = 0) {
         const size_t len = std::min(left, chunk_rows_ - off);
-        const double* row = chunks_[ci]->data.data() + off * num_columns_;
-        for (size_t j = 0; j < len; ++j, row += num_columns_) fn(row);
         left -= len;
+        const double* rows = chunks_[ci]->data.data() + off * num_columns_;
+        for (size_t done = 0; done < len;) {
+          const size_t run = std::min(kRun, len - done);
+          if (!fn(ci, rows + done * num_columns_, run)) return;
+          done += run;
+        }
       }
+    }
+
+    /// \brief Zone-map skip: true when no row of chunk `chunk` can match
+    /// `range`, because on some active attribute the chunk holds no NaN
+    /// and `max < lo || min >= hi` over its values, so every row fails
+    /// that attribute's test. A NaN cell matches any range (see
+    /// CompiledAxisRange), so a column with a NaN never rules its chunk
+    /// out; a NaN bound makes both comparisons false, so it never rules
+    /// one out either.
+    bool Disjoint(size_t chunk, const CompiledAxisRange& range) const {
+      const std::vector<ColumnZone>& zone =
+          chunk == open_chunk_ ? open_zone_ : chunks_[chunk]->zone;
+      for (size_t k = 0; k < range.num_active(); ++k) {
+        const ColumnZone& z = zone[range.column(k)];
+        if (!z.nan && (z.max < range.lo(k) || z.min >= range.hi(k))) {
+          return true;
+        }
+      }
+      return false;
+    }
+
+    /// \brief Calls `fn(rows, sel, k)` for the rows in [from, end()) that
+    /// match `range`, in append order, one run at a time: `rows + sel[i]`
+    /// points at the i-th match of the run. Chunks that Disjoint rules
+    /// out are not read; the rest are filtered branch-free
+    /// (CompiledAxisRange::Select, row width as stride). `fn` returns
+    /// false to stop the walk. Returns the number of rows filtered.
+    template <typename Fn>
+    size_t ScanMatches(size_t from, const CompiledAxisRange& range,
+                       Fn&& fn) const {
+      size_t scanned = 0;
+      uint32_t sel[kRun];
+      ForEachRun(from, end_, [&](size_t chunk, const double* rows,
+                                 size_t len) {
+        if (Disjoint(chunk, range)) return true;
+        scanned += len;
+        const size_t k = range.Select(
+            [rows](size_t c) { return rows + c; }, num_columns_, len, sel);
+        return k == 0 || fn(rows, static_cast<const uint32_t*>(sel), k);
+      });
+      return scanned;
     }
 
    private:
     friend class DeltaBuffer;
+
     std::vector<std::shared_ptr<const Chunk>> chunks_;
+    // The chunk still being filled at Snap time (SIZE_MAX if none) and a
+    // copy of its zone map, which covers at least the snapshot's rows.
+    size_t open_chunk_ = static_cast<size_t>(-1);
+    std::vector<ColumnZone> open_zone_;
     size_t chunk_base_ = 0;  // logical row index of chunks_[0]'s first slot
     size_t chunk_rows_ = 1;
     size_t num_columns_ = 0;
@@ -134,8 +225,14 @@ class DeltaBuffer {
   const size_t chunk_rows_;
   std::atomic<size_t> size_{0};
 
+  /// Writes row `n` (logical index) into its slot, creating its chunk on
+  /// demand, and keeps the zone maps; seals the chunk when the row fills
+  /// it. Caller holds mu_.
+  void WriteRowLocked(size_t n, const std::vector<double>& row);
+
   mutable std::mutex mu_;  // writers + chunk-list structure
   std::vector<std::shared_ptr<Chunk>> chunks_;
+  std::vector<ColumnZone> open_zone_;  // zone map of chunks_.back() if open
   size_t chunk_base_ = 0;  // logical index of chunks_[0]'s first slot
   size_t trimmed_ = 0;
   uint64_t appends_ = 0;

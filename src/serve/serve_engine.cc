@@ -55,10 +55,12 @@ struct DeltaMatch {
   double max = 0.0;
 };
 
-/// Calls `fn(row)` for every delta row in [from, snap.end()) that
-/// matches q, in append order. An axis-range query is compiled once and
-/// tests only its active columns per row; any other predicate keeps the
-/// per-row Matches test.
+/// Calls `fn(rows, sel, k)` for the delta rows in [from, snap.end())
+/// that match q, in append order: `rows + sel[i]` is the i-th match of
+/// the call. An axis-range query is compiled once and runs the snapshot's
+/// branch-free, zone-map-skipping scan; any other predicate keeps the
+/// per-row Matches test and reports each match alone. `fn` returns false
+/// to stop.
 template <typename Fn>
 void ForEachDeltaMatch(const DeltaBuffer::Snapshot& snap, size_t from,
                        const QueryFunctionSpec& spec, const QueryInstance& q,
@@ -66,32 +68,30 @@ void ForEachDeltaMatch(const DeltaBuffer::Snapshot& snap, size_t from,
   const size_t dim = snap.num_columns();
   CompiledAxisRange range;
   if (range.Compile(*spec.predicate, q, dim)) {
-    snap.ForEachRow(from, snap.end(), [&](const double* row) {
-      if (range.Matches(row)) fn(row);
-    });
-  } else {
-    snap.ForEachRow(from, snap.end(), [&](const double* row) {
-      if (spec.predicate->Matches(q, row, dim)) fn(row);
-    });
+    snap.ScanMatches(from, range, fn);
+    return;
   }
+  static constexpr uint32_t kFirst = 0;
+  snap.ForEachRun(from, snap.end(), [&](size_t, const double* rows,
+                                        size_t len) {
+    for (size_t j = 0; j < len; ++j) {
+      const double* row = rows + j * dim;
+      if (spec.predicate->Matches(q, row, dim) &&
+          !fn(row, &kFirst, size_t{1})) {
+        return false;
+      }
+    }
+    return true;
+  });
 }
 
-DeltaMatch ScanDelta(const DeltaBuffer::Snapshot& snap, size_t from,
-                     const QueryFunctionSpec& spec, const QueryInstance& q) {
-  DeltaMatch m;
-  ForEachDeltaMatch(snap, from, spec, q, [&](const double* row) {
-    const double v = row[spec.measure_col];
-    if (m.matched == 0) {
-      m.min = m.max = v;
-    } else {
-      if (v < m.min) m.min = v;
-      if (v > m.max) m.max = v;
-    }
-    ++m.matched;
-    m.sum += v;
-  });
-  return m;
-}
+/// How ExecuteBatch produced a sketch-path answer.
+enum AnswerMode : uint8_t {
+  kSketchAnswer,     ///< the sketch's own answer
+  kDeltaCorrected,   ///< sketch + scalar delta correction (a sketch answer)
+  kRecomputed,       ///< recomputed exactly over base + delta (fallback)
+  kRepaired,         ///< NaN sketch answer repaired exactly (fallback)
+};
 
 /// True when appended rows fold into the base answer by a scalar
 /// correction; AVG/STD/MEDIAN need the base row population and recompute
@@ -108,26 +108,89 @@ bool Decomposable(Aggregate agg) {
   }
 }
 
-/// The streaming exact path: one accumulation fed the pinned base table
-/// first, then every delta row the base does not already hold, in append
-/// order — bit-identical to a from-scratch scan of the appended table for
-/// every aggregate (including Welford STD and MEDIAN's order-sensitive
-/// buffer). The delta scan starts at the pinned version's fold watermark:
-/// rows below it were compacted into the base and counting them from the
-/// delta too would double them. The caller took the snapshot BEFORE
-/// pinning, so snap.begin() <= base.folded always holds and the pair
-/// covers the logical history exactly once.
-double ExactWithDelta(const ExactEngine::PinnedBase& base,
-                      const QueryFunctionSpec& spec, const QueryInstance& q,
-                      const DeltaBuffer::Snapshot& snap) {
-  AggregateAccumulator acc(spec.agg);
-  ExactEngine::AccumulateOver(*base.table, spec, q, &acc);
+/// Exact match statistics of q over the delta rows [from, snap.end()).
+/// A non-decomposable aggregate only needs to know whether any row
+/// matches (it then recomputes over base + delta), so its scan stops at
+/// the first match and reports `matched` as 1.
+DeltaMatch ScanDelta(const DeltaBuffer::Snapshot& snap, size_t from,
+                     const QueryFunctionSpec& spec, const QueryInstance& q) {
+  DeltaMatch m;
+  const bool first_only = !Decomposable(spec.agg);
+  const size_t mc = spec.measure_col;
+  ForEachDeltaMatch(snap, from, spec, q,
+                    [&](const double* rows, const uint32_t* sel, size_t k) {
+                      if (first_only) {
+                        m.matched = 1;
+                        return false;
+                      }
+                      for (size_t i = 0; i < k; ++i) {
+                        const double v = rows[sel[i] + mc];
+                        if (m.matched + i == 0) {
+                          m.min = m.max = v;
+                        } else {
+                          if (v < m.min) m.min = v;
+                          if (v > m.max) m.max = v;
+                        }
+                        m.sum += v;
+                      }
+                      m.matched += k;
+                      return true;
+                    });
+  return m;
+}
+
+/// The streaming exact path for the queries idx[0..] of a batch: one
+/// accumulation per query, fed the pinned base table first, then every
+/// delta row the base does not already hold, in append order —
+/// bit-identical to a from-scratch scan of the appended table for every
+/// aggregate (including Welford STD and MEDIAN's order-sensitive
+/// buffer). Both parts are shared walks (BatchScan): the base through
+/// ExactEngine::AccumulateBatchOver, the delta run by run, skipping for
+/// each query the chunks its zone map rules out. The delta walk starts
+/// at the pinned version's fold watermark: rows below it were compacted
+/// into the base and counting them from the delta too would double them.
+/// The caller took the snapshot BEFORE pinning, so snap.begin() <=
+/// base.folded always holds and the pair covers the logical history
+/// exactly once. Writes answer j to out[idx[j]].
+void ExactWithDelta(const ExactEngine::PinnedBase& base,
+                    const QueryFunctionSpec& spec,
+                    const std::vector<QueryInstance>& queries,
+                    const std::vector<uint32_t>& idx,
+                    const DeltaBuffer::Snapshot& snap, double* out) {
+  if (idx.empty()) return;
+  // The pointer list is dispatcher-thread scratch; the accumulators are
+  // not, so MEDIAN value buffers do not outlive the batch.
+  thread_local std::vector<const QueryInstance*> qs;
+  qs.clear();
+  for (uint32_t i : idx) qs.push_back(&queries[i]);
+  std::vector<AggregateAccumulator> accs(idx.size(),
+                                         AggregateAccumulator(spec.agg));
+  ExactEngine::AccumulateBatchOver(*base.table, spec, qs.data(), qs.size(),
+                                   accs.data());
   const size_t from = snap.begin() < base.folded
                           ? static_cast<size_t>(base.folded)
                           : snap.begin();
-  ForEachDeltaMatch(snap, from, spec, q,
-                    [&](const double* row) { acc.Add(row[spec.measure_col]); });
-  return acc.Finalize();
+  static_assert(DeltaBuffer::Snapshot::kRun <= BatchScan::kBlock,
+                "a delta run must fit one BatchScan block");
+  if (from < snap.end()) {
+    BatchScan& scan = BatchScan::ThreadLocal();
+    const size_t stride = snap.num_columns();
+    for (size_t first = 0; first < qs.size(); first += BatchScan::kMaxQueries) {
+      const size_t m = std::min(BatchScan::kMaxQueries, qs.size() - first);
+      scan.Prepare(spec, qs.data() + first, m, stride);
+      snap.ForEachRun(from, snap.end(), [&](size_t chunk, const double* rows,
+                                            size_t len) {
+        scan.Feed([rows](size_t c) { return rows + c; }, stride, len,
+                  rows + spec.measure_col, accs.data() + first,
+                  [&](size_t i) {
+                    const CompiledAxisRange* range = scan.compiled(i);
+                    return range != nullptr && snap.Disjoint(chunk, *range);
+                  });
+        return true;
+      });
+    }
+  }
+  for (size_t j = 0; j < idx.size(); ++j) out[idx[j]] = accs[j].Finalize();
 }
 }  // namespace
 
@@ -516,60 +579,79 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
     // the thread is warm. With keys pinned to shards, only this shard's
     // thread ever warms this sketch's arena.
     thread_local std::vector<double> answers;
+    thread_local std::vector<int> leaf_ids;
     answers.resize(queries.size());
-    sketch->AnswerBatchVectorizedTo(queries, answers.data());
+    leaf_ids.resize(queries.size());
+    sketch->AnswerBatchVectorizedTo(queries, answers.data(), leaf_ids.data());
     // Streaming composition: correct each sketch answer with the exact
     // contribution of the delta rows its leaf has not folded yet. Per
-    // answer: 0 = pure sketch, 1 = sketch + scalar delta correction
-    // (still a sketch answer), 2 = recomputed exactly over base + delta
-    // (non-decomposable aggregate with matching unfolded rows; counted
-    // as a fallback answer). Composition never changes NaN-ness, so the
-    // NaN scan and budget accounting below read post-composition values
-    // and see exactly the sketch's own answerability.
+    // answer, `modes` records how it was produced (AnswerMode). A
+    // decomposable aggregate takes a scalar delta correction and stays a
+    // sketch answer; a non-decomposable one with matching unfolded rows
+    // is recomputed exactly over base + delta and counted as a fallback.
+    // Every exact answer of the batch — recomputes and NaN repairs —
+    // comes from one shared walk of the base (ExactWithDelta) before
+    // the NaN scan, which counts a repaired answer by its mode, so the
+    // NaN scan and budget accounting below still see exactly the
+    // sketch's own answerability.
     thread_local std::vector<uint8_t> modes;
-    modes.assign(answers.size(), 0);
-    if (has_delta) {
-      const std::vector<uint64_t>* folded = view.leaf_folded.get();
-      for (size_t i = 0; i < answers.size(); ++i) {
-        if (std::isnan(answers[i])) continue;
-        // Route once more to find this query's fold watermark: rows the
-        // leaf's model already reflects must not be corrected twice.
-        const auto* leaf = sketch->tree().Route(queries[i]);
-        size_t from = dsnap.begin();
-        if (folded != nullptr && leaf != nullptr && leaf->leaf_id >= 0 &&
-            static_cast<size_t>(leaf->leaf_id) < folded->size()) {
-          const size_t w = (*folded)[leaf->leaf_id];
-          if (w > from) from = w;
+    thread_local std::vector<uint32_t> exact_idx;
+    modes.assign(answers.size(), kSketchAnswer);
+    exact_idx.clear();
+    const std::vector<uint64_t>* folded = view.leaf_folded.get();
+    for (size_t i = 0; i < answers.size(); ++i) {
+      if (std::isnan(answers[i])) {
+        if (engine != nullptr) {
+          // Per-query exact repair: the sketch could not route/answer
+          // this instance (e.g. out-of-domain), but the batch as a whole
+          // stays on the fast path. With a live delta the repair composes
+          // over base + appended rows, so the repaired answer honors the
+          // same freshness contract.
+          modes[i] = kRepaired;
+          exact_idx.push_back(static_cast<uint32_t>(i));
         }
-        if (from >= dsnap.end()) continue;  // leaf fully folded
-        const DeltaMatch m = ScanDelta(dsnap, from, spec, queries[i]);
-        if (m.matched == 0) continue;  // appends do not touch this query
-        if (Decomposable(spec.agg)) {
-          switch (spec.agg) {
-            case Aggregate::kCount:
-              answers[i] += static_cast<double>(m.matched);
-              break;
-            case Aggregate::kSum:
-              answers[i] += m.sum;
-              break;
-            case Aggregate::kMin:
-              answers[i] = std::min(answers[i], m.min);
-              break;
-            default:  // kMax
-              answers[i] = std::max(answers[i], m.max);
-              break;
-          }
-          modes[i] = 1;
-        } else if (engine != nullptr) {
-          answers[i] = ExactWithDelta(pinned, spec, queries[i], dsnap);
-          modes[i] = 2;
-        }
-        // Non-decomposable with no exact engine: serve the (stale)
-        // sketch answer — there is nothing better to compose from.
+        continue;
       }
+      if (!has_delta) continue;
+      // Rows the leaf's model already reflects must not be corrected
+      // twice: the delta scan starts at the leaf's fold watermark.
+      const int leaf = leaf_ids[i];
+      size_t from = dsnap.begin();
+      if (folded != nullptr && static_cast<size_t>(leaf) < folded->size()) {
+        const size_t w = (*folded)[leaf];
+        if (w > from) from = w;
+      }
+      if (from >= dsnap.end()) continue;  // leaf fully folded
+      // Non-decomposable with no exact engine: serve the (stale) sketch
+      // answer — there is nothing better to compose from.
+      if (!Decomposable(spec.agg) && engine == nullptr) continue;
+      const DeltaMatch m = ScanDelta(dsnap, from, spec, queries[i]);
+      if (m.matched == 0) continue;  // appends do not touch this query
+      switch (spec.agg) {
+        case Aggregate::kCount:
+          answers[i] += static_cast<double>(m.matched);
+          break;
+        case Aggregate::kSum:
+          answers[i] += m.sum;
+          break;
+        case Aggregate::kMin:
+          answers[i] = std::min(answers[i], m.min);
+          break;
+        case Aggregate::kMax:
+          answers[i] = std::max(answers[i], m.max);
+          break;
+        default:  // recomputed below
+          modes[i] = kRecomputed;
+          exact_idx.push_back(static_cast<uint32_t>(i));
+          continue;
+      }
+      modes[i] = kDeltaCorrected;
     }
+    ExactWithDelta(pinned, spec, queries, exact_idx, dsnap, answers.data());
     size_t nans = 0;
-    for (double a : answers) nans += std::isnan(a) ? 1 : 0;
+    for (size_t i = 0; i < answers.size(); ++i) {
+      nans += modes[i] == kRepaired || std::isnan(answers[i]) ? 1 : 0;
+    }
     const size_t genuine = answers.size() - nans;
     const PlanPrecision tier = sketch->plan_precision();
 
@@ -605,23 +687,21 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
     if (tripped) store_->NotePenalized(key);
 
     for (size_t i = 0; i < answers.size(); ++i) {
-      if (std::isnan(answers[i]) && engine != nullptr) {
-        // Per-query exact repair: the sketch could not route/answer this
-        // instance (e.g. out-of-domain), but the batch as a whole stays
-        // on the fast path. Fulfill ticks fallback_answers (or
-        // failed_answers when the engine is also stumped). With a live
-        // delta the repair composes over base + appended rows, so the
-        // repaired answer honors the same freshness contract.
-        const double repaired = ExactWithDelta(pinned, spec, queries[i], dsnap);
-        Fulfill(shard, &batch[i], repaired, false, PlanPrecision::kF64, st);
-      } else if (modes[i] == 2) {
+      if (modes[i] == kRepaired ||
+          (std::isnan(answers[i]) && engine != nullptr)) {
+        // Exact repair of a NaN answer: Fulfill ticks fallback_answers
+        // (or failed_answers when the engine is also stumped).
+        Fulfill(shard, &batch[i], answers[i], false, PlanPrecision::kF64, st);
+      } else if (modes[i] == kRecomputed) {
         // Non-decomposable aggregate recomputed exactly over base+delta:
         // counted as a fallback answer (used_sketch=false) plus the
         // delta_exact sub-counter.
         counters.Tick(Counter::kDeltaExact);
         Fulfill(shard, &batch[i], answers[i], false, PlanPrecision::kF64, st);
       } else {
-        if (modes[i] == 1) counters.Tick(Counter::kDeltaCorrected);
+        if (modes[i] == kDeltaCorrected) {
+          counters.Tick(Counter::kDeltaCorrected);
+        }
         const bool genuine_answer = !std::isnan(answers[i]);
         Fulfill(shard, &batch[i], answers[i], genuine_answer,
                 genuine_answer ? tier : PlanPrecision::kF64, st);
@@ -636,9 +716,11 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
       // table from scratch, for every aggregate, across any concurrent
       // compaction.
       answers.resize(queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        answers[i] = ExactWithDelta(pinned, spec, queries[i], dsnap);
+      std::vector<uint32_t> all(queries.size());
+      for (size_t i = 0; i < all.size(); ++i) {
+        all[i] = static_cast<uint32_t>(i);
       }
+      ExactWithDelta(pinned, spec, queries, all, dsnap, answers.data());
     } else {
       answers = engine->AnswerBatch(spec, queries, options_.exact_batch_threads);
     }

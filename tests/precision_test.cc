@@ -161,6 +161,47 @@ TEST(PrecisionTest, SelectPrecisionSwitchesTiers) {
   EXPECT_EQ(plain.value().plan_precision(), PlanPrecision::kF32);
 }
 
+TEST(PrecisionTest, VectorizedLeafIdsMatchRouteOnEveryTier) {
+  // AnswerBatchVectorizedTo reports the leaf model it routed each query
+  // to, so a caller need not route again; asking for the ids leaves the
+  // answers bit-identical on every tier, the single-query path included.
+  Bench b = MakeBench(96);
+  b.cfg.plan_precision = PlanPrecision::kInt8;
+  auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
+  ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
+  NeuroSketch& ns = sketch.value();
+  if (!ns.has_f32_plans()) {
+    ASSERT_TRUE(ns.EnableF32(b.train_q, 1.0));
+  }
+  const std::vector<QueryInstance>& probes = b.probes;
+  size_t tiers = 0;
+  for (PlanPrecision tier :
+       {PlanPrecision::kF64, PlanPrecision::kF32, PlanPrecision::kInt8}) {
+    if (!ns.SelectPrecision(tier).ok()) continue;
+    ++tiers;
+    for (size_t n : {size_t{1}, probes.size()}) {
+      const std::vector<QueryInstance> batch(probes.begin(),
+                                             probes.begin() + n);
+      std::vector<double> plain(n), with_ids(n);
+      std::vector<int> ids(n, -7);
+      ns.AnswerBatchVectorizedTo(batch, plain.data());
+      ns.AnswerBatchVectorizedTo(batch, with_ids.data(), ids.data());
+      for (size_t i = 0; i < n; ++i) {
+        const auto* leaf = ns.tree().Route(batch[i]);
+        const int want = leaf != nullptr ? leaf->leaf_id : -1;
+        EXPECT_EQ(ids[i], want) << "probe " << i;
+        if (std::isnan(plain[i])) {
+          EXPECT_TRUE(std::isnan(with_ids[i]));
+        } else {
+          EXPECT_EQ(plain[i], with_ids[i]) << "probe " << i;
+          EXPECT_GE(ids[i], 0) << "an answered probe has a leaf model";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(tiers, 3u);
+}
+
 TEST(PrecisionTest, EnableF32RefusesEmptyValidation) {
   Bench b = MakeBench(99);
   auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);

@@ -13,10 +13,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -1636,6 +1639,296 @@ TEST(CompactionRaceTest, AppendServeCompactRefreshStayExact) {
   }
   EXPECT_EQ(serve.Answer("gmm", count, everything).value,
             static_cast<double>(base.num_rows() + mirror.size()));
+}
+
+// ---------------------------------------------------------------------
+// Delta zone maps: a chunk is skipped only when an active column holds
+// no NaN and its [min, max] lies outside the query's [lo, hi).
+
+/// Row pointers the zone-map scan reports for q from logical row `from`,
+/// and the number of rows it filtered.
+struct ZoneScan {
+  std::vector<const double*> rows;
+  size_t scanned = 0;
+};
+ZoneScan ScanWithZoneMaps(const DeltaBuffer::Snapshot& snap, size_t from,
+                          const QueryInstance& q) {
+  CompiledAxisRange range;
+  EXPECT_TRUE(range.Compile(AxisRangePredicate(), q, snap.num_columns()));
+  ZoneScan out;
+  out.scanned = snap.ScanMatches(
+      from, range, [&](const double* rows, const uint32_t* sel, size_t k) {
+        for (size_t i = 0; i < k; ++i) out.rows.push_back(rows + sel[i]);
+        return true;
+      });
+  return out;
+}
+
+/// The per-row reference: every row of [from, end) Matches accepts.
+std::vector<const double*> MatchingRows(const DeltaBuffer::Snapshot& snap,
+                                        size_t from, const QueryInstance& q) {
+  std::vector<const double*> rows;
+  const AxisRangePredicate pred;
+  snap.ForEachRow(from, snap.end(), [&](const double* row) {
+    if (pred.Matches(q, row, snap.num_columns())) rows.push_back(row);
+  });
+  return rows;
+}
+
+/// Two-column rows inside the box [0.90, 0.92) x [0.50, 0.52).
+std::vector<double> BoxRow(Rng* rng) {
+  return {rng->Uniform(0.90, 0.92), rng->Uniform(0.50, 0.52)};
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(DeltaZoneMapTest, ChunkWithNaNInActiveColumnIsNeverSkipped) {
+  DeltaBuffer buf(2, /*chunk_rows=*/4);
+  Rng rng(31);
+  for (int i = 0; i < 4; ++i) buf.Append(BoxRow(&rng));  // chunk 0: sealed
+  for (int i = 0; i < 4; ++i) {
+    std::vector<double> row = BoxRow(&rng);
+    if (i == 1) row[0] = kNaN;
+    buf.Append(row);  // chunk 1: sealed, NaN in column 0
+  }
+  buf.Append({kNaN, 0.51});  // chunk 2: open, NaN in column 0
+  const DeltaBuffer::Snapshot snap = buf.Snap();
+
+  // Column 0 in [0.1, 0.3): every non-NaN value lies above, so only the
+  // chunks holding a NaN are read, and only the NaN rows match.
+  const QueryInstance q = QueryInstance::AxisRange({0.1, 0.0}, {0.2, 1.0});
+  const ZoneScan got = ScanWithZoneMaps(snap, 0, q);
+  EXPECT_EQ(got.scanned, 5u);  // chunks 1 and 2; chunk 0 skipped
+  EXPECT_EQ(got.rows, MatchingRows(snap, 0, q));
+  EXPECT_EQ(got.rows.size(), 2u);
+
+  // Column 1 holds no NaN anywhere: a range below it skips every chunk.
+  const QueryInstance q1 = QueryInstance::AxisRange({0.0, 0.1}, {1.0, 0.3});
+  const ZoneScan none = ScanWithZoneMaps(snap, 0, q1);
+  EXPECT_EQ(none.scanned, 0u);
+  EXPECT_TRUE(none.rows.empty());
+}
+
+TEST(DeltaZoneMapTest, QueryWithNaNBoundsIsNeverSkipped) {
+  DeltaBuffer buf(2, /*chunk_rows=*/4);
+  Rng rng(32);
+  for (int i = 0; i < 10; ++i) buf.Append(BoxRow(&rng));
+  const DeltaBuffer::Snapshot snap = buf.Snap();
+  // c = NaN: both bounds are NaN, both bound tests are false for every
+  // row, so every row matches (as Matches says) and no chunk may skip.
+  const QueryInstance nan_c = QueryInstance::AxisRange({kNaN, 0.0}, {0.3, 1.0});
+  const ZoneScan all = ScanWithZoneMaps(snap, 0, nan_c);
+  EXPECT_EQ(all.scanned, 10u);
+  EXPECT_EQ(all.rows.size(), 10u);
+  EXPECT_EQ(all.rows, MatchingRows(snap, 0, nan_c));
+  // A NaN width leaves a finite lower bound: rows below it still fail,
+  // rows at or above it match; the scan agrees with Matches either way.
+  for (double c : {0.1, 0.91, 0.95}) {
+    const QueryInstance nan_r = QueryInstance::AxisRange({c, 0.0}, {kNaN, 1.0});
+    EXPECT_EQ(ScanWithZoneMaps(snap, 0, nan_r).rows,
+              MatchingRows(snap, 0, nan_r))
+        << "c " << c;
+  }
+}
+
+TEST(DeltaZoneMapTest, QueryDisjointFromEveryChunkVisitsZeroRows) {
+  DeltaBuffer buf(2, /*chunk_rows=*/4);
+  Rng rng(33);
+  for (int i = 0; i < 10; ++i) buf.Append(BoxRow(&rng));  // 2 sealed + open
+  auto check = [](const DeltaBuffer::Snapshot& snap) {
+    for (const QueryInstance& q :
+         {QueryInstance::AxisRange({0.1, 0.0}, {0.4, 1.0}),    // below col 0
+          QueryInstance::AxisRange({0.0, 0.6}, {1.0, 0.3}),    // above col 1
+          QueryInstance::AxisRange({0.92, 0.0}, {0.05, 1.0}),  // lo == max edge
+          QueryInstance::AxisRange({0.5, 0.0}, {0.4, 1.0})}) {  // hi == 0.9
+      const ZoneScan got = ScanWithZoneMaps(snap, 0, q);
+      EXPECT_EQ(got.scanned, 0u) << q[0] << " " << q[1];
+      EXPECT_TRUE(got.rows.empty());
+    }
+    // An overlapping query reads every held row.
+    const QueryInstance hit = QueryInstance::AxisRange({0.9, 0.0}, {0.05, 1.0});
+    EXPECT_EQ(ScanWithZoneMaps(snap, 0, hit).scanned,
+              snap.end() - snap.begin());
+  };
+  check(buf.Snap());
+  EXPECT_EQ(buf.Trim(4), 4u);  // logical indices stay put
+  check(buf.Snap());
+}
+
+TEST(DeltaZoneMapTest, ZoneMapScanMatchesPerRowReference) {
+  // Random buffers whose chunks cover narrow value bands (so chunks do
+  // skip), with NaN cells, random scan starts, trims, chunks larger than
+  // one 1024-row filter run, and queries with NaN bounds.
+  Rng rng(34);
+  const size_t kChunkRows[] = {1, 3, 4, 7, 64, 1500};
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t dim = 1 + rng.Index(4);
+    const size_t chunk_rows = kChunkRows[trial % 6];
+    DeltaBuffer buf(dim, chunk_rows);
+    const size_t n = static_cast<size_t>(rng.Int(0, 3200));
+    std::vector<std::vector<double>> rows;
+    for (size_t i = 0; i < n; ++i) {
+      const double band = 0.1 * static_cast<double>((i / 50) % 10);
+      std::vector<double> row(dim);
+      for (double& v : row) {
+        v = rng.Uniform() < 0.005 ? kNaN : band + rng.Uniform(0.0, 0.1);
+      }
+      rows.push_back(std::move(row));
+    }
+    for (size_t i = 0; i < n;) {  // mixed single and batch appends
+      const size_t k = std::min<size_t>(n - i, 1 + rng.Index(40));
+      if (k == 1) {
+        buf.Append(rows[i]);
+      } else {
+        buf.AppendRows({rows.begin() + i, rows.begin() + i + k});
+      }
+      i += k;
+    }
+    if (trial % 3 == 0 && n > 0) buf.Trim(rng.Index(n));
+    const DeltaBuffer::Snapshot snap = buf.Snap();
+    size_t skipped_somewhere = 0;
+    for (int qi = 0; qi < 12; ++qi) {
+      std::vector<double> c(dim, 0.0), r(dim, 1.0);
+      for (size_t a = 0; a < dim; ++a) {
+        const double u = rng.Uniform();
+        if (u < 0.4) continue;  // inactive
+        c[a] = u < 0.45 ? kNaN : rng.Uniform(0.0, 0.9);
+        r[a] = u > 0.97 ? kNaN : rng.Uniform(0.02, 0.3);
+      }
+      const QueryInstance q = QueryInstance::AxisRange(c, r);
+      const size_t from = n > 0 ? rng.Index(n + 1) : 0;
+      const ZoneScan got = ScanWithZoneMaps(snap, from, q);
+      ASSERT_EQ(got.rows, MatchingRows(snap, from, q))
+          << "trial " << trial << " chunk_rows " << chunk_rows << " from "
+          << from << " query " << qi;
+      const size_t lo = std::max(from, snap.begin());
+      const size_t held = snap.end() > lo ? snap.end() - lo : 0;
+      ASSERT_LE(got.scanned, held);
+      skipped_somewhere += got.scanned < held;
+    }
+    if (n > 500 && chunk_rows <= 64) {
+      EXPECT_GT(skipped_somewhere, 0u) << "trial " << trial;
+    }
+  }
+}
+
+TEST(ZoneMapRaceTest, ComposedAnswersStayExactWhileWriterAppends) {
+  // One writer appends rows in value bands (one band per 32-row chunk, so
+  // narrow queries skip most chunks), a compactor folds and trims the
+  // delta, and a reader serves exact answers over base + delta. Every
+  // answer must be bit-identical to a from-scratch scan of the base plus
+  // SOME prefix of the appended rows that was published around the call.
+  Dataset ds = MakeGmmDataset(600, 3, 3, /*seed=*/53);
+  Table base = Normalizer::Fit(ds.table).Transform(ds.table);
+  const size_t d = base.num_columns();
+  const size_t mc = ds.measure_col;
+  StreamingTable table(base);
+  ExactEngine engine(&table);
+  SketchStore store;
+  ASSERT_TRUE(store.RegisterDataset("gmm", &engine).ok());
+  ASSERT_TRUE(store.EnableStreaming("gmm", d, /*chunk_rows=*/32).ok());
+  ASSERT_TRUE(store.AttachStreamingTable("gmm", &table).ok());
+  ServeOptions so;
+  so.num_shards = 1;
+  so.batch_window_us = 0.0;
+  ServeEngine serve(&store, so);
+
+  constexpr size_t kRows = 960;
+  Rng rng(54);
+  std::vector<std::vector<double>> rows(kRows, std::vector<double>(d));
+  for (size_t i = 0; i < kRows; ++i) {
+    const double band = 0.1 * static_cast<double>((i / 32) % 10);
+    for (size_t c = 0; c < d; ++c) {
+      const bool nan_cell = c != mc && i % 97 == 5;
+      rows[i][c] = nan_cell ? kNaN : band + rng.Uniform(0.0, 0.1);
+    }
+  }
+  std::vector<QueryInstance> queries;
+  for (size_t a = 0; a < d; ++a) {
+    std::vector<double> c(d, 0.0), r(d, 1.0);
+    c[a] = 0.1 * static_cast<double>(a + 2);
+    r[a] = 0.15;
+    queries.push_back(QueryInstance::AxisRange(c, r));
+  }
+  {
+    std::vector<double> c(d, 0.0), r(d, 1.0);
+    c[0] = kNaN;  // NaN bound: matches every row
+    r[0] = 0.2;
+    queries.push_back(QueryInstance::AxisRange(c, r));
+  }
+  const Aggregate aggs[] = {Aggregate::kCount, Aggregate::kSum,
+                            Aggregate::kAvg,   Aggregate::kStd,
+                            Aggregate::kMedian, Aggregate::kMax};
+
+  // Reference for (query, aggregate) at prefix n: the base accumulation
+  // continued over the first n appended rows.
+  auto reference = [&](const QueryFunctionSpec& spec, const QueryInstance& q,
+                       size_t n) {
+    AggregateAccumulator acc(spec.agg);
+    ExactEngine::AccumulateOver(base, spec, q, &acc);
+    for (size_t i = 0; i < n; ++i) {
+      if (spec.predicate->Matches(q, rows[i].data(), d)) acc.Add(rows[i][mc]);
+    }
+    return acc.Finalize();
+  };
+  auto same = [](double a, double b) {
+    return (std::isnan(a) && std::isnan(b)) || std::memcmp(&a, &b, 8) == 0;
+  };
+
+  // `announced` is raised before a batch is appended and `published`
+  // after, so a call's answer reflects a prefix in [published before the
+  // call, announced after it].
+  std::atomic<size_t> announced{0}, published{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    Rng wr(55);
+    for (size_t i = 0; i < kRows;) {
+      const size_t k = std::min<size_t>(kRows - i, 1 + wr.Index(24));
+      announced.store(i + k, std::memory_order_release);
+      ASSERT_TRUE(
+          store.AppendRows("gmm", {rows.begin() + i, rows.begin() + i + k})
+              .ok());
+      i += k;
+      published.store(i, std::memory_order_release);
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+  });
+  std::thread compactor([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      auto res = store.Compact("gmm");
+      ASSERT_TRUE(res.ok()) << res.status().ToString();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+
+  size_t checked = 0, mid_run = 0;
+  for (int round = 0;; ++round) {
+    const bool last = published.load(std::memory_order_acquire) == kRows;
+    for (Aggregate agg : aggs) {
+      const QueryFunctionSpec spec = AxisSpec(agg, mc);
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        const size_t lo = published.load(std::memory_order_acquire);
+        const double got = serve.Answer("gmm", spec, queries[qi]).value;
+        const size_t hi = announced.load(std::memory_order_acquire);
+        bool ok = false;
+        for (size_t n = hi + 1; n-- > lo && !ok;) {
+          ok = same(got, reference(spec, queries[qi], n));
+        }
+        ASSERT_TRUE(ok) << AggregateName(agg) << " query " << qi
+                        << " prefixes [" << lo << ", " << hi << "]";
+        ++checked;
+        mid_run += hi < kRows;
+      }
+    }
+    if (last) break;
+  }
+  writer.join();
+  done.store(true, std::memory_order_release);
+  compactor.join();
+  EXPECT_GT(checked, 0u);
+  EXPECT_GT(mid_run, 0u);
+  EXPECT_GE(store.CompactionStats()[0].second.compactions, 1u);
+  EXPECT_GT(store.DeltaStats()[0].second.trimmed_rows, 0u);
 }
 
 }  // namespace
