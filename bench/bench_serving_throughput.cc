@@ -1,37 +1,18 @@
-// Serving throughput benchmark: client-thread count x micro-batch window
-// sweep over the serve/ subsystem, reporting QPS and latency percentiles,
-// plus the headline comparison the serving subsystem exists for:
-// micro-batched serving vs per-query Answer dispatch on the same sketch,
-// a single-query latency section (p50/p95/p99 in ns) comparing the
-// Matrix-allocating scalar path against the compiled zero-allocation
-// inference plans in every precision tier (f64 reference, opt-in f32,
-// opt-in int8 — each narrow tier with its validated max divergence and
-// footprint), and a vectorized-batch section per tier (the float-
-// marshalled gather path). Emits a BENCH_serving.json snapshot (written
-// to the working directory) so the perf trajectory can be tracked across
-// commits; the snapshot also carries the observability sections — the
-// headline run's per-stage latency breakdown and per-store stats, the
-// stage-tracing on/off overhead on the single-query serve path (CI gates
-// it via tools/check_serving_overhead.sh), the metrics-registry document
-// (nsketch_build_* + nsketch_serve_*) under "metrics", a "multi_core"
-// shard-count sweep (same gate script sanity-checks 4-shard scaling on
-// >= 4-core machines), a "zipfian" skewed-load arm (s = 0.99 over 16
-// stores) with tail percentiles, hottest-store share, and shard-load
-// imbalance, and a "paged_catalog" arm: 256 cold sketches packed into
-// one catalog file served under a 25% / 50% / 100% resident-byte budget
-// vs a fully-resident baseline, with fault-in p50/p99, pool churn, and a
-// bit-identity check of every served answer (CI gates answers_match and
-// peak <= budget via tools/check_resident_budget.sh), and a "streaming"
-// arm: serving under live appends with drift-driven refresh off vs on —
-// QPS, stale-sketch vs post-refresh probe MAE against the drift policy
-// bound, refresh lag, partial-retrain accounting, and a quiescent
-// bit-identity check of the delta-composition contract, and a
-// "compaction" arm: sustained appends against a swappable base table
-// with the delta folded in (explicit Compact calls vs the refresh
-// controller's threshold sweep), reporting fold/trim accounting, the
-// bounded resident delta, and mid-run bit-identity against from-scratch
-// scans (CI gates freshness + answers_match + bounded compaction via
-// tools/check_streaming_freshness.sh).
+// Serving benchmark behind the CI serving gates. It trains one AVG sketch
+// on the synthetic PM dataset and writes BENCH_serving.json, the bench's
+// only report, with five sections:
+//  - "tracing_overhead": single-query serve p50 with stage tracing on vs
+//    off, as paired runs in one process (tools/check_serving_overhead.sh);
+//  - "multi_core": 8 clients over 8 stores swept over shard counts (the
+//    same script checks 4-shard scaling on >= 4 hardware threads);
+//  - "paged_catalog": 256 cold sketches in one catalog file served under
+//    25% / 50% / 100% resident-byte budgets, every answer bit-compared
+//    with the fully-resident reference (tools/check_resident_budget.sh);
+//  - "streaming": serving under live appends with drift-driven refresh
+//    off vs on, with a quiescent bit-identity check of the
+//    delta-composition contract (tools/check_streaming_freshness.sh);
+//  - "compaction": sustained appends folded into a swappable base table,
+//    with mid-run bit-identity against from-scratch scans (same script).
 //
 // Usage: bench_serving_throughput [out.json]
 #include <algorithm>
@@ -74,15 +55,11 @@ using serve::RefreshTarget;
 using serve::ServeEngine;
 using serve::ServeKey;
 using serve::ServeOptions;
-using serve::ServeResult;
 using serve::ServeStats;
 using serve::SketchStore;
 
+/// One multi_core row.
 struct RunResult {
-  std::string mode;
-  size_t clients = 0;
-  double window_us = 0.0;
-  size_t max_batch = 0;
   size_t shards = 0;  // dispatcher shards the engine actually ran with
   double qps = 0.0;
   ServeStats stats;
@@ -90,119 +67,6 @@ struct RunResult {
 
 constexpr size_t kPerClient = 8000;
 constexpr size_t kBurst = 128;  // client-side submission burst
-
-/// Single-query forward-pass latency percentiles, in nanoseconds.
-struct LatencyNs {
-  double p50 = 0.0, p95 = 0.0, p99 = 0.0;
-};
-
-/// Times each call individually (steady_clock, ~20-30ns overhead, paid
-/// equally by both paths) and reports sample percentiles.
-template <typename Fn>
-LatencyNs MeasureSingleQuery(const std::vector<QueryInstance>& pool,
-                             const Fn& answer_one) {
-  using SteadyClock = std::chrono::steady_clock;
-  constexpr size_t kWarmup = 5000;
-  constexpr size_t kSamples = 50000;
-  double sink = 0.0;
-  for (size_t i = 0; i < kWarmup; ++i) {
-    sink += answer_one(pool[i % pool.size()]);
-  }
-  std::vector<double> ns(kSamples);
-  for (size_t i = 0; i < kSamples; ++i) {
-    const auto t0 = SteadyClock::now();
-    sink += answer_one(pool[i % pool.size()]);
-    const auto t1 = SteadyClock::now();
-    ns[i] = std::chrono::duration<double, std::nano>(t1 - t0).count();
-  }
-  volatile double keep = sink;  // keep the timed calls observable
-  (void)keep;
-  std::sort(ns.begin(), ns.end());
-  LatencyNs out;
-  out.p50 = ns[kSamples / 2];
-  out.p95 = ns[kSamples * 95 / 100];
-  out.p99 = ns[kSamples * 99 / 100];
-  return out;
-}
-
-/// Per-query dispatch: batching disabled, one Answer call per request.
-RunResult RunPerQuery(const SketchStore* store, const QueryFunctionSpec& spec,
-                      const std::vector<QueryInstance>& pool, size_t clients,
-                      bool stage_tracing = true) {
-  ServeOptions opts;
-  opts.max_batch = 1;
-  opts.batch_window_us = 0.0;
-  opts.stage_tracing = stage_tracing;
-  ServeEngine eng(store, opts);
-  Timer t;
-  std::vector<std::thread> threads;
-  for (size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      std::vector<std::future<ServeResult>> futs;
-      futs.reserve(kBurst);
-      size_t done = 0;
-      while (done < kPerClient) {
-        const size_t n = std::min(kBurst, kPerClient - done);
-        futs.clear();
-        for (size_t i = 0; i < n; ++i) {
-          futs.push_back(eng.Submit(
-              "bench", spec, pool[(c * kPerClient + done + i) % pool.size()]));
-        }
-        for (auto& f : futs) f.get();
-        done += n;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  RunResult r;
-  r.mode = "per_query";
-  r.clients = clients;
-  r.max_batch = 1;
-  r.shards = eng.num_shards();
-  r.qps = static_cast<double>(clients * kPerClient) / t.ElapsedSeconds();
-  r.stats = eng.Snapshot();
-  return r;
-}
-
-/// Micro-batched dispatch: burst submission + server-side coalescing.
-RunResult RunBatched(const SketchStore* store, const QueryFunctionSpec& spec,
-                     const std::vector<QueryInstance>& pool, size_t clients,
-                     size_t max_batch, double window_us,
-                     metrics::MetricsRegistry* export_reg = nullptr) {
-  ServeOptions opts;
-  opts.max_batch = max_batch;
-  opts.batch_window_us = window_us;
-  ServeEngine eng(store, opts);
-  Timer t;
-  std::vector<std::thread> threads;
-  for (size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      size_t done = 0;
-      while (done < kPerClient) {
-        const size_t n = std::min(kBurst, kPerClient - done);
-        std::vector<QueryInstance> burst;
-        burst.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-          burst.push_back(
-              pool[(c * kPerClient + done + i) % pool.size()]);
-        }
-        eng.SubmitMany("bench", spec, std::move(burst)).get();
-        done += n;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  RunResult r;
-  r.mode = "micro_batch";
-  r.clients = clients;
-  r.window_us = window_us;
-  r.max_batch = max_batch;
-  r.shards = eng.num_shards();
-  r.qps = static_cast<double>(clients * kPerClient) / t.ElapsedSeconds();
-  r.stats = eng.Snapshot();
-  if (export_reg != nullptr) eng.ExportMetrics(export_reg);
-  return r;
-}
 
 /// Multi-core scaling arm: 8 clients, each hammering its own store (the
 /// stores all share one sketch), at an explicit shard count. With one
@@ -238,105 +102,11 @@ RunResult RunMultiCore(const SketchStore* store,
   }
   for (auto& th : threads) th.join();
   RunResult r;
-  r.mode = "multi_core";
-  r.clients = clients;
-  r.window_us = opts.batch_window_us;
-  r.max_batch = opts.max_batch;
   r.shards = eng.num_shards();
   r.qps = static_cast<double>(clients * kPerClient) / t.ElapsedSeconds();
   r.stats = eng.Snapshot();
   return r;
 }
-
-/// Zipfian skewed-load arm: per-store traffic drawn Zipf(s) over
-/// `datasets` (store 0 hottest), every client sampling independently.
-/// Skew concentrates load on one store -> one shard, so this is the
-/// worst case for shard balance and the tail the per-shard metrics
-/// exist to explain.
-struct ZipfReport {
-  double s = 0.99;
-  size_t stores = 0;
-  size_t clients = 0;
-  double qps = 0.0;
-  double hottest_share = 0.0;    // fraction of traffic on store 0
-  double shard_imbalance = 0.0;  // hottest shard / mean shard load
-  ServeStats stats;
-};
-
-ZipfReport RunZipfian(const SketchStore* store, const QueryFunctionSpec& spec,
-                      const std::vector<std::string>& datasets,
-                      const std::vector<QueryInstance>& pool, size_t clients,
-                      double s) {
-  // Cumulative Zipf weights: w_i = 1/(i+1)^s.
-  std::vector<double> cum(datasets.size());
-  double total = 0.0;
-  for (size_t i = 0; i < datasets.size(); ++i) {
-    total += 1.0 / std::pow(static_cast<double>(i + 1), s);
-    cum[i] = total;
-  }
-  for (double& c : cum) c /= total;
-
-  ServeOptions opts;
-  opts.max_batch = 512;
-  opts.batch_window_us = 200.0;
-  ServeEngine eng(store, opts);
-  constexpr size_t kZipfBurst = 32;  // store re-drawn per burst
-  Timer t;
-  std::vector<std::thread> threads;
-  for (size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      uint64_t rng = 0x9e3779b97f4a7c15ull * (c + 1);  // per-client LCG
-      size_t done = 0;
-      while (done < kPerClient) {
-        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-        const double u =
-            static_cast<double>(rng >> 11) * (1.0 / 9007199254740992.0);
-        const size_t pick =
-            std::lower_bound(cum.begin(), cum.end(), u) - cum.begin();
-        const size_t n = std::min(kZipfBurst, kPerClient - done);
-        std::vector<QueryInstance> burst;
-        burst.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-          burst.push_back(pool[(c * kPerClient + done + i) % pool.size()]);
-        }
-        eng.SubmitMany(datasets[std::min(pick, datasets.size() - 1)], spec,
-                       std::move(burst))
-            .get();
-        done += n;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  ZipfReport z;
-  z.s = s;
-  z.stores = datasets.size();
-  z.clients = clients;
-  z.qps = static_cast<double>(clients * kPerClient) / t.ElapsedSeconds();
-  z.stats = eng.Snapshot();
-  const std::string hottest = datasets[0] + "/";
-  uint64_t hot_shard = 0;
-  for (const auto& sd : z.stats.per_shard) {
-    hot_shard = std::max(hot_shard, sd.queries);
-  }
-  const double mean_shard =
-      z.stats.per_shard.empty()
-          ? 0.0
-          : static_cast<double>(z.stats.queries) /
-                static_cast<double>(z.stats.per_shard.size());
-  z.shard_imbalance =
-      mean_shard > 0.0 ? static_cast<double>(hot_shard) / mean_shard : 0.0;
-  for (const auto& ss : z.stats.per_store) {
-    if (ss.store.compare(0, hottest.size(), hottest) == 0) {
-      z.hottest_share = z.stats.queries > 0
-                            ? static_cast<double>(ss.queries) /
-                                  static_cast<double>(z.stats.queries)
-                            : 0.0;
-    }
-  }
-  return z;
-}
-
 // ---------------------------------------------------------------------------
 // Paged-catalog arm: disk-resident cold sketches under a resident budget.
 //
@@ -1083,14 +853,6 @@ CompactionReport RunCompaction() {
   return rep;
 }
 
-void PrintRow(const RunResult& r) {
-  std::printf("%-12s %8zu %10.0f %10zu %7zu %12.0f %9.0f %9.0f %9.0f %9.0f "
-              "%11.1f\n",
-              r.mode.c_str(), r.clients, r.window_us, r.max_batch, r.shards,
-              r.qps, r.stats.p50_us, r.stats.p95_us, r.stats.p99_us,
-              r.stats.p999_us, r.stats.mean_batch_size);
-}
-
 /// Tracing on/off single-query serve p50s, measured as a paired design.
 ///
 /// One client, submit one, wait, repeat — no burst, so no queueing
@@ -1172,74 +934,10 @@ TracingOverheadSample MeasureTracingOverhead(
   return s;
 }
 
-/// Observability sections for the json snapshot: the headline run's stage
-/// breakdown + per-store stats, the tracing on/off overhead on the
-/// single-query serve path, and the registry document (build + serve).
-struct ObservabilityReport {
-  ServeStats headline;
-  double tracing_on_p50_us = 0.0;
-  double tracing_off_p50_us = 0.0;
-  double overhead_pct = 0.0;
-  std::string metrics_json;
-};
-
-/// Narrow-tier (f32 / int8) record for the json snapshot.
-struct TierReport {
-  bool active = false;
-  double max_divergence = 0.0;
-  double error_bound = 0.0;
-  size_t plan_bytes_f64 = 0;
-  size_t plan_bytes = 0;
-  LatencyNs latency;
-  double micro_batch_qps8 = 0.0;
-  uint64_t tier_answers = 0;
-};
-
-/// Vectorized-batch throughput per tier (AnswerBatchVectorizedTo on
-/// kBatchRows-query batches, float-marshalled gather for narrow tiers),
-/// in million queries/second.
-struct BatchedRow {
-  const char* tier = "";
-  double mqps = 0.0;
-};
-
-constexpr size_t kBatchRows = 512;
-
-double MeasureBatchedMqps(const NeuroSketch& ns,
-                          const std::vector<QueryInstance>& pool) {
-  std::vector<QueryInstance> batch(pool.begin(),
-                                   pool.begin() + std::min(kBatchRows,
-                                                           pool.size()));
-  std::vector<double> out(batch.size());
-  constexpr size_t kWarmup = 20, kReps = 400;
-  for (size_t i = 0; i < kWarmup; ++i) {
-    ns.AnswerBatchVectorizedTo(batch, out.data());
-  }
-  Timer t;
-  for (size_t i = 0; i < kReps; ++i) {
-    ns.AnswerBatchVectorizedTo(batch, out.data());
-  }
-  const double seconds = t.ElapsedSeconds();
-  return static_cast<double>(kReps * batch.size()) / seconds / 1e6;
-}
-
-void WriteBreakdown(FILE* f, const char* name,
-                    const serve::LatencyBreakdown& b, const char* trailer) {
-  std::fprintf(f,
-               "    \"%s\": {\"count\": %llu, \"p50_us\": %.1f, "
-               "\"p95_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f}%s\n",
-               name, static_cast<unsigned long long>(b.count), b.p50_us,
-               b.p95_us, b.p99_us, b.p999_us, trailer);
-}
-
-Status WriteJson(const std::string& path, const std::vector<RunResult>& rows,
-                 double per_query_qps8, double batched_qps8,
-                 const LatencyNs& scalar, const LatencyNs& compiled,
-                 const TierReport& f32, const TierReport& i8,
-                 const std::vector<BatchedRow>& batched,
-                 const ObservabilityReport& obs,
+Status WriteJson(const std::string& path,
+                 const TracingOverheadSample& tracing,
                  const std::vector<RunResult>& multi_core,
-                 const ZipfReport& zipf, const PagedCatalogReport& paged,
+                 const PagedCatalogReport& paged,
                  const StreamingReport& streaming,
                  const CompactionReport& compaction) {
   FILE* f = std::fopen(path.c_str(), "w");
@@ -1250,96 +948,10 @@ Status WriteJson(const std::string& path, const std::vector<RunResult>& rows,
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"queries_per_client\": %zu,\n", kPerClient);
   std::fprintf(f, "  \"client_burst\": %zu,\n", kBurst);
-  std::fprintf(f, "  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const RunResult& r = rows[i];
-    std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"clients\": %zu, "
-                 "\"batch_window_us\": %.0f, \"max_batch\": %zu, "
-                 "\"shards\": %zu, "
-                 "\"qps\": %.0f, \"p50_us\": %.1f, \"p95_us\": %.1f, "
-                 "\"p99_us\": %.1f, \"p999_us\": %.1f, \"mean_batch\": %.1f, "
-                 "\"fallback_rate\": %.4f}%s\n",
-                 r.mode.c_str(), r.clients, r.window_us, r.max_batch,
-                 r.shards, r.qps,
-                 r.stats.p50_us, r.stats.p95_us, r.stats.p99_us,
-                 r.stats.p999_us, r.stats.mean_batch_size,
-                 r.stats.fallback_rate, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"single_query\": {\n"
-               "    \"scalar\": {\"p50_ns\": %.0f, \"p95_ns\": %.0f, "
-               "\"p99_ns\": %.0f},\n"
-               "    \"compiled_plan\": {\"p50_ns\": %.0f, \"p95_ns\": %.0f, "
-               "\"p99_ns\": %.0f},\n"
-               "    \"compiled_plan_f32\": {\"p50_ns\": %.0f, "
-               "\"p95_ns\": %.0f, \"p99_ns\": %.0f},\n"
-               "    \"compiled_plan_int8\": {\"p50_ns\": %.0f, "
-               "\"p95_ns\": %.0f, \"p99_ns\": %.0f},\n"
-               "    \"p50_speedup\": %.2f,\n"
-               "    \"f32_p50_speedup_vs_f64_plan\": %.2f\n  },\n",
-               scalar.p50, scalar.p95, scalar.p99, compiled.p50, compiled.p95,
-               compiled.p99, f32.latency.p50, f32.latency.p95, f32.latency.p99,
-               i8.latency.p50, i8.latency.p95, i8.latency.p99,
-               compiled.p50 > 0.0 ? scalar.p50 / compiled.p50 : 0.0,
-               f32.latency.p50 > 0.0 ? compiled.p50 / f32.latency.p50 : 0.0);
-  std::fprintf(f,
-               "  \"f32_tier\": {\"active\": %s, \"max_divergence\": %.3g, "
-               "\"error_bound\": %.3g, \"plan_bytes_f64\": %zu, "
-               "\"plan_bytes_f32\": %zu, \"micro_batch_qps_8c\": %.0f, "
-               "\"f32_answers\": %llu},\n",
-               f32.active ? "true" : "false", f32.max_divergence,
-               f32.error_bound, f32.plan_bytes_f64, f32.plan_bytes,
-               f32.micro_batch_qps8,
-               static_cast<unsigned long long>(f32.tier_answers));
-  std::fprintf(f,
-               "  \"int8_tier\": {\"active\": %s, \"max_divergence\": %.3g, "
-               "\"error_bound\": %.3g, \"plan_bytes_f64\": %zu, "
-               "\"plan_bytes_int8\": %zu, \"micro_batch_qps_8c\": %.0f, "
-               "\"int8_answers\": %llu},\n",
-               i8.active ? "true" : "false", i8.max_divergence,
-               i8.error_bound, i8.plan_bytes_f64, i8.plan_bytes,
-               i8.micro_batch_qps8,
-               static_cast<unsigned long long>(i8.tier_answers));
-  std::fprintf(f, "  \"batched_vectorized\": {");
-  for (size_t i = 0; i < batched.size(); ++i) {
-    std::fprintf(f, "\"%s_mqps\": %.2f%s", batched[i].tier, batched[i].mqps,
-                 i + 1 < batched.size() ? ", " : "");
-  }
-  std::fprintf(f, "},\n");
-  // Stage attribution of the headline micro-batch run: queue counts
-  // requests, the other stages count micro-batches.
-  std::fprintf(f, "  \"stage_breakdown\": {\n");
-  WriteBreakdown(f, "queue", obs.headline.stage_queue, ",");
-  WriteBreakdown(f, "assembly", obs.headline.stage_assembly, ",");
-  WriteBreakdown(f, "inference", obs.headline.stage_inference, ",");
-  WriteBreakdown(f, "fulfill", obs.headline.stage_fulfill, "");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"per_store\": [\n");
-  for (size_t i = 0; i < obs.headline.per_store.size(); ++i) {
-    const auto& ss = obs.headline.per_store[i];
-    std::fprintf(f,
-                 "    {\"store\": \"%s\", \"queries\": %llu, "
-                 "\"sketch_answers\": %llu, \"fallback_answers\": %llu, "
-                 "\"failed_answers\": %llu, \"fallback_rate\": %.4f, "
-                 "\"p50_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f}%s\n",
-                 ss.store.c_str(),
-                 static_cast<unsigned long long>(ss.queries),
-                 static_cast<unsigned long long>(ss.sketch_answers),
-                 static_cast<unsigned long long>(ss.fallback_answers),
-                 static_cast<unsigned long long>(ss.failed_answers),
-                 ss.fallback_rate, ss.latency.p50_us, ss.latency.p99_us,
-                 ss.latency.p999_us,
-                 i + 1 < obs.headline.per_store.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"tracing_overhead\": {\"single_query_p50_on_us\": %.1f, "
                "\"single_query_p50_off_us\": %.1f, \"overhead_pct\": %.2f},\n",
-               obs.tracing_on_p50_us, obs.tracing_off_p50_us,
-               obs.overhead_pct);
-  std::fprintf(f, "  \"metrics\": %s,\n", obs.metrics_json.c_str());
+               tracing.on_p50_us, tracing.off_p50_us, tracing.overhead_pct());
   // Shard scaling: micro-batch QPS with the same 8-client / 8-store load
   // at increasing shard counts. speedup_4_shards only means anything on
   // a >=4-core machine; check_serving_overhead.sh gates accordingly.
@@ -1363,15 +975,6 @@ Status WriteJson(const std::string& path, const std::vector<RunResult>& rows,
   std::fprintf(f, "    ],\n");
   std::fprintf(f, "    \"speedup_4_shards\": %.2f\n  },\n",
                qps1 > 0.0 ? qps4 / qps1 : 0.0);
-  std::fprintf(f,
-               "  \"zipfian\": {\"s\": %.2f, \"stores\": %zu, "
-               "\"clients\": %zu, \"qps\": %.0f, \"p50_us\": %.1f, "
-               "\"p99_us\": %.1f, \"p999_us\": %.1f, "
-               "\"hottest_store_share\": %.3f, "
-               "\"shard_imbalance\": %.2f},\n",
-               zipf.s, zipf.stores, zipf.clients, zipf.qps,
-               zipf.stats.p50_us, zipf.stats.p99_us, zipf.stats.p999_us,
-               zipf.hottest_share, zipf.shard_imbalance);
   // Paged-catalog arm: every row carries the two invariants the budget
   // gate script reads back — answers_match and peak <= budget.
   std::fprintf(f, "  \"paged_catalog\": {\n");
@@ -1477,12 +1080,7 @@ Status WriteJson(const std::string& path, const std::vector<RunResult>& rows,
                compaction.append_rows);
   compaction_row("refresh_off", compaction.off, ",");
   compaction_row("refresh_on", compaction.on, "");
-  std::fprintf(f, "    ]\n  },\n");
-  std::fprintf(f,
-               "  \"headline\": {\"clients\": 8, \"per_query_qps\": %.0f, "
-               "\"micro_batch_qps\": %.0f, \"speedup\": %.2f}\n}\n",
-               per_query_qps8, batched_qps8,
-               per_query_qps8 > 0.0 ? batched_qps8 / per_query_qps8 : 0.0);
+  std::fprintf(f, "    ]\n  }\n}\n");
   std::fclose(f);
   return Status::OK();
 }
@@ -1500,165 +1098,15 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "train: %s\n", sketch.status().ToString().c_str());
     return 1;
   }
+  // Serve the f64 reference tier even when NEUROSKETCH_FORCE_*_PLANS made
+  // Train come back serving a narrow tier.
+  (void)sketch.value().SelectPrecision(PlanPrecision::kF64);
+  const std::shared_ptr<const NeuroSketch> shared =
+      std::make_shared<const NeuroSketch>(std::move(sketch).value());
   ExactEngine engine(&wb.data.normalized);
   SketchStore store;
   (void)store.RegisterDataset("bench", &engine);
-  NeuroSketch& ns = sketch.value();
-
-  // Pin the reference tier for the baseline sections: under
-  // NEUROSKETCH_FORCE_F32_PLANS, Train comes back serving f32 and the
-  // "compiled_plan" rows would silently measure the wrong tier.
-  if (ns.has_f32_plans()) (void)ns.SelectPrecision(PlanPrecision::kF64);
-
-  // Single-query forward-pass latency: Matrix-allocating scalar reference
-  // vs the compiled flat-buffer plan (same routing, same bits out), then
-  // the opt-in f32 tier (validated against the f64 reference first).
-  std::printf("\nsingle-query latency (ns):\n%-18s %10s %10s %10s\n", "path",
-              "p50", "p95", "p99");
-  const LatencyNs scalar_lat = MeasureSingleQuery(
-      wb.test_q, [&ns](const QueryInstance& q) { return ns.AnswerScalar(q); });
-  const LatencyNs plan_lat = MeasureSingleQuery(
-      wb.test_q, [&ns](const QueryInstance& q) { return ns.Answer(q); });
-
-  TierReport f32;
-  f32.error_bound = NeuroSketchConfig().f32_error_bound;
-  f32.active = ns.EnableF32(wb.train_q, f32.error_bound);
-  f32.max_divergence = ns.f32_max_divergence();
-  f32.plan_bytes_f64 = ns.PlanBytes(PlanPrecision::kF64);
-  f32.plan_bytes = ns.PlanBytes(PlanPrecision::kF32);
-  LatencyNs f32_lat;
-  const std::string f32_path = out_path + ".f32.sketch";
-  if (f32.active) {
-    // Answer now runs the f32 plans; persist the f32 sketch for the
-    // serving run below, then flip this instance back to f64 so the
-    // sweep keeps measuring the reference tier.
-    f32_lat = MeasureSingleQuery(
-        wb.test_q, [&ns](const QueryInstance& q) { return ns.Answer(q); });
-    Status save_st = ns.Save(f32_path);
-    if (!save_st.ok()) {
-      std::fprintf(stderr, "warning: f32 sketch save failed (%s); the f32 "
-                   "serving numbers will be zero\n",
-                   save_st.ToString().c_str());
-    }
-  }
-  f32.latency = f32_lat;
-
-  // Int8 tier: calibrate + validate over the training workload (saved
-  // after the f32 snapshot so that file stays int8-free), measure, then
-  // pin the reference tier for the sweep.
-  TierReport i8;
-  i8.error_bound = NeuroSketchConfig().int8_error_bound;
-  i8.active = ns.EnableInt8(wb.train_q, i8.error_bound);
-  i8.max_divergence = ns.int8_max_divergence();
-  i8.plan_bytes_f64 = ns.PlanBytes(PlanPrecision::kF64);
-  i8.plan_bytes = ns.PlanBytes(PlanPrecision::kInt8);
-  LatencyNs i8_lat;
-  const std::string i8_path = out_path + ".int8.sketch";
-  if (i8.active) {
-    i8_lat = MeasureSingleQuery(
-        wb.test_q, [&ns](const QueryInstance& q) { return ns.Answer(q); });
-    Status save_st = ns.Save(i8_path);
-    if (!save_st.ok()) {
-      std::fprintf(stderr, "warning: int8 sketch save failed (%s); the int8 "
-                   "serving numbers will be zero\n",
-                   save_st.ToString().c_str());
-    }
-  }
-  i8.latency = i8_lat;
-  (void)ns.SelectPrecision(PlanPrecision::kF64);
-
-  std::printf("%-18s %10.0f %10.0f %10.0f\n", "scalar", scalar_lat.p50,
-              scalar_lat.p95, scalar_lat.p99);
-  std::printf("%-18s %10.0f %10.0f %10.0f\n", "compiled_plan", plan_lat.p50,
-              plan_lat.p95, plan_lat.p99);
-  std::printf("%-18s %10.0f %10.0f %10.0f\n", "compiled_plan_f32",
-              f32_lat.p50, f32_lat.p95, f32_lat.p99);
-  std::printf("%-18s %10.0f %10.0f %10.0f\n", "compiled_plan_int8",
-              i8_lat.p50, i8_lat.p95, i8_lat.p99);
-  std::printf("p50 speedup: scalar/f64 %.2fx, f64/f32 %.2fx "
-              "(f32 max divergence %.3g, bound %.3g, plan bytes %zu -> "
-              "%zu)\n",
-              plan_lat.p50 > 0.0 ? scalar_lat.p50 / plan_lat.p50 : 0.0,
-              f32_lat.p50 > 0.0 ? plan_lat.p50 / f32_lat.p50 : 0.0,
-              f32.max_divergence, f32.error_bound, f32.plan_bytes_f64,
-              f32.plan_bytes);
-  std::printf("int8 tier: %s (max divergence %.3g, bound %.3g, plan bytes "
-              "%zu -> %zu = %.2fx smaller)\n",
-              i8.active ? "active" : "fell back",
-              i8.max_divergence, i8.error_bound, i8.plan_bytes_f64,
-              i8.plan_bytes,
-              i8.plan_bytes > 0
-                  ? static_cast<double>(i8.plan_bytes_f64) /
-                        static_cast<double>(i8.plan_bytes)
-                  : 0.0);
-
-  // Vectorized-batch throughput per tier: the float-marshalled gather
-  // path for narrow tiers vs the f64 reference gather.
-  std::vector<BatchedRow> batched;
-  batched.push_back({"f64", MeasureBatchedMqps(ns, wb.test_q)});
-  if (f32.active && ns.SelectPrecision(PlanPrecision::kF32).ok()) {
-    batched.push_back({"f32", MeasureBatchedMqps(ns, wb.test_q)});
-  }
-  if (i8.active && ns.SelectPrecision(PlanPrecision::kInt8).ok()) {
-    batched.push_back({"int8", MeasureBatchedMqps(ns, wb.test_q)});
-  }
-  (void)ns.SelectPrecision(PlanPrecision::kF64);
-  std::printf("vectorized batch (%zu rows): ", kBatchRows);
-  for (size_t i = 0; i < batched.size(); ++i) {
-    std::printf("%s %.2f Mq/s%s", batched[i].tier, batched[i].mqps,
-                i + 1 < batched.size() ? ", " : "\n\n");
-  }
-
-  // The registry document embedded in the json: build metrics of the
-  // bench sketch (captured before it moves into the store) + the serve
-  // metrics of the headline run, exported below.
-  metrics::MetricsRegistry registry;
-  ns.ExportBuildMetrics(&registry);
-  (void)store.Register("bench", wb.spec, std::move(sketch).value());
-
-  std::printf("%-12s %8s %10s %10s %7s %12s %9s %9s %9s %9s %11s\n", "mode",
-              "clients", "window_us", "max_batch", "shards", "qps", "p50_us",
-              "p95_us", "p99_us", "p999_us", "mean_batch");
-
-  std::vector<RunResult> rows;
-  ObservabilityReport obs;
-  // Warm up allocator / page cache / ifunc dispatch once.
-  (void)RunBatched(&store, wb.spec, wb.test_q, 2, 256, 200.0);
-
-  double per_query_qps8 = 0.0, batched_qps8 = 0.0;
-  for (size_t clients : {1, 2, 4, 8}) {
-    RunResult pq = RunPerQuery(&store, wb.spec, wb.test_q, clients);
-    PrintRow(pq);
-    if (clients == 8) per_query_qps8 = pq.qps;
-    rows.push_back(pq);
-    for (double window : {0.0, 100.0, 200.0, 500.0}) {
-      const bool headline = clients == 8 && window == 200.0;
-      RunResult mb = RunBatched(&store, wb.spec, wb.test_q, clients, 512,
-                                window, headline ? &registry : nullptr);
-      PrintRow(mb);
-      if (headline) {
-        batched_qps8 = mb.qps;
-        obs.headline = mb.stats;
-      }
-      rows.push_back(mb);
-    }
-  }
-  obs.metrics_json = registry.Json();
-
-  // Where does each headline microsecond go? Stage attribution of the
-  // 8-client / 200us-window run.
-  if (obs.headline.stage_tracing) {
-    std::printf("\nheadline stage p50/p99 (us): queue %.0f/%.0f | assembly "
-                "%.0f/%.0f | inference %.0f/%.0f | fulfill %.0f/%.0f\n",
-                obs.headline.stage_queue.p50_us,
-                obs.headline.stage_queue.p99_us,
-                obs.headline.stage_assembly.p50_us,
-                obs.headline.stage_assembly.p99_us,
-                obs.headline.stage_inference.p50_us,
-                obs.headline.stage_inference.p99_us,
-                obs.headline.stage_fulfill.p50_us,
-                obs.headline.stage_fulfill.p99_us);
-  }
+  (void)store.Register("bench", wb.spec, shared);
 
   // Stage-tracing overhead on the single-query serve path: tracing on vs
   // off in the same process as a chunk-alternating paired comparison
@@ -1666,6 +1114,7 @@ int Main(int argc, char** argv) {
   // run with the median overhead is reported — a median across paired
   // runs rejects the occasional run where a scheduling-regime flip lands
   // between two chunks, without letting either tail define the result.
+  std::printf("tracing overhead (5 paired on/off runs)...\n");
   std::vector<TracingOverheadSample> overhead_reps;
   for (int rep = 0; rep < 5; ++rep) {
     overhead_reps.push_back(MeasureTracingOverhead(&store, wb.spec,
@@ -1675,189 +1124,57 @@ int Main(int argc, char** argv) {
             [](const TracingOverheadSample& a, const TracingOverheadSample& b) {
               return a.overhead_pct() < b.overhead_pct();
             });
-  const TracingOverheadSample& mid = overhead_reps[overhead_reps.size() / 2];
-  obs.tracing_on_p50_us = mid.on_p50_us;
-  obs.tracing_off_p50_us = mid.off_p50_us;
-  obs.overhead_pct = mid.overhead_pct();
-  std::printf("tracing overhead (single-query p50): on %.1f us vs off %.1f "
-              "us = %.2f%%\n",
-              obs.tracing_on_p50_us, obs.tracing_off_p50_us,
-              obs.overhead_pct);
+  const TracingOverheadSample tracing = overhead_reps[overhead_reps.size() / 2];
 
-  const double speedup =
-      per_query_qps8 > 0.0 ? batched_qps8 / per_query_qps8 : 0.0;
-  std::printf("\nheadline: 8 clients, micro-batch (window 200us) vs "
-              "per-query: %.2fx QPS (%.0f vs %.0f)\n",
-              speedup, batched_qps8, per_query_qps8);
-
-  // Shard scaling + skewed-load arms. Both need stores that can actually
-  // land on different shards, so the bench sketch serves under several
-  // dataset names (one registry entry each, all sharing the sketch).
-  std::shared_ptr<const NeuroSketch> shared =
-      store.Lookup(serve::ServeKey::From("bench", wb.spec));
+  // Shard scaling needs stores that can land on different shards, so the
+  // bench sketch serves under 8 dataset names (one registry entry each,
+  // all sharing the sketch).
+  SketchStore fan_store;
+  std::vector<std::string> fan_names;
+  for (int i = 0; i < 8; ++i) {
+    fan_names.push_back("mc" + std::to_string(i));
+    (void)fan_store.RegisterDataset(fan_names.back(), &engine);
+    (void)fan_store.Register(fan_names.back(), wb.spec, shared);
+  }
+  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<size_t> shard_counts = {1, 2, 4};
+  if (std::find(shard_counts.begin(), shard_counts.end(), hw) ==
+      shard_counts.end()) {
+    shard_counts.push_back(hw);
+  }
+  std::printf("multi-core shard sweep (8 clients x 8 stores)...\n");
+  // Warm up allocator / page cache / ifunc dispatch once.
+  (void)RunMultiCore(&fan_store, wb.spec, fan_names, wb.test_q, 8, 1);
   std::vector<RunResult> multi_core;
-  ZipfReport zipf;
-  if (shared != nullptr) {
-    SketchStore fan_store;
-    std::vector<std::string> fan_names;
-    for (int i = 0; i < 8; ++i) {
-      fan_names.push_back("mc" + std::to_string(i));
-      (void)fan_store.RegisterDataset(fan_names.back(), &engine);
-      (void)fan_store.Register(fan_names.back(), wb.spec, shared);
-    }
-    const size_t hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    std::vector<size_t> shard_counts = {1, 2, 4};
-    if (std::find(shard_counts.begin(), shard_counts.end(), hw) ==
-        shard_counts.end()) {
-      shard_counts.push_back(hw);
-    }
-    std::printf("\nmulti-core scaling (8 clients x 8 stores, micro-batch "
-                "window 200us):\n");
-    for (size_t n : shard_counts) {
-      RunResult r =
-          RunMultiCore(&fan_store, wb.spec, fan_names, wb.test_q, 8, n);
-      PrintRow(r);
-      multi_core.push_back(std::move(r));
-    }
-
-    SketchStore zipf_store;
-    std::vector<std::string> zipf_names;
-    for (int i = 0; i < 16; ++i) {
-      zipf_names.push_back("z" + std::to_string(i));
-      (void)zipf_store.RegisterDataset(zipf_names.back(), &engine);
-      (void)zipf_store.Register(zipf_names.back(), wb.spec, shared);
-    }
-    zipf = RunZipfian(&zipf_store, wb.spec, zipf_names, wb.test_q, 8, 0.99);
-    std::printf("zipfian load (s=%.2f over %zu stores, 8 clients): %.0f qps, "
-                "p50 %.0f / p99 %.0f / p999 %.0f us, hottest store %.0f%%, "
-                "shard imbalance %.2fx\n",
-                zipf.s, zipf.stores, zipf.qps, zipf.stats.p50_us,
-                zipf.stats.p99_us, zipf.stats.p999_us,
-                zipf.hottest_share * 100.0, zipf.shard_imbalance);
+  for (size_t n : shard_counts) {
+    multi_core.push_back(
+        RunMultiCore(&fan_store, wb.spec, fan_names, wb.test_q, 8, n));
   }
 
-  // Narrow-tier serving: reload each persisted sketch (precision survives
-  // serialization) into a fresh store and run the headline micro-batch
-  // configuration on it.
-  auto serve_tier = [&](const char* name, const std::string& path,
-                        TierReport* report,
-                        uint64_t ServeStats::*counter) {
-    SketchStore tier_store;
-    (void)tier_store.RegisterDataset("bench", &engine);
-    auto ver = tier_store.RegisterFromFile("bench", wb.spec, path);
-    if (ver.ok()) {
-      RunResult mb = RunBatched(&tier_store, wb.spec, wb.test_q, 8, 512,
-                                200.0);
-      report->micro_batch_qps8 = mb.qps;
-      report->tier_answers = mb.stats.*counter;
-      std::printf("%s tier: 8 clients, micro-batch (window 200us): %.0f qps "
-                  "(%llu %s answers)\n",
-                  name, mb.qps,
-                  static_cast<unsigned long long>(report->tier_answers),
-                  name);
-    } else {
-      std::fprintf(stderr, "warning: %s sketch register failed (%s); the "
-                   "%s serving numbers will be zero\n",
-                   name, ver.status().ToString().c_str(), name);
-    }
-    std::remove(path.c_str());
-  };
-  if (f32.active) {
-    serve_tier("f32", f32_path, &f32, &ServeStats::f32_sketch_answers);
-  }
-  if (i8.active) {
-    serve_tier("int8", i8_path, &i8, &ServeStats::int8_sketch_answers);
-  }
-
-  // Paged-catalog arm: 256 cold sketches under a shrinking resident
-  // budget vs the fully-resident baseline, with bit-identity checking.
-  std::printf("\npaged catalog (%zu sketches, 4 clients):\n", kPagedSketches);
+  std::printf("paged catalog (%zu sketches)...\n", kPagedSketches);
   const PagedCatalogReport paged = RunPagedCatalog(out_path);
   if (!paged.ran) {
     std::fprintf(stderr, "paged_catalog arm failed\n");
     return 1;
   }
-  std::printf("  fully resident: %.0f qps (answers %s)\n",
-              paged.fully_resident_qps,
-              paged.baseline_answers_match ? "match" : "MISMATCH");
-  for (const PagedBudgetRow& r : paged.rows) {
-    std::printf("  budget %3.0f%% (%6.1f KB): %8.0f qps (%.2fx resident) | "
-                "fault-in p50/p99 %.0f/%.0f us | %llu fault-ins, %llu "
-                "evictions, peak %.1f KB | answers %s\n",
-                r.budget_fraction * 100.0,
-                static_cast<double>(r.budget_bytes) / 1024.0, r.qps,
-                paged.fully_resident_qps > 0.0
-                    ? r.qps / paged.fully_resident_qps
-                    : 0.0,
-                r.faultin_p50_us, r.faultin_p99_us,
-                static_cast<unsigned long long>(r.pool.faultins),
-                static_cast<unsigned long long>(r.pool.evictions),
-                static_cast<double>(r.pool.peak_resident_bytes) / 1024.0,
-                r.answers_match ? "match" : "MISMATCH");
-  }
 
-  // Streaming arm: serving under live appends, refresh off vs on.
-  std::printf("\nstreaming ingest + refresh (%zu clients, training drift "
-              "scenario)...\n",
+  std::printf("streaming ingest + refresh (%zu clients)...\n",
               kStreamClients);
   const StreamingReport streaming = RunStreaming();
   if (!streaming.ran) {
     std::fprintf(stderr, "streaming arm failed\n");
     return 1;
   }
-  std::printf("  refresh OFF: %8.0f qps, p50/p99 %.0f/%.0f us | answers %s "
-              "| stale-sketch probe nmae %.3f (bound %.2f)\n",
-              streaming.qps_refresh_off, streaming.p50_off_us,
-              streaming.p99_off_us,
-              streaming.answers_match_off ? "match" : "MISMATCH",
-              streaming.drifted_normalized_mae,
-              streaming.policy_max_normalized_mae);
-  std::printf("  refresh ON:  %8.0f qps, p50/p99 %.0f/%.0f us | answers %s "
-              "| post-refresh nmae "
-              "%.3f | %llu swaps, %llu/%zu leaves retrained%s, lag %.0f ms\n",
-              streaming.qps_refresh_on, streaming.p50_on_us,
-              streaming.p99_on_us,
-              streaming.answers_match_on ? "match" : "MISMATCH",
-              streaming.post_refresh_normalized_mae,
-              static_cast<unsigned long long>(streaming.refresh.swaps),
-              static_cast<unsigned long long>(
-                  streaming.refresh.retrained_leaves),
-              streaming.total_leaves,
-              streaming.full_rebuild ? " (FULL REBUILD)" : "",
-              streaming.refresh_lag_ms);
-  std::printf("  %zu delta rows appended; %llu corrected / %llu "
-              "exact-recomputed answers on the ON arm\n",
-              streaming.delta_rows,
-              static_cast<unsigned long long>(streaming.delta_corrected_on),
-              static_cast<unsigned long long>(streaming.delta_exact_on));
 
-  // Compaction arm: sustained appends with base-table folding.
-  std::printf("\nbase-table compaction under sustained appends...\n");
+  std::printf("base-table compaction under sustained appends...\n");
   const CompactionReport compaction = RunCompaction();
   if (!compaction.ran) {
     std::fprintf(stderr, "compaction arm failed\n");
     return 1;
   }
-  auto print_compaction = [&](const char* mode,
-                              const CompactionModeReport& m) {
-    std::printf("  %-11s: %llu compactions, %llu rows folded / %llu "
-                "trimmed | delta peak %zu rows, final %zu rows (%.1f KB, "
-                "%s) | %zu answers %s\n",
-                mode, static_cast<unsigned long long>(m.compactions),
-                static_cast<unsigned long long>(m.folded_rows),
-                static_cast<unsigned long long>(m.trimmed_rows),
-                m.peak_delta_rows, m.final_delta_rows,
-                static_cast<double>(m.final_delta_bytes) / 1024.0,
-                m.delta_bounded ? "bounded" : "UNBOUNDED",
-                m.sampled_answers, m.answers_match ? "match" : "MISMATCH");
-  };
-  print_compaction("refresh OFF", compaction.off);
-  print_compaction("refresh ON", compaction.on);
 
-  Status st = WriteJson(out_path, rows, per_query_qps8, batched_qps8,
-                        scalar_lat, plan_lat, f32, i8, batched, obs,
-                        multi_core, zipf, paged, streaming, compaction);
+  Status st = WriteJson(out_path, tracing, multi_core, paged, streaming,
+                        compaction);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;

@@ -123,10 +123,11 @@ struct NeuroSketchConfig {
   /// space as f32_error_bound). Int8 quantization error is inherently
   /// larger than f32 rounding: with 127 symmetric levels per layer
   /// compounding through the paper-default depth, measured divergence is
-  /// typically ~0.05-0.1 (see int8_tier.max_divergence in
-  /// BENCH_serving.json). The default gives ~2.5x headroom over that
-  /// while still rejecting calibration blow-ups. Tighten it to push
-  /// accuracy-critical deployments down the fallback chain to f32/f64.
+  /// typically ~0.1 (`nsketch_cli train ... int8` prints it; build
+  /// metrics export it as nsketch_build_int8_max_divergence). The default
+  /// gives ~2x headroom over that while still rejecting calibration
+  /// blow-ups. Tighten it to push accuracy-critical deployments down the
+  /// fallback chain to f32/f64.
   double int8_error_bound = 0.25;
 };
 

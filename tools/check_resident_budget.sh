@@ -10,6 +10,7 @@
 #
 # Usage: tools/check_resident_budget.sh [path/to/BENCH_serving.json]
 set -euo pipefail
+source "$(dirname "$0")/gate_lib.sh"
 
 json="${1:-BENCH_serving.json}"
 min_sketches="${MIN_SKETCHES:-256}"
@@ -19,20 +20,14 @@ if [[ ! -f "$json" ]]; then
   exit 1
 fi
 
-sketches=$(grep -o '"sketches": *[0-9]*' "$json" | head -1 |
-  grep -o '[0-9]*$' || true)
-if [[ -z "$sketches" ]]; then
-  echo "error: no paged_catalog section in $json" >&2
-  exit 1
-fi
+sketches=$(field sketches "$(< "$json")" paged_catalog)
 if [[ "$sketches" -lt "$min_sketches" ]]; then
   echo "error: paged catalog holds ${sketches} sketches" \
     "(need >= ${min_sketches})" >&2
   exit 1
 fi
 
-baseline=$(grep -o '"baseline_answers_match": *[a-z]*' "$json" |
-  grep -o '[a-z]*$' || true)
+baseline=$(field baseline_answers_match "$(< "$json")" paged_catalog)
 if [[ "$baseline" != "true" ]]; then
   echo "error: fully-resident baseline answers mismatched" >&2
   exit 1
@@ -48,14 +43,11 @@ fi
 nrows=0
 while IFS= read -r row; do
   nrows=$((nrows + 1))
-  frac=$(echo "$row" | grep -o '"budget_fraction": *[0-9.]*' |
-    grep -o '[0-9.]*$')
-  budget=$(echo "$row" | grep -o '"budget_bytes": *[0-9]*' |
-    grep -o '[0-9]*$')
-  peak=$(echo "$row" | grep -o '"peak_resident_bytes": *[0-9]*' |
-    grep -o '[0-9]*$')
-  match=$(echo "$row" | grep -o '"answers_match": *[a-z]*' |
-    grep -o '[a-z]*$')
+  where="paged_catalog row $nrows"
+  frac=$(field budget_fraction "$row" "$where")
+  budget=$(field budget_bytes "$row" "$where")
+  peak=$(field peak_resident_bytes "$row" "$where")
+  match=$(field answers_match "$row" "$where")
   echo "budget ${frac}: peak ${peak} of ${budget} bytes," \
     "answers_match ${match}"
   if [[ "$match" != "true" ]]; then

@@ -2,8 +2,10 @@
 # Gate on the stage-tracing overhead measured by bench_serving_throughput:
 # the "tracing_overhead" section of BENCH_serving.json compares the
 # single-query serve p50 with stage tracing on vs off in the same process
-# (min-of-2 per arm, arms alternated). The observability layer's budget is
-# < 2% on that path; negative values (noise in favor of tracing-on) pass.
+# (5 paired runs, submission chunks alternated between the arms; the run
+# with the median overhead is reported). The observability layer's budget
+# is < 2% on that path; negative values (noise in favor of tracing-on)
+# pass.
 #
 # Also gates multi-core scaling sanity from the "multi_core" section:
 # with >= 4 hardware threads, the 8-client / 8-store micro-batch QPS at
@@ -13,6 +15,7 @@
 #
 # Usage: tools/check_serving_overhead.sh [path/to/BENCH_serving.json]
 set -euo pipefail
+source "$(dirname "$0")/gate_lib.sh"
 
 json="${1:-BENCH_serving.json}"
 budget_pct="${OVERHEAD_BUDGET_PCT:-2.0}"
@@ -29,12 +32,9 @@ if [[ -z "$line" ]]; then
   exit 1
 fi
 
-overhead=$(echo "$line" | grep -o '"overhead_pct": *[-0-9.]*' |
-  grep -o '[-0-9.]*$')
-on_us=$(echo "$line" | grep -o '"single_query_p50_on_us": *[-0-9.]*' |
-  grep -o '[-0-9.]*$')
-off_us=$(echo "$line" | grep -o '"single_query_p50_off_us": *[-0-9.]*' |
-  grep -o '[-0-9.]*$')
+overhead=$(field overhead_pct "$line" tracing_overhead)
+on_us=$(field single_query_p50_on_us "$line" tracing_overhead)
+off_us=$(field single_query_p50_off_us "$line" tracing_overhead)
 
 echo "tracing overhead: on ${on_us}us vs off ${off_us}us = ${overhead}%" \
   "(budget ${budget_pct}%)"
@@ -46,12 +46,7 @@ if [[ "$ok" != "1" ]]; then
 fi
 
 # --- multi-core scaling sanity -----------------------------------------
-hw=$(grep -o '"hardware_threads": *[0-9]*' "$json" | head -1 |
-  grep -o '[0-9]*$')
-if [[ -z "$hw" ]]; then
-  echo "error: no hardware_threads field in $json" >&2
-  exit 1
-fi
+hw=$(field hardware_threads "$(< "$json")" "$json")
 
 if [[ "$hw" -lt 4 ]]; then
   echo "scaling check: skipped (${hw} hardware thread(s) < 4)"

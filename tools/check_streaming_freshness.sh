@@ -21,6 +21,7 @@
 #
 # Usage: tools/check_streaming_freshness.sh [path/to/BENCH_serving.json]
 set -euo pipefail
+source "$(dirname "$0")/gate_lib.sh"
 
 json="${1:-BENCH_serving.json}"
 
@@ -37,35 +38,26 @@ if [[ -z "$section" ]]; then
   exit 1
 fi
 
-field() {
-  echo "$section" | grep -o "\"$1\": *[0-9.truefalse-]*" | head -1 |
-    sed 's/.*: *//'
-}
-
-bound=$(field policy_max_normalized_mae)
-drifted=$(field drifted_normalized_mae)
-post=$(field post_refresh_normalized_mae)
-swaps=$(field refresh_swaps)
-retrained=$(field retrained_leaves)
-total=$(field total_leaves)
-rebuild=$(field full_rebuild)
-lag=$(field refresh_lag_ms)
-if [[ -z "$bound" || -z "$post" || -z "$swaps" ]]; then
-  echo "error: streaming section in $json is missing fields" >&2
-  exit 1
-fi
+bound=$(field policy_max_normalized_mae "$section" streaming)
+drifted=$(field drifted_normalized_mae "$section" streaming)
+post=$(field post_refresh_normalized_mae "$section" streaming)
+swaps=$(field refresh_swaps "$section" streaming)
+retrained=$(field retrained_leaves "$section" streaming)
+total=$(field total_leaves "$section" streaming)
+rebuild=$(field full_rebuild "$section" streaming)
+lag=$(field refresh_lag_ms "$section" streaming)
 
 echo "drift bound ${bound}: stale ${drifted}, post-refresh ${post}," \
   "${swaps} swap(s), ${retrained}/${total} leaves retrained," \
   "lag ${lag} ms"
 
-rows=$(echo "$section" | grep -o '{"mode"[^}]*}')
+rows=$(echo "$section" | grep -o '{"mode"[^}]*}' || true)
 nrows=0
 while IFS= read -r row; do
+  [[ -n "$row" ]] || continue
   nrows=$((nrows + 1))
-  mode=$(echo "$row" | grep -o '"mode": *"[a-z_]*"' | sed 's/.*"\([a-z_]*\)"$/\1/')
-  match=$(echo "$row" | grep -o '"answers_match": *[a-z]*' |
-    grep -o '[a-z]*$')
+  mode=$(field mode "$row" "streaming row $nrows")
+  match=$(field answers_match "$row" "streaming row $nrows")
   echo "mode ${mode}: answers_match ${match}"
   if [[ "$match" != "true" ]]; then
     echo "error: served answers diverged from the delta-composition" \
@@ -115,39 +107,33 @@ if [[ -z "$csection" ]]; then
   exit 1
 fi
 
-cfield() {
-  echo "$csection" | grep -o "\"$1\": *[0-9.truefalse-]*" | head -1 |
-    sed 's/.*: *//'
-}
-threshold=$(cfield compact_min_rows)
-appended=$(cfield append_rows)
+threshold=$(field compact_min_rows "$csection" compaction)
+appended=$(field append_rows "$csection" compaction)
 echo "compaction: ${appended} rows appended against a" \
   "${threshold}-row fold threshold"
 
-crows=$(echo "$csection" | grep -o '{"mode"[^}]*}')
+crows=$(echo "$csection" | grep -o '{"mode"[^}]*}' || true)
 ncrows=0
 while IFS= read -r row; do
+  [[ -n "$row" ]] || continue
   ncrows=$((ncrows + 1))
-  rfield() {
-    echo "$row" | grep -o "\"$1\": *[0-9.truefalse\"_a-z-]*" | head -1 |
-      sed 's/.*: *//; s/"//g'
-  }
-  mode=$(rfield mode)
-  compactions=$(rfield compactions)
-  trimmed=$(rfield trimmed_rows)
-  peak=$(rfield peak_delta_rows)
-  final=$(rfield final_delta_rows)
-  bounded=$(rfield delta_bounded)
-  match=$(rfield answers_match)
+  where="compaction row $ncrows"
+  mode=$(field mode "$row" "$where")
+  compactions=$(field compactions "$row" "$where")
+  trimmed=$(field trimmed_rows "$row" "$where")
+  peak=$(field peak_delta_rows "$row" "$where")
+  final=$(field final_delta_rows "$row" "$where")
+  bounded=$(field delta_bounded "$row" "$where")
+  match=$(field answers_match "$row" "$where")
   echo "mode ${mode}: ${compactions} compaction(s), ${trimmed} rows" \
     "trimmed, delta peak ${peak} / final ${final} rows, bounded" \
     "${bounded}, answers_match ${match}"
-  if [[ -z "$compactions" || "$compactions" -lt 1 ]]; then
+  if [[ "$compactions" -lt 1 ]]; then
     echo "error: mode ${mode} never compacted — the delta grows without" \
       "bound under sustained appends" >&2
     exit 1
   fi
-  if [[ -z "$trimmed" || "$trimmed" -lt 1 ]]; then
+  if [[ "$trimmed" -lt 1 ]]; then
     echo "error: mode ${mode} folded rows but trimmed none — compaction" \
       "is not reclaiming delta storage" >&2
     exit 1
