@@ -74,6 +74,47 @@ void BM_CompiledMlpF32Forward(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledMlpF32Forward)->Arg(3)->Arg(5)->Arg(10);
 
+// Batched forward pass over state.range(1) queries (the serve path's
+// per-leaf batches): rows 1 take the kernel's row loop, rows 4 and 64 its
+// 4-row register tiles. Reports ns_per_query.
+template <typename Plan>
+void CompiledMlpBatchForward(benchmark::State& state, const Plan& plan) {
+  const size_t rows = static_cast<size_t>(state.range(1));
+  Rng rng(1604);
+  std::vector<double> x(rows * 6);
+  for (auto& v : x) v = rng.Uniform();
+  std::vector<double> out(rows);
+  nn::Workspace ws;
+  for (auto _ : state) {
+    plan.PredictBatch(x.data(), rows, &ws, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_query"] = benchmark::Counter(
+      static_cast<double>(rows),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+void BM_CompiledMlpBatchForward(benchmark::State& state) {
+  nn::Mlp model(nn::MlpConfig::Paper(6, state.range(0), 60, 30), 7);
+  CompiledMlpBatchForward(state, nn::CompiledMlp::FromMlp(model));
+}
+BENCHMARK(BM_CompiledMlpBatchForward)
+    ->Args({5, 1})
+    ->Args({5, 4})
+    ->Args({5, 64});
+
+void BM_CompiledMlpF32BatchForward(benchmark::State& state) {
+  nn::Mlp model(nn::MlpConfig::Paper(6, state.range(0), 60, 30), 7);
+  CompiledMlpBatchForward(
+      state, nn::CompiledMlpF32::FromPlan(nn::CompiledMlp::FromMlp(model)));
+}
+BENCHMARK(BM_CompiledMlpF32BatchForward)
+    ->Args({5, 1})
+    ->Args({5, 4})
+    ->Args({5, 64});
+
 void BM_CompiledMlpI8Forward(benchmark::State& state) {
   nn::Mlp model(nn::MlpConfig::Paper(6, state.range(0), 60, 30), 7);
   nn::CompiledMlp f64 = nn::CompiledMlp::FromMlp(model);

@@ -1,8 +1,9 @@
 // Dense row-major double matrix with the small set of kernels the neural
 // network substrate needs (GEMM, transpose-GEMM variants, elementwise ops).
 // Models in this system are tiny (hundreds to low-thousands of parameters),
-// so clarity and determinism are preferred over SIMD cleverness; the inner
-// GEMM loop is still written cache-friendly (ikj order).
+// so determinism comes first: the GEMM loops are plain ikj loops, and the
+// fused dense forward register-tiles multi-row batches only in ways that
+// keep every output bit-identical to its row loop.
 #ifndef NEUROSKETCH_TENSOR_MATRIX_H_
 #define NEUROSKETCH_TENSOR_MATRIX_H_
 
@@ -99,7 +100,10 @@ void ColumnSums(const Matrix& m, Matrix* out);
 /// heap allocation — callers own every buffer — and uses the exact same
 /// accumulation order as Gemm + AddRowVector + elementwise activation
 /// (zero-initialized ikj accumulation, bias added last), so results are
-/// bit-identical to the unfused three-pass pipeline. y must not alias x.
+/// bit-identical to the unfused three-pass pipeline. Batches of 4+ rows run
+/// in register tiles on AVX2 / AVX-512 hosts, with the same per-element
+/// order, so a row's result does not depend on the batch it is in. y must
+/// not alias x.
 void FusedDenseForward(const double* x, size_t m, size_t k, const double* w,
                        const double* b, Activation act, double* y, size_t n);
 

@@ -31,15 +31,6 @@ void AppendNumber(std::string* out, double v) {
   *out += buf;
 }
 
-void AppendJsonKey(std::string* out, const std::string& key) {
-  *out += '"';
-  for (char c : key) {
-    if (c == '"' || c == '\\') *out += '\\';
-    *out += c;
-  }
-  *out += "\": ";
-}
-
 }  // namespace
 
 Counter* MetricsRegistry::GetCounter(const std::string& name,
@@ -152,41 +143,6 @@ std::string MetricsRegistry::TextExposition() const {
       }
     }
   }
-  return out;
-}
-
-std::string MetricsRegistry::Json() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, e] : entries_) {
-    if (!first) out += ", ";
-    first = false;
-    AppendJsonKey(&out, name);
-    switch (e.kind) {
-      case Kind::kCounter:
-        out += std::to_string(e.counter->Value());
-        break;
-      case Kind::kGauge:
-        AppendNumber(&out, e.gauge->Value());
-        break;
-      case Kind::kHistogram: {
-        const LogHistogram& h = *e.histogram;
-        out += "{\"count\": " + std::to_string(h.TotalCount());
-        out += ", \"p50_us\": ";
-        AppendNumber(&out, h.PercentileUs(50));
-        out += ", \"p95_us\": ";
-        AppendNumber(&out, h.PercentileUs(95));
-        out += ", \"p99_us\": ";
-        AppendNumber(&out, h.PercentileUs(99));
-        out += ", \"p999_us\": ";
-        AppendNumber(&out, h.PercentileUs(99.9));
-        out += "}";
-        break;
-      }
-    }
-  }
-  out += "}";
   return out;
 }
 

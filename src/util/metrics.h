@@ -1,10 +1,10 @@
 // Process-wide observability primitives: named counters, gauges, and
 // log-bucketed histograms collected in a MetricsRegistry, with a
-// Prometheus-style text exposition writer and a JSON writer. Hot-path
-// updates (Counter::Inc, Gauge::Set, LogHistogram::Add) are single
-// relaxed-atomic operations — safe and cheap to call from serving
-// dispatchers; registration and exposition take a registry mutex and are
-// meant for startup / polling paths only.
+// Prometheus-style text exposition writer. Hot-path updates
+// (Counter::Inc, Gauge::Set, LogHistogram::Add) are single relaxed-atomic
+// operations — safe and cheap to call from serving dispatchers;
+// registration and exposition take a registry mutex and are meant for
+// startup / polling paths only.
 //
 // Consistency contract (shared by every reader here): values are read
 // with relaxed loads and no cross-metric synchronization, so an
@@ -214,10 +214,6 @@ class MetricsRegistry {
   /// always present), an approximate `_sum` (bucket midpoints; see
   /// LogHistogram::ApproxSumUs) and an exact `_count`.
   std::string TextExposition() const;
-
-  /// \brief JSON object {"name": value, ...}; histograms become nested
-  /// objects with count and interpolated p50/p95/p99/p999. Keys sorted.
-  std::string Json() const;
 
   /// \brief Zero every registered metric (registrations stay).
   void ResetAll();

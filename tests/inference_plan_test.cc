@@ -108,19 +108,31 @@ TEST(CompiledMlpTest, PredictOneBitIdenticalAcrossActivations) {
 
 TEST(CompiledMlpTest, PredictBatchBitIdenticalToMlpPredict) {
   Rng rng(202);
-  nn::Mlp model(nn::MlpConfig::Paper(4, 5, 32, 16), 7);
-  nn::CompiledMlp plan = nn::CompiledMlp::FromMlp(model);
-  nn::Workspace ws;
-  for (size_t rows : {1u, 2u, 17u, 64u}) {
-    Matrix inputs(rows, 4);
-    for (size_t r = 0; r < rows; ++r) {
-      for (size_t c = 0; c < 4; ++c) inputs(r, c) = rng.Uniform();
+  // Row counts on both sides of the kernel's 4-row tile; the second model's
+  // hidden widths (30, 13) are not multiples of any vector width, so its
+  // layers end in overlapping tail tiles or column tiles.
+  for (const nn::MlpConfig& cfg : {nn::MlpConfig::Paper(4, 5, 32, 16),
+                                   nn::MlpConfig::Paper(4, 5, 30, 13)}) {
+    nn::Mlp model(cfg, 7);
+    nn::CompiledMlp plan = nn::CompiledMlp::FromMlp(model);
+    nn::CompiledMlpF32 plan32 = nn::CompiledMlpF32::FromPlan(plan);
+    nn::Workspace ws;
+    for (size_t rows : {1u, 2u, 3u, 4u, 5u, 17u, 64u, 255u}) {
+      Matrix inputs(rows, 4);
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t c = 0; c < 4; ++c) inputs(r, c) = rng.Uniform();
+      }
+      Matrix expect;
+      model.Predict(inputs, &expect);
+      std::vector<double> got(rows), got32(rows);
+      plan.PredictBatch(inputs.data(), rows, &ws, got.data());
+      plan32.PredictBatch(inputs.data(), rows, &ws, got32.data());
+      for (size_t r = 0; r < rows; ++r) {
+        EXPECT_EQ(got[r], expect(r, 0)) << "rows=" << rows << " r=" << r;
+        EXPECT_EQ(got32[r], plan32.PredictOne(inputs.row(r), &ws))
+            << "f32 rows=" << rows << " r=" << r;
+      }
     }
-    Matrix expect;
-    model.Predict(inputs, &expect);
-    std::vector<double> got(rows);
-    plan.PredictBatch(inputs.data(), rows, &ws, got.data());
-    for (size_t r = 0; r < rows; ++r) EXPECT_EQ(got[r], expect(r, 0));
   }
 }
 

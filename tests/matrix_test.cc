@@ -1,7 +1,11 @@
 // Unit and property tests for the dense matrix kernels.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "tensor/matrix.h"
 #include "util/random.h"
@@ -177,6 +181,127 @@ TEST(MatrixTest, GemmWithZeroEntriesSkipsCorrectly) {
   Matrix out;
   Gemm(a, b, &out);
   ExpectMatrixNear(out, NaiveGemm(a, b));
+}
+
+// Row-at-a-time reference for the fused dense forward: output (i, j) is
+// +0.0 plus x(i,p) * w(p,j) over ascending p, skipping x(i,p) == 0, then
+// bias and activation.
+template <typename T>
+std::vector<T> ReferenceDense(const std::vector<T>& x, size_t m, size_t k,
+                              const std::vector<T>& w,
+                              const std::vector<T>& b, Activation act,
+                              size_t n) {
+  std::vector<T> y(m * n);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      T acc = T(0);
+      for (size_t p = 0; p < k; ++p) {
+        const T xv = x[i * k + p];
+        if (xv == T(0)) continue;
+        acc += xv * w[p * n + j];
+      }
+      const T v = acc + b[j];
+      switch (act) {
+        case Activation::kIdentity: y[i * n + j] = v; break;
+        case Activation::kRelu: y[i * n + j] = v > T(0) ? v : T(0); break;
+        case Activation::kTanh: y[i * n + j] = std::tanh(v); break;
+        case Activation::kSigmoid:
+          y[i * n + j] = T(1) / (T(1) + std::exp(-v));
+          break;
+      }
+    }
+  }
+  return y;
+}
+
+// Input (i, p) for the sweep: signed zeros and subnormals everywhere, plus
+// one NaN per row in rows i % 4 == 1 and one +-inf per row in rows
+// i % 4 == 2, so most outputs stay finite while each special value still
+// reaches every tile position.
+template <typename T>
+std::vector<T> SweepInputs(size_t m, size_t k, Rng* rng) {
+  const T sub = std::numeric_limits<T>::denorm_min();
+  const T inf = std::numeric_limits<T>::infinity();
+  std::vector<T> x(m * k);
+  for (T& v : x) {
+    const size_t u = rng->Index(10);
+    v = u < 2    ? T(0)
+        : u < 3  ? -T(0)
+        : u < 4  ? sub * T(rng->Int(-1000, 1000))
+                 : T(rng->Uniform(-1, 1));
+  }
+  for (size_t i = 0; i < m; ++i) {
+    T* row = x.data() + i * k;
+    if (i % 4 == 1) row[rng->Index(k)] = std::numeric_limits<T>::quiet_NaN();
+    if (i % 4 == 2) row[rng->Index(k)] = rng->Index(2) ? inf : -inf;
+  }
+  return x;
+}
+
+// Weights: signed zeros, subnormals and a few +-inf, so an x == 0 term
+// against an infinite weight must stay skipped (0 * inf would add NaN).
+template <typename T>
+std::vector<T> SweepWeights(size_t count, Rng* rng) {
+  const T inf = std::numeric_limits<T>::infinity();
+  std::vector<T> w(count);
+  for (T& v : w) {
+    const size_t u = rng->Index(50);
+    v = u < 3    ? T(0)
+        : u < 5  ? -T(0)
+        : u < 6  ? inf
+        : u < 7  ? -inf
+        : u < 8  ? std::numeric_limits<T>::denorm_min() * T(7)
+                 : T(rng->Uniform(-1, 1));
+  }
+  return w;
+}
+
+// Bit-for-bit equality, except that any NaN matches any NaN.
+template <typename T>
+void ExpectSameBits(const std::vector<T>& got, const std::vector<T>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t e = 0; e < want.size(); ++e) {
+    if (std::isnan(want[e])) {
+      ASSERT_TRUE(std::isnan(got[e])) << "element " << e;
+      continue;
+    }
+    ASSERT_EQ(std::memcmp(&got[e], &want[e], sizeof(T)), 0)
+        << "element " << e << ": got " << got[e] << " want " << want[e];
+  }
+}
+
+template <typename T, typename Kernel>
+void SweepFusedDense(Kernel kernel, uint64_t seed) {
+  Rng rng(seed);
+  const Activation acts[] = {Activation::kIdentity, Activation::kRelu,
+                             Activation::kTanh, Activation::kSigmoid};
+  for (size_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 64, 65, 256}) {
+    for (size_t k : {1, 2, 7, 12, 48}) {
+      for (size_t n : {1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 31, 48}) {
+        const std::vector<T> x = SweepInputs<T>(m, k, &rng);
+        const std::vector<T> w = SweepWeights<T>(k * n, &rng);
+        std::vector<T> b(n);
+        for (T& v : b) v = T(rng.Uniform(-0.5, 0.5));
+        for (Activation act : acts) {
+          // A NaN sentinel in y shows any output the kernel leaves unset.
+          std::vector<T> y(m * n, std::numeric_limits<T>::quiet_NaN());
+          kernel(x.data(), m, k, w.data(), b.data(), act, y.data(), n);
+          SCOPED_TRACE(testing::Message()
+                       << "m=" << m << " k=" << k << " n=" << n
+                       << " act=" << static_cast<int>(act));
+          ExpectSameBits(y, ReferenceDense(x, m, k, w, b, act, n));
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedDenseForwardTest, SweepBitIdenticalToRowLoopF64) {
+  SweepFusedDense<double>(FusedDenseForward, 1901);
+}
+
+TEST(FusedDenseForwardTest, SweepBitIdenticalToRowLoopF32) {
+  SweepFusedDense<float>(FusedDenseForwardF32, 1902);
 }
 
 }  // namespace

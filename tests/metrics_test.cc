@@ -117,21 +117,6 @@ TEST(MetricsRegistryTest, LabeledHistogramMergesLeIntoLabelSet) {
             std::string::npos);
 }
 
-TEST(MetricsRegistryTest, JsonCoversEveryKind) {
-  MetricsRegistry reg;
-  reg.GetCounter("a_total")->Inc(7);
-  reg.SetGauge("b_value", 2.25);
-  reg.GetHistogram("c_us")->Add(100.0);
-  const std::string json = reg.Json();
-  EXPECT_NE(json.find("\"a_total\": 7"), std::string::npos);
-  EXPECT_NE(json.find("\"b_value\": 2.25"), std::string::npos);
-  EXPECT_NE(json.find("\"c_us\": {\"count\": 1, \"p50_us\": "),
-            std::string::npos);
-  EXPECT_NE(json.find("\"p999_us\": "), std::string::npos);
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-}
-
 TEST(MetricsRegistryTest, ResetAllZeroesEveryMetric) {
   MetricsRegistry reg;
   reg.GetCounter("c")->Inc(5);
