@@ -1,9 +1,14 @@
 #include "core/catalog.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <sstream>
+#include <streambuf>
 #include <utility>
 
 #include "query/predicate.h"
@@ -20,18 +25,69 @@ void WriteRaw(std::ostream* out, const T& v) {
   out->write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-template <typename T>
-bool ReadRaw(std::istream* in, T* v) {
-  in->read(reinterpret_cast<char*>(v), sizeof(*v));
-  return in->good();
-}
-
 // One index slot's serialized footprint: name_len + name + agg + measure
 // + offset + size. Needed up front so blob offsets can be precomputed.
+constexpr size_t kIndexEntryFixedBytes =
+    sizeof(uint64_t) + sizeof(uint32_t) + 3 * sizeof(uint64_t);
+
 size_t IndexEntryBytes(const QueryFunctionKey& key) {
-  return sizeof(uint64_t) + key.predicate_name.size() + sizeof(uint32_t) +
-         3 * sizeof(uint64_t);
+  return kIndexEntryFixedBytes + key.predicate_name.size();
 }
+
+/// Reads exactly `n` bytes at `offset`, retrying short reads and EINTR.
+/// False on a read error or end of file.
+bool PreadFull(int fd, char* out, size_t n, uint64_t offset) {
+  while (n > 0) {
+    const ssize_t got = ::pread(fd, out, n, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    out += got;
+    n -= static_cast<size_t>(got);
+    offset += static_cast<uint64_t>(got);
+  }
+  return true;
+}
+
+bool InFile(const PagedCatalogEntry& e, uint64_t file_size) {
+  return e.offset <= file_size && e.size_bytes <= file_size - e.offset;
+}
+
+/// Sequential reads from the start of a file of known size; a read past
+/// that size fails before touching the file. The index parse of
+/// PagedCatalogReader::Open.
+class IndexCursor {
+ public:
+  IndexCursor(int fd, uint64_t size) : fd_(fd), size_(size) {}
+
+  /// Bytes of the file not yet consumed.
+  uint64_t left() const { return size_ - pos_; }
+
+  bool Read(void* dst, uint64_t n) {
+    if (n > left() || !PreadFull(fd_, static_cast<char*>(dst), n, pos_)) {
+      return false;
+    }
+    pos_ += n;
+    return true;
+  }
+
+  template <typename T>
+  bool ReadRaw(T* v) {
+    return Read(v, sizeof(*v));
+  }
+
+ private:
+  const int fd_;
+  const uint64_t size_;
+  uint64_t pos_ = 0;
+};
+
+/// A read-only streambuf over bytes owned elsewhere, so LoadFrom parses a
+/// sketch image in place. Reading past the end is a clean EOF, as for a
+/// standalone file (LoadFrom's trailer probe relies on that).
+class ImageBuf : public std::streambuf {
+ public:
+  ImageBuf(char* data, size_t n) { setg(data, data, data + n); }
+};
 
 }  // namespace
 
@@ -173,18 +229,38 @@ Status WritePagedCatalog(
   return Status::OK();
 }
 
+PagedCatalogReader::File::~File() {
+  if (fd >= 0) ::close(fd);
+}
+
 Result<PagedCatalogReader> PagedCatalogReader::Open(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
+  auto file = std::make_shared<File>();
+  file->fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (file->fd < 0) {
     return Status::IOError("cannot open for read: " + path);
   }
+  struct stat st;
+  if (::fstat(file->fd, &st) != 0) {
+    return Status::IOError("cannot stat: " + path);
+  }
+  file->size = static_cast<uint64_t>(st.st_size);
+  const uint64_t file_size = file->size;
+  IndexCursor in(file->fd, file_size);
   uint64_t magic = 0;
   uint64_t count = 0;
-  if (!ReadRaw(&in, &magic) || magic != kPagedCatalogMagic) {
+  if (!in.ReadRaw(&magic) || magic != kPagedCatalogMagic) {
     return Status::InvalidArgument("not a paged catalog: " + path);
   }
-  if (!ReadRaw(&in, &count)) {
+  if (!in.ReadRaw(&count)) {
     return Status::IOError("truncated paged catalog index: " + path);
+  }
+  // Every length below is checked against the bytes left before it sizes
+  // an allocation: the index is untrusted.
+  if (count > in.left() / kIndexEntryFixedBytes) {
+    return Status::InvalidArgument(
+        "corrupt paged catalog index: " + std::to_string(count) +
+        " entries claimed, file has room for at most " +
+        std::to_string(in.left() / kIndexEntryFixedBytes) + ": " + path);
   }
   PagedCatalogReader reader;
   reader.path_ = path;
@@ -192,43 +268,60 @@ Result<PagedCatalogReader> PagedCatalogReader::Open(const std::string& path) {
   for (uint64_t i = 0; i < count; ++i) {
     PagedCatalogEntry entry;
     uint64_t name_len = 0;
-    if (!ReadRaw(&in, &name_len)) {
+    if (!in.ReadRaw(&name_len)) {
       return Status::IOError("truncated paged catalog index: " + path);
     }
+    if (name_len > in.left()) {
+      return Status::InvalidArgument(
+          "corrupt paged catalog index: name length " +
+          std::to_string(name_len) + " exceeds the " +
+          std::to_string(in.left()) + " bytes left: " + path);
+    }
     entry.key.predicate_name.resize(name_len);
-    in.read(entry.key.predicate_name.data(),
-            static_cast<std::streamsize>(name_len));
     uint32_t agg = 0;
     uint64_t measure_col = 0;
-    if (!in.good() || !ReadRaw(&in, &agg) || !ReadRaw(&in, &measure_col) ||
-        !ReadRaw(&in, &entry.offset) || !ReadRaw(&in, &entry.size_bytes)) {
+    if (!in.Read(entry.key.predicate_name.data(), name_len) ||
+        !in.ReadRaw(&agg) || !in.ReadRaw(&measure_col) ||
+        !in.ReadRaw(&entry.offset) || !in.ReadRaw(&entry.size_bytes)) {
       return Status::IOError("truncated paged catalog index: " + path);
+    }
+    if (!InFile(entry, file_size)) {
+      return Status::InvalidArgument(
+          "corrupt paged catalog index: entry " + std::to_string(i) +
+          " (offset " + std::to_string(entry.offset) + ", " +
+          std::to_string(entry.size_bytes) + " bytes) lies past the " +
+          std::to_string(file_size) + "-byte file: " + path);
     }
     entry.key.agg = static_cast<Aggregate>(agg);
     entry.key.measure_col = measure_col;
     reader.entries_.push_back(std::move(entry));
   }
+  reader.file_ = std::move(file);
   return reader;
 }
 
 Result<NeuroSketch> PagedCatalogReader::LoadEntry(
     const PagedCatalogEntry& entry) const {
-  // Per-call stream: LoadEntry must be safe from concurrent pool loaders.
-  std::ifstream in(path_, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open for read: " + path_);
+  if (file_ == nullptr) {
+    return Status::FailedPrecondition("paged catalog reader is not open");
   }
-  in.seekg(static_cast<std::streamoff>(entry.offset));
-  std::string blob(entry.size_bytes, '\0');
-  in.read(blob.data(), static_cast<std::streamsize>(entry.size_bytes));
-  if (!in.good() || static_cast<uint64_t>(in.gcount()) != entry.size_bytes) {
+  if (!InFile(entry, file_->size)) {
+    return Status::InvalidArgument("sketch image at offset " +
+                                   std::to_string(entry.offset) +
+                                   " lies past the end of " + path_);
+  }
+  // One positioned read into this thread's image buffer (its capacity is
+  // reused across fault-ins); pread leaves no shared file position, so
+  // concurrent pool loaders need no lock.
+  thread_local std::vector<char> image;
+  image.resize(entry.size_bytes);
+  if (!PreadFull(file_->fd, image.data(), image.size(), entry.offset)) {
     return Status::IOError("truncated sketch image at offset " +
                            std::to_string(entry.offset) + " in " + path_);
   }
-  // An istringstream over the exact image preserves the standalone-file
-  // semantics LoadFrom expects (trailer probe may hit clean EOF).
-  std::istringstream image(std::move(blob));
-  return NeuroSketch::LoadFrom(&image);
+  ImageBuf buf(image.data(), image.size());
+  std::istream in(&buf);
+  return NeuroSketch::LoadFrom(&in);
 }
 
 }  // namespace neurosketch

@@ -6,6 +6,7 @@
 #ifndef NEUROSKETCH_CORE_CATALOG_H_
 #define NEUROSKETCH_CORE_CATALOG_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -45,10 +46,11 @@ struct PagedCatalogEntry {
 /// header, an offset index (one entry per key), then the concatenated
 /// NeuroSketch::Save images. The paged serving path
 /// (serve/SketchStore::AttachPagedCatalog) memory-maps nothing and keeps
-/// nothing resident — cold sketches fault in through a buffer pool by
-/// seeking to their offset. Offsets are computed from SizeBytes(), which
-/// is pinned to equal Save()'s byte count exactly; the writer verifies
-/// this per entry and fails loudly on drift.
+/// nothing resident — cold sketches fault in through a buffer pool, each
+/// one positioned read (pread) at its offset through the descriptor the
+/// reader opened once. Offsets are computed from SizeBytes(), which is
+/// pinned to equal Save()'s byte count exactly; the writer verifies this
+/// per entry and fails loudly on drift.
 Status WritePagedCatalog(
     const std::string& path,
     const std::vector<std::pair<QueryFunctionKey,
@@ -56,25 +58,42 @@ Status WritePagedCatalog(
         sketches);
 
 /// \brief Read side of the paged catalog format: parses the index on
-/// Open, loads individual sketches on demand. LoadEntry is const and
-/// thread-safe (each call opens its own stream), so many pool loaders
-/// can fault in concurrently.
+/// Open, loads individual sketches on demand. The file is opened once;
+/// copies of a reader share that descriptor, and the last copy closes
+/// it. So a reader keeps serving the file it attached even if the path
+/// is later replaced or unlinked. LoadEntry is const and thread-safe
+/// (pread never moves a shared file position), so many pool loaders can
+/// fault in concurrently.
 class PagedCatalogReader {
  public:
   PagedCatalogReader() = default;
 
+  /// \brief Opens `path` and parses its index. The index is untrusted:
+  /// every count and length is checked against the file size before
+  /// anything is allocated, and every entry must lie inside the file, so
+  /// a corrupt index returns a non-OK Status instead of throwing or
+  /// allocating what it claims.
   static Result<PagedCatalogReader> Open(const std::string& path);
 
   const std::vector<PagedCatalogEntry>& entries() const { return entries_; }
   const std::string& path() const { return path_; }
 
-  /// \brief Deserialize one sketch image (seek + bounded read +
-  /// NeuroSketch::LoadFrom). The loaded sketch is warm-and-lean: active
-  /// tier materialized, trainer and inactive tiers cold.
+  /// \brief Deserialize one sketch image (one pread into a per-thread
+  /// buffer, parsed in place by NeuroSketch::LoadFrom). The loaded sketch
+  /// is warm-and-lean: active tier materialized, trainer and inactive
+  /// tiers cold.
   Result<NeuroSketch> LoadEntry(const PagedCatalogEntry& entry) const;
 
  private:
+  /// The open catalog file and its size at Open; closes on destruction.
+  struct File {
+    int fd = -1;
+    uint64_t size = 0;
+    ~File();
+  };
+
   std::string path_;
+  std::shared_ptr<const File> file_;
   std::vector<PagedCatalogEntry> entries_;
 };
 

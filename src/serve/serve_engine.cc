@@ -228,14 +228,15 @@ size_t ServeEngine::ShardOf(const std::string& dataset,
   return ShardIndexOf(ServeKey::From(dataset, spec));
 }
 
-ServeEngine::KeyState& ServeEngine::KeyStateLocked(
+std::pair<const ServeKey, ServeEngine::KeyState>& ServeEngine::KeyStateLocked(
     Shard* shard, const ServeKey& key, const QueryFunctionSpec& spec) {
-  KeyState& st = shard->keys[key];
+  auto& node = *shard->keys.try_emplace(key).first;
+  KeyState& st = node.second;
   if (st.spec.predicate == nullptr) {
     st.spec = spec;
     st.label = StoreLabel(key.dataset, spec);
   }
-  return st;
+  return node;
 }
 
 void ServeEngine::Route(Submission s) {
@@ -304,7 +305,8 @@ size_t ServeEngine::DrainRingLocked(Shard* shard) {
   size_t filed = 0;
   Submission s;
   while (shard->ring.TryPop(&s)) {
-    KeyState& st = KeyStateLocked(shard, s.key, s.spec);
+    auto& [key, st] = KeyStateLocked(shard, s.key, s.spec);
+    if (st.pending.empty()) shard->ready.Add(&key, &st);
     if (s.wave != nullptr) {
       const size_t n = s.queries.size();
       for (size_t i = 0; i < n; ++i) {
@@ -316,7 +318,6 @@ size_t ServeEngine::DrainRingLocked(Shard* shard) {
         st.pending.push_back(std::move(r));
       }
       filed += n;
-      shard->pending_count += n;
     } else {
       Request r;
       r.q = std::move(s.q);
@@ -324,7 +325,6 @@ size_t ServeEngine::DrainRingLocked(Shard* shard) {
       r.promise = std::move(s.promise);
       st.pending.push_back(std::move(r));
       ++filed;
-      ++shard->pending_count;
     }
   }
   return filed;
@@ -338,36 +338,13 @@ void ServeEngine::DispatchLoop(Shard* shard) {
     // forward pass ran is filed into per-key queues now — the ring IS the
     // pipeline stage that decouples submission from inference.
     DrainRingLocked(shard);
-    // A key is dispatchable when its queue is full, its window has
-    // expired, the window is zero, or we are stopping. Among dispatchable
-    // keys, serve the one whose oldest request has waited longest — a
-    // continuously-full hot key must not starve a colder key whose window
-    // already expired.
+    // Pick among the keys with pending requests (see ReadyList::Next for
+    // the rule).
     const auto now = Clock::now();
     const bool stopping = stop_.load(std::memory_order_relaxed);
-    KeyState* chosen = nullptr;
-    const ServeKey* chosen_key = nullptr;
-    Clock::time_point chosen_deadline{};
-    bool have_deadline = false;
-    Clock::time_point earliest{};
-    for (auto& [key, st] : shard->keys) {
-      if (st.pending.empty()) continue;
-      const auto deadline = st.pending.front().enqueued + window;
-      if (st.pending.size() >= options_.max_batch || window.count() == 0 ||
-          stopping || deadline <= now) {
-        if (chosen == nullptr || deadline < chosen_deadline) {
-          chosen = &st;
-          chosen_key = &key;
-          chosen_deadline = deadline;
-        }
-        continue;
-      }
-      if (!have_deadline || deadline < earliest) {
-        earliest = deadline;
-        have_deadline = true;
-      }
-    }
-    if (chosen == nullptr) {
+    const auto pick =
+        shard->ready.Next(now, window, options_.max_batch, stopping);
+    if (pick.chosen == shard->ready.size()) {
       // Nothing is dispatchable, so nothing is worth holding answers for:
       // publish before sleeping (or stopping — the destructor relies on
       // this to resolve every held answer).
@@ -376,7 +353,7 @@ void ServeEngine::DispatchLoop(Shard* shard) {
         Publish(shard);
         lock.lock();
       }
-      if (stopping && shard->pending_count == 0 && shard->ring.Empty()) {
+      if (stopping && shard->ready.empty() && shard->ring.Empty()) {
         return;
       }
       // Sleep/wake handshake: declare intent to sleep, fence, then
@@ -388,8 +365,8 @@ void ServeEngine::DispatchLoop(Shard* shard) {
         shard->sleeping.store(false, std::memory_order_relaxed);
         continue;
       }
-      if (have_deadline) {
-        shard->cv.wait_until(lock, earliest);
+      if (pick.have_deadline) {
+        shard->cv.wait_until(lock, pick.earliest);
       } else {
         shard->cv.wait(lock);
       }
@@ -397,12 +374,10 @@ void ServeEngine::DispatchLoop(Shard* shard) {
       continue;
     }
 
-    const size_t take = std::min(options_.max_batch, chosen->pending.size());
-    for (size_t i = 0; i < take; ++i) {
-      shard->batch.push_back(std::move(chosen->pending.front()));
-      chosen->pending.pop_front();
-    }
-    shard->pending_count -= take;
+    // Copied out first: Take may unlist the key.
+    KeyState* chosen = shard->ready[pick.chosen].state;
+    const ServeKey* chosen_key = shard->ready[pick.chosen].key;
+    shard->ready.Take(pick.chosen, options_.max_batch, &shard->batch);
     const bool allow_sketch = !chosen->demoted;
     // Hold the group through this batch only if it is predicted (from the
     // key's previous batch) to finish within kMaxHold of the group's
@@ -759,7 +734,7 @@ void ServeEngine::DemoteStore(const std::string& dataset,
     // lock makes the decision visible before any later batch reads
     // `demoted` in its dispatch.
     std::lock_guard<std::mutex> lock(shard->mu);
-    KeyState& st = KeyStateLocked(shard, key, spec);
+    KeyState& st = KeyStateLocked(shard, key, spec).second;
     if (!st.demoted) {
       st.demoted = true;
       tripped = true;

@@ -54,8 +54,10 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "serve/ready_list.h"
 #include "serve/serve_stats.h"
 #include "serve/sketch_store.h"
 #include "util/metrics.h"
@@ -287,7 +289,7 @@ class ServeEngine {
     MpscRing<Submission> ring;
     std::thread dispatcher;
 
-    /// Guards keys + pending_count (dispatcher vs Snapshot/ResetStats —
+    /// Guards keys + ready (dispatcher vs Snapshot/ResetStats —
     /// effectively uncontended at serving time) and backs the cv.
     std::mutex mu;
     std::condition_variable cv;
@@ -298,7 +300,8 @@ class ServeEngine {
     /// `sleeping` and ringing the cv.
     std::atomic<bool> sleeping{false};
     std::map<ServeKey, KeyState> keys;
-    size_t pending_count = 0;
+    /// The keys with pending requests: what DispatchLoop picks from.
+    ReadyList<KeyState> ready;
 
     // Metrics with no key: backpressure is counted on the client thread
     // before any KeyState exists; stage histograms are only written when
@@ -351,10 +354,10 @@ class ServeEngine {
   /// Resolves every held answer, newest first, and records their
   /// submit->publish latencies (one clock read for the whole group).
   void Publish(Shard* shard);
-  /// Locates (creating on demand) the KeyState for a submission; caller
-  /// must hold the shard's lock. Only the owning dispatcher calls this.
-  KeyState& KeyStateLocked(Shard* shard, const ServeKey& key,
-                           const QueryFunctionSpec& spec);
+  /// Locates (creating on demand) the key's map node; caller must hold
+  /// the shard's lock. Only the owning dispatcher calls this.
+  std::pair<const ServeKey, KeyState>& KeyStateLocked(
+      Shard* shard, const ServeKey& key, const QueryFunctionSpec& spec);
 
   size_t ShardIndexOf(const ServeKey& key) const {
     return router_.ShardOf(key.Hash());

@@ -15,12 +15,20 @@
 // Admission: a fault-in that would push resident bytes past the budget
 // first evicts unpinned victims, coldest-first (lowest heat, least
 // recently touched on ties); if everything resident is pinned it waits on
-// the pool condvar for an unpin. Heat is a per-frame accumulator ticked
-// by Pin (+1) and Touch (e.g. +answers served); every eviction halves the
-// survivors' heat, so the ordering is an exponentially decayed
-// answers/sec signal rather than an all-time total. Penalize() zeroes a
-// frame's heat — the serve layer calls it when its error budget demotes a
-// store, making that sketch the preferred victim.
+// the pool condvar for an unpin. The victim scan walks only the resident
+// frames (a side vector), never the whole key map. Heat is a per-frame
+// accumulator ticked by Pin (+1) and Touch (e.g. +answers served), and
+// every eviction halves every frame's heat, so the ordering is an
+// exponentially decayed answers/sec signal rather than an all-time total.
+// The halving is O(1): heats are stored scaled by 2^heat_exp_, an
+// eviction increments the shared exponent, and increments are scaled by
+// the same power of two (the LRFU trick). A power-of-two scale commutes
+// with rounding, so the stored heats order exactly as halved ones would
+// (for heats above the subnormal range); every kRenormExp evictions one
+// walk rescales all frames back to exponent 0 before the scale could
+// overflow. Penalize() zeroes a frame's heat — the serve layer calls it
+// when its error budget demotes a store, making that sketch the preferred
+// victim.
 //
 // Thread-safe. The pool mutex covers all bookkeeping; the loader itself
 // runs with the mutex dropped (disk I/O must not block unrelated hits)
@@ -30,6 +38,7 @@
 #define NEUROSKETCH_UTIL_BUFFER_POOL_H_
 
 #include <condition_variable>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -37,6 +46,7 @@
 #include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "util/metrics.h"
 #include "util/status.h"
@@ -92,7 +102,7 @@ class BufferPool {
       Frame& f = frames_[key];
       if (f.value != nullptr) {
         ++hits_;
-        return PinLocked(key, &f);
+        return PinLocked(&f);
       }
       if (f.loading) {
         // Another thread is faulting this key in; wait for its verdict.
@@ -134,6 +144,8 @@ class BufferPool {
       // for unpins when necessary), then account and pin.
       EvictUntilFitLocked(got.bytes, &lock);
       lf.value = std::move(got.value);
+      lf.slot = resident_.size();
+      resident_.push_back(&lf);
       lf.loading = false;
       cv_.notify_all();
       lf.bytes = got.bytes;
@@ -143,7 +155,7 @@ class BufferPool {
       }
       ++faultins_;
       faultin_latency_.Add(load_us);
-      return PinLocked(key, &lf);
+      return PinLocked(&lf);
     }
   }
 
@@ -163,7 +175,7 @@ class BufferPool {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = frames_.find(key);
     if (it != frames_.end() && it->second.value != nullptr) {
-      it->second.heat += amount;
+      AddHeatLocked(&it->second, amount);
     }
   }
 
@@ -184,7 +196,7 @@ class BufferPool {
       return false;
     }
     if (it->second.value != nullptr) {
-      resident_bytes_ -= it->second.bytes;
+      DropResidentLocked(&it->second);
       ++evictions_;
     }
     frames_.erase(it);
@@ -199,10 +211,7 @@ class BufferPool {
     s.peak_resident_bytes = peak_resident_bytes_;
     s.max_bytes = max_bytes_;
     s.entries = frames_.size();
-    for (const auto& [k, f] : frames_) {
-      (void)k;
-      s.resident_entries += f.value != nullptr ? 1 : 0;
-    }
+    s.resident_entries = resident_.size();
     s.faultins = faultins_;
     s.hits = hits_;
     s.evictions = evictions_;
@@ -224,33 +233,51 @@ class BufferPool {
     size_t bytes = 0;
     size_t pins = 0;
     bool loading = false;
-    double heat = 0.0;
+    double heat = 0.0;        // decayed heat, scaled by 2^heat_exp_
     uint64_t last_touch = 0;  // monotone Pin order, the heat tiebreak
+    size_t slot = 0;          // index in resident_ while resident
   };
 
+  /// Shared heat exponent at which every frame is rescaled to exponent 0:
+  /// scaled heats stay below 2^kRenormExp times their true value, far
+  /// from overflow.
+  static constexpr int kRenormExp = 512;
+
   /// Handle control block: owns the value reference and the pin; the last
-  /// aliasing handle's destruction unpins (and wakes evict waiters).
+  /// aliasing handle's destruction unpins (and wakes evict waiters). The
+  /// frame cannot go away while pinned (eviction and Erase skip pinned
+  /// frames, and map nodes are stable), so the guard keeps its address.
   struct PinGuard {
     BufferPool* pool;
-    Key key;
+    Frame* frame;
     std::shared_ptr<const Value> value;
     ~PinGuard() {
       std::lock_guard<std::mutex> lock(pool->mu_);
-      auto it = pool->frames_.find(key);
-      if (it != pool->frames_.end() && it->second.pins > 0) {
-        --it->second.pins;
-        if (it->second.pins == 0) pool->cv_.notify_all();
-      }
+      if (--frame->pins == 0) pool->cv_.notify_all();
     }
   };
 
-  Handle PinLocked(const Key& key, Frame* f) {
+  void AddHeatLocked(Frame* f, double amount) {
+    f->heat += std::ldexp(amount, heat_exp_);
+  }
+
+  /// Makes a resident frame cold: uncharges its bytes and drops it from
+  /// resident_ (swap-with-last, so the victim scan stays dense).
+  void DropResidentLocked(Frame* f) {
+    resident_bytes_ -= f->bytes;
+    Frame* last = resident_.back();
+    resident_[f->slot] = last;
+    last->slot = f->slot;
+    resident_.pop_back();
+  }
+
+  Handle PinLocked(Frame* f) {
     ++f->pins;
-    f->heat += 1.0;
+    AddHeatLocked(f, 1.0);
     f->last_touch = ++tick_;
     auto guard = std::make_shared<PinGuard>();
     guard->pool = this;
-    guard->key = key;
+    guard->frame = f;
     guard->value = f->value;
     // Aliasing constructor: the handle exposes the value but owns the
     // guard, so destruction runs the unpin exactly once per handle.
@@ -265,13 +292,14 @@ class BufferPool {
                            std::unique_lock<std::mutex>* lock) {
     if (max_bytes_ == 0) return;
     while (resident_bytes_ + incoming > max_bytes_) {
+      // Pin ticks are unique, so (heat, last_touch) orders the resident
+      // frames totally and the victim does not depend on scan order.
       Frame* victim = nullptr;
-      for (auto& [k, f] : frames_) {
-        (void)k;
-        if (f.value == nullptr || f.pins != 0 || f.loading) continue;
-        if (victim == nullptr || f.heat < victim->heat ||
-            (f.heat == victim->heat && f.last_touch < victim->last_touch)) {
-          victim = &f;
+      for (Frame* f : resident_) {
+        if (f->pins != 0) continue;
+        if (victim == nullptr || f->heat < victim->heat ||
+            (f->heat == victim->heat && f->last_touch < victim->last_touch)) {
+          victim = f;
         }
       }
       if (victim == nullptr) {
@@ -281,15 +309,20 @@ class BufferPool {
         cv_.wait(*lock);
         continue;
       }
-      resident_bytes_ -= victim->bytes;
+      DropResidentLocked(victim);
       victim->value.reset();  // pins == 0, so this frees the memory
       victim->bytes = 0;
       ++evictions_;
-      // Exponential decay: halve the survivors so heat tracks recent
+      // Exponential decay: halve every frame's heat so heat tracks recent
       // traffic, not lifetime totals — a formerly hot store goes cold.
-      for (auto& [k2, f2] : frames_) {
-        (void)k2;
-        f2.heat *= 0.5;
+      // Raising the shared exponent halves them all at once; the rare
+      // rescale keeps the stored values bounded.
+      if (++heat_exp_ == kRenormExp) {
+        for (auto& [k, f] : frames_) {
+          (void)k;
+          f.heat = std::ldexp(f.heat, -kRenormExp);
+        }
+        heat_exp_ = 0;
       }
     }
   }
@@ -297,6 +330,8 @@ class BufferPool {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<Key, Frame> frames_;
+  std::vector<Frame*> resident_;  // frames with a value, in no order
+  int heat_exp_ = 0;              // heats are stored scaled by 2^heat_exp_
   const size_t max_bytes_;
   size_t resident_bytes_ = 0;
   size_t peak_resident_bytes_ = 0;

@@ -8,13 +8,16 @@
 // 8-thread serve with concurrent eviction — the TSan battery).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,6 +165,180 @@ TEST(BufferPoolTest, PenalizedFrameIsPreferredVictim) {
   EXPECT_EQ(pool.Peek(0), nullptr);   // evicted despite its traffic
   EXPECT_NE(pool.Peek(1), nullptr);
   EXPECT_NE(pool.Peek(2), nullptr);
+}
+
+// The pool's replacement policy as a plain O(frames) model: a victim scan
+// over every frame in key order and a walk that halves every heat after
+// each eviction. BufferPool keeps the same policy with a resident-only
+// scan and a shared heat exponent; this sweep pins the two together.
+class ReferencePool {
+ public:
+  explicit ReferencePool(size_t max_bytes) : max_bytes_(max_bytes) {}
+
+  void Pin(int key, size_t bytes) {
+    Frame& f = frames_[key];
+    if (f.resident) {
+      ++stats_.hits;
+    } else {
+      while (stats_.resident_bytes + bytes > max_bytes_) EvictOne();
+      f.resident = true;
+      f.bytes = bytes;
+      stats_.resident_bytes += bytes;
+      stats_.peak_resident_bytes =
+          std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
+      ++stats_.faultins;
+    }
+    ++f.pins;
+    f.heat += 1.0;
+    f.last_touch = ++tick_;
+  }
+  void Unpin(int key) { --frames_.at(key).pins; }
+  void Touch(int key, double amount) {
+    auto it = frames_.find(key);
+    if (it != frames_.end() && it->second.resident) it->second.heat += amount;
+  }
+  void Penalize(int key) {
+    auto it = frames_.find(key);
+    if (it != frames_.end()) it->second.heat = 0.0;
+  }
+  void Erase(int key) {
+    auto it = frames_.find(key);
+    if (it == frames_.end() || it->second.pins != 0) return;
+    if (it->second.resident) {
+      stats_.resident_bytes -= it->second.bytes;
+      ++stats_.evictions;
+      dropped_.push_back(key);
+    }
+    frames_.erase(it);
+  }
+
+  BufferPoolStats Stats() const {
+    BufferPoolStats s = stats_;
+    s.max_bytes = max_bytes_;
+    s.entries = frames_.size();
+    for (const auto& [k, f] : frames_) s.resident_entries += f.resident;
+    return s;
+  }
+  /// Keys whose values were dropped (evicted or erased), in order.
+  const std::vector<int>& dropped() const { return dropped_; }
+
+ private:
+  struct Frame {
+    bool resident = false;
+    size_t bytes = 0;
+    size_t pins = 0;
+    double heat = 0.0;
+    uint64_t last_touch = 0;
+  };
+
+  void EvictOne() {
+    int victim = -1;
+    Frame* v = nullptr;
+    for (auto& [k, f] : frames_) {
+      if (!f.resident || f.pins != 0) continue;
+      if (v == nullptr || f.heat < v->heat ||
+          (f.heat == v->heat && f.last_touch < v->last_touch)) {
+        victim = k;
+        v = &f;
+      }
+    }
+    ASSERT_NE(v, nullptr) << "the sweep must never wait on an unpin";
+    v->resident = false;
+    stats_.resident_bytes -= v->bytes;
+    v->bytes = 0;
+    ++stats_.evictions;
+    dropped_.push_back(victim);
+    for (auto& [k, f] : frames_) f.heat *= 0.5;
+  }
+
+  const size_t max_bytes_;
+  std::map<int, Frame> frames_;
+  BufferPoolStats stats_;
+  uint64_t tick_ = 0;
+  std::vector<int> dropped_;
+};
+
+void ExpectSameStats(const BufferPoolStats& a, const BufferPoolStats& b) {
+  EXPECT_EQ(a.resident_bytes, b.resident_bytes);
+  EXPECT_EQ(a.peak_resident_bytes, b.peak_resident_bytes);
+  EXPECT_EQ(a.max_bytes, b.max_bytes);
+  EXPECT_EQ(a.resident_entries, b.resident_entries);
+  EXPECT_EQ(a.entries, b.entries);
+  EXPECT_EQ(a.faultins, b.faultins);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.evictions, b.evictions);
+}
+
+TEST(BufferPoolTest, EvictionsMatchTheHalvingReferencePolicy) {
+  // 64 keys of 16..46 bytes at a 300-byte budget, a seeded mix of Pin,
+  // handle drop, Touch, Penalize and Erase, skewed so some keys stay hot
+  // while the rest churn. At most 3 handles are held (3 x 46 + 46 bytes
+  // stays under budget), so admission never waits.
+  constexpr int kKeys = 64;
+  constexpr size_t kBudget = 300;
+  constexpr size_t kMaxHeld = 3;
+  auto bytes_of = [](int k) { return size_t{16} + (k * 7) % 31; };
+
+  std::vector<int> dropped;  // value destructions, in order
+  bool logging = true;
+  BytePool pool(kBudget);
+  ReferencePool ref(kBudget);
+  std::vector<std::pair<int, BytePool::Handle>> held;
+  std::mt19937_64 rng(2024);
+  auto key = [&] {
+    return rng() % 2 == 0 ? static_cast<int>(rng() % 6)
+                          : static_cast<int>(rng() % kKeys);
+  };
+  constexpr double kAmounts[] = {1.0, 3.0, 0.5, 16.0, 0.125, 7.0};
+
+  for (int op = 0; op < 20000 && !HasFatalFailure(); ++op) {
+    const uint64_t pick = rng() % 100;
+    if (pick < 55) {
+      const int k = key();
+      ref.Pin(k, bytes_of(k));
+      auto h = pool.Pin(k, [&, k]() -> Result<BytePool::Loaded> {
+        BytePool::Loaded out;
+        out.value = std::shared_ptr<const std::vector<char>>(
+            new std::vector<char>(1, 'x'), [&, k](const std::vector<char>* v) {
+              if (logging) dropped.push_back(k);
+              delete v;
+            });
+        out.bytes = bytes_of(k);
+        return out;
+      });
+      ASSERT_TRUE(h.ok()) << h.status().ToString();
+      held.emplace_back(k, std::move(h).value());
+      if (held.size() > kMaxHeld) {
+        ref.Unpin(held.front().first);
+        held.erase(held.begin());
+      }
+    } else if (pick < 70) {
+      if (!held.empty()) {
+        const size_t i = rng() % held.size();
+        ref.Unpin(held[i].first);
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    } else if (pick < 90) {
+      const int k = key();
+      const double amount = kAmounts[rng() % 6];
+      ref.Touch(k, amount);
+      pool.Touch(k, amount);
+    } else if (pick < 95) {
+      const int k = static_cast<int>(rng() % kKeys);
+      ref.Penalize(k);
+      pool.Penalize(k);
+    } else {
+      const int k = static_cast<int>(rng() % kKeys);
+      ref.Erase(k);
+      pool.Erase(k);
+    }
+    ASSERT_EQ(dropped, ref.dropped()) << "op " << op;
+    ExpectSameStats(pool.Stats(), ref.Stats());
+  }
+  // Past two renormalisations of the shared heat exponent.
+  EXPECT_GT(pool.Stats().evictions, 1100u);
+  held.clear();
+  logging = false;
 }
 
 // ---------------------------------------------------------------------------
@@ -360,6 +537,110 @@ TEST(PagedCatalogTest, OpenRejectsGarbage) {
   EXPECT_FALSE(PagedCatalogReader::Open(path).ok());
   EXPECT_FALSE(PagedCatalogReader::Open(TempPath("missing.cat")).ok());
   std::remove(path.c_str());
+}
+
+// Writes a hand-built catalog index: the magic, `count`, then `body`.
+void WriteCraftedCatalog(const std::string& path, uint64_t count,
+                         const std::string& body) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const uint64_t magic = 0x313054414350534eULL;  // "NSPCAT01"
+  std::fwrite(&magic, sizeof(magic), 1, f);
+  std::fwrite(&count, sizeof(count), 1, f);
+  std::fwrite(body.data(), 1, body.size(), f);
+  std::fclose(f);
+}
+
+template <typename T>
+void AppendRaw(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+// One index slot: name_len, name, agg, measure, offset, size.
+std::string IndexSlot(uint64_t name_len, const std::string& name,
+                      uint64_t offset, uint64_t size) {
+  std::string slot;
+  AppendRaw(&slot, name_len);
+  slot += name;
+  AppendRaw(&slot, static_cast<uint32_t>(Aggregate::kCount));
+  AppendRaw(&slot, uint64_t{0});
+  AppendRaw(&slot, offset);
+  AppendRaw(&slot, size);
+  return slot;
+}
+
+TEST(PagedCatalogTest, CorruptIndexFailsWithoutThrowingOrAllocating) {
+  const std::string path = TempPath("crafted.cat");
+  const uint64_t kHuge = uint64_t{1} << 40;
+  struct Case {
+    const char* what;
+    uint64_t count;
+    std::string body;
+  };
+  const std::string name = "axis_range";
+  const uint64_t index_end = 16 + IndexSlot(name.size(), name, 0, 0).size();
+  const std::vector<Case> cases = {
+      {"count = 2^40", kHuge, IndexSlot(name.size(), name, 0, 0)},
+      {"name_len = 2^40", 1, IndexSlot(kHuge, name, 0, 0)},
+      {"entry past EOF", 1, IndexSlot(name.size(), name, index_end, 64)},
+      {"offset past EOF", 1, IndexSlot(name.size(), name, kHuge, 0)},
+      {"offset + size wraps", 1,
+       IndexSlot(name.size(), name, 8, ~uint64_t{0} - 4)},
+      {"truncated slot", 1, IndexSlot(name.size(), name, 0, 0).substr(0, 20)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    WriteCraftedCatalog(path, c.count, c.body);
+    Result<PagedCatalogReader> r = Status::Unknown("not opened");
+    EXPECT_NO_THROW(r = PagedCatalogReader::Open(path));
+    EXPECT_FALSE(r.ok());
+  }
+  // An entry that exactly reaches EOF is fine (an empty image here).
+  WriteCraftedCatalog(path, 1, IndexSlot(name.size(), name, index_end, 0));
+  EXPECT_TRUE(PagedCatalogReader::Open(path).ok());
+  std::remove(path.c_str());
+}
+
+// The reader holds the descriptor it opened, shared by its copies: it
+// keeps serving the attached file after the path is unlinked, and a copy
+// keeps working after the original is gone.
+TEST(PagedCatalogTest, ReaderOutlivesItsPathAndItsOriginal) {
+  Bench b = MakeTinyBench(506);
+  auto sk = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
+  ASSERT_TRUE(sk.ok()) << sk.status().ToString();
+  auto shared = std::make_shared<const NeuroSketch>(std::move(sk).value());
+  const std::vector<double> reference = shared->AnswerBatch(b.probes);
+  std::vector<std::pair<QueryFunctionKey, std::shared_ptr<const NeuroSketch>>>
+      entries;
+  for (size_t i = 0; i < 3; ++i) entries.emplace_back(KeyFor(i), shared);
+  const std::string path = TempPath("unlinked.cat");
+  ASSERT_TRUE(WritePagedCatalog(path, entries).ok());
+
+  auto original = std::make_unique<PagedCatalogReader>();
+  {
+    auto opened = PagedCatalogReader::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    *original = std::move(opened).value();
+  }
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  for (const PagedCatalogEntry& e : original->entries()) {
+    auto loaded = original->LoadEntry(e);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectBitIdentical(reference, loaded.value().AnswerBatch(b.probes));
+  }
+
+  const PagedCatalogReader copy = *original;
+  original.reset();
+  ASSERT_EQ(copy.entries().size(), 3u);
+  for (const PagedCatalogEntry& e : copy.entries()) {
+    auto loaded = copy.LoadEntry(e);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectBitIdentical(reference, loaded.value().AnswerBatch(b.probes));
+  }
+  // A hand-made entry outside the file is refused, not read.
+  PagedCatalogEntry bogus = copy.entries().front();
+  bogus.size_bytes = uint64_t{1} << 40;
+  EXPECT_FALSE(copy.LoadEntry(bogus).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -176,6 +176,141 @@ TEST(ServeKeyHashTest, PureFunctionOfKeyFields) {
 }
 
 // ---------------------------------------------------------------------
+// ReadyList: the dispatcher's pick over keys with pending requests
+// ---------------------------------------------------------------------
+
+struct FakeRequest {
+  std::chrono::steady_clock::time_point enqueued;
+  int id = 0;
+};
+struct FakeKeyState {
+  std::deque<FakeRequest> pending;
+};
+using FakeReadyList = serve::ReadyList<FakeKeyState>;
+using std::chrono::microseconds;
+
+ServeKey NamedKey(const std::string& dataset) {
+  return ServeKey{dataset, QueryFunctionKey{"axis_range", Aggregate::kAvg, 0}};
+}
+
+// Queues `n` requests on `st`, all enqueued at `at`, listing the key the
+// way the engine does: on the empty -> non-empty transition.
+void Enqueue(FakeReadyList* ready, const ServeKey* key, FakeKeyState* st,
+             std::chrono::steady_clock::time_point at, int n) {
+  if (st->pending.empty()) ready->Add(key, st);
+  for (int i = 0; i < n; ++i) {
+    st->pending.push_back({at, static_cast<int>(st->pending.size())});
+  }
+}
+
+constexpr microseconds kWindow{200};
+
+TEST(ReadyListTest, EarliestExpiredDeadlineWins) {
+  const auto now = std::chrono::steady_clock::now();
+  const ServeKey a = NamedKey("a"), b = NamedKey("b"), c = NamedKey("c");
+  FakeKeyState sa, sb, sc;
+  FakeReadyList ready;
+  Enqueue(&ready, &a, &sa, now - microseconds(300), 1);
+  Enqueue(&ready, &b, &sb, now - microseconds(500), 1);
+  Enqueue(&ready, &c, &sc, now - microseconds(250), 1);
+  const auto pick = ready.Next(now, kWindow, 16, /*stopping=*/false);
+  ASSERT_LT(pick.chosen, ready.size());
+  EXPECT_EQ(ready[pick.chosen].key, &b);
+  EXPECT_FALSE(pick.have_deadline);  // every listed key is dispatchable
+}
+
+TEST(ReadyListTest, EqualDeadlinesGoToTheSmallerKey) {
+  const auto now = std::chrono::steady_clock::now();
+  const ServeKey small = NamedKey("a"), large = NamedKey("b");
+  FakeKeyState s_small, s_large;
+  FakeReadyList ready;
+  // Listed larger-first, so list order cannot be what decides.
+  Enqueue(&ready, &large, &s_large, now - microseconds(400), 1);
+  Enqueue(&ready, &small, &s_small, now - microseconds(400), 1);
+  auto pick = ready.Next(now, kWindow, 16, false);
+  ASSERT_LT(pick.chosen, ready.size());
+  EXPECT_EQ(ready[pick.chosen].key, &small);
+  // The same holds for a zero window (everything dispatchable at once).
+  pick = ready.Next(now, microseconds(0), 16, false);
+  ASSERT_LT(pick.chosen, ready.size());
+  EXPECT_EQ(ready[pick.chosen].key, &small);
+}
+
+TEST(ReadyListTest, FullQueueIsDispatchableBeforeItsWindow) {
+  const auto now = std::chrono::steady_clock::now();
+  const ServeKey full = NamedKey("full"), waiting = NamedKey("waiting");
+  FakeKeyState s_full, s_waiting;
+  FakeReadyList ready;
+  Enqueue(&ready, &waiting, &s_waiting, now - microseconds(50), 3);
+  // Nothing is dispatchable yet: the timed wait targets the window.
+  auto pick = ready.Next(now, kWindow, 4, false);
+  EXPECT_EQ(pick.chosen, ready.size());
+  ASSERT_TRUE(pick.have_deadline);
+  EXPECT_EQ(pick.earliest, now - microseconds(50) + kWindow);
+  // A younger key whose queue reaches max_batch dispatches at once, while
+  // the older, short queue keeps waiting on its window.
+  Enqueue(&ready, &full, &s_full, now, 4);
+  pick = ready.Next(now, kWindow, 4, false);
+  ASSERT_LT(pick.chosen, ready.size());
+  EXPECT_EQ(ready[pick.chosen].key, &full);
+  ASSERT_TRUE(pick.have_deadline);
+  EXPECT_EQ(pick.earliest, now - microseconds(50) + kWindow);
+  // Stopping makes every listed key dispatchable.
+  FakeReadyList lone;
+  FakeKeyState s_lone;
+  Enqueue(&lone, &waiting, &s_lone, now, 1);
+  EXPECT_EQ(lone.Next(now, kWindow, 4, /*stopping=*/true).chosen, 0u);
+}
+
+TEST(ReadyListTest, PartialTakeStaysListedAndDrainedKeyLeaves) {
+  const auto now = std::chrono::steady_clock::now();
+  const ServeKey a = NamedKey("a"), b = NamedKey("b");
+  FakeKeyState sa, sb;
+  FakeReadyList ready;
+  Enqueue(&ready, &a, &sa, now - microseconds(900), 10);
+  Enqueue(&ready, &b, &sb, now - microseconds(800), 2);
+  // A second filing into a listed key must not list it twice.
+  Enqueue(&ready, &a, &sa, now - microseconds(700), 2);
+  ASSERT_EQ(ready.size(), 2u);
+
+  std::vector<FakeRequest> batch;
+  auto pick = ready.Next(now, kWindow, 4, false);
+  ASSERT_EQ(ready[pick.chosen].key, &a);
+  ready.Take(pick.chosen, 4, &batch);  // 12 pending > max_batch 4
+  ASSERT_EQ(batch.size(), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(batch[i].id, i);  // FIFO
+  EXPECT_EQ(sa.pending.size(), 8u);
+  EXPECT_EQ(ready.size(), 2u);  // the partial take leaves `a` listed
+
+  // `a`'s front is still the oldest; two more takes drain it.
+  for (int round = 0; round < 2; ++round) {
+    batch.clear();
+    pick = ready.Next(now, kWindow, 4, false);
+    ASSERT_EQ(ready[pick.chosen].key, &a);
+    ready.Take(pick.chosen, 4, &batch);
+    EXPECT_EQ(batch.size(), 4u);
+  }
+  EXPECT_TRUE(sa.pending.empty());
+  ASSERT_EQ(ready.size(), 1u);  // drained: unlisted
+  EXPECT_EQ(ready[0].key, &b);
+
+  batch.clear();
+  pick = ready.Next(now, kWindow, 4, false);
+  ASSERT_EQ(pick.chosen, 0u);
+  ready.Take(pick.chosen, 4, &batch);
+  EXPECT_EQ(batch.size(), 2u);
+  EXPECT_TRUE(ready.empty());
+  pick = ready.Next(now, kWindow, 4, false);
+  EXPECT_EQ(pick.chosen, 0u);  // == size(): nothing to dispatch
+  EXPECT_FALSE(pick.have_deadline);
+
+  // A drained key rejoins on its next filing.
+  Enqueue(&ready, &a, &sa, now, 1);
+  ASSERT_EQ(ready.size(), 1u);
+  EXPECT_EQ(ready[0].key, &a);
+}
+
+// ---------------------------------------------------------------------
 // ServeEngine cross-shard behavior
 // ---------------------------------------------------------------------
 
@@ -363,6 +498,66 @@ TEST(ShardEngineTest, CrossShardBurstsBitIdenticalAndSummable) {
     EXPECT_EQ(shard_sum, stats.*c.field) << c.name;
     EXPECT_EQ(store_sum, stats.*c.field) << c.name;
   }
+}
+
+// A shard that has seen hundreds of keys dispatches only the ones with
+// work: after 512 keys go idle, interleaved bursts over 3 hot keys (each
+// burst larger than max_batch, so every key takes partial batches) must
+// all resolve, bit-identical to serial AnswerBatch.
+TEST(ShardEngineTest, ManyIdleKeysThenInterleavedHotBursts) {
+  ShardFixture f = ShardFixture::Make(96);
+  ExactEngine engine(&f.table);
+  SketchStore store;
+  const std::vector<std::string> hot = {"hot0", "hot1", "hot2"};
+  for (const auto& name : hot) {
+    ASSERT_TRUE(store.RegisterDataset(name, &engine).ok());
+    ASSERT_TRUE(store.Register(name, f.spec, f.sketch).ok());
+  }
+  ServeOptions opts;
+  opts.num_shards = 1;
+  opts.max_batch = 16;
+  ServeEngine serve(&store, opts);
+
+  // 512 keys the shard files once and never sees again (no store entry:
+  // their answers fail, which is all this needs).
+  std::vector<std::future<ServeResult>> idle;
+  for (int i = 0; i < 512; ++i) {
+    idle.push_back(serve.Submit("idle" + std::to_string(i), f.spec,
+                                f.queries[0]));
+  }
+  for (auto& fut : idle) EXPECT_TRUE(std::isnan(fut.get().value));
+
+  constexpr size_t kBurst = 40;
+  constexpr int kRounds = 8;
+  std::vector<std::future<std::vector<ServeResult>>> futs;
+  std::vector<size_t> first;
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t h = 0; h < hot.size(); ++h) {
+      const size_t start = ((round * hot.size() + h) * kBurst) %
+                           (f.queries.size() - kBurst);
+      first.push_back(start);
+      futs.push_back(serve.SubmitMany(
+          hot[h], f.spec,
+          std::vector<QueryInstance>(f.queries.begin() + start,
+                                     f.queries.begin() + start + kBurst)));
+    }
+  }
+  for (size_t b = 0; b < futs.size(); ++b) {
+    ASSERT_EQ(futs[b].wait_for(std::chrono::seconds(30)),
+              std::future_status::ready)
+        << "burst " << b;
+    const std::vector<ServeResult> res = futs[b].get();
+    ASSERT_EQ(res.size(), kBurst);
+    for (size_t j = 0; j < kBurst; ++j) {
+      EXPECT_TRUE(res[j].used_sketch);
+      EXPECT_EQ(res[j].value, f.expected[first[b] + j])
+          << "burst " << b << " q" << j;
+    }
+  }
+  const auto stats = serve.Snapshot();
+  EXPECT_EQ(stats.queries, 512 + futs.size() * kBurst);
+  EXPECT_EQ(stats.sketch_answers, futs.size() * kBurst);
+  EXPECT_EQ(stats.per_shard[0].resident_keys, 512u + hot.size());
 }
 
 TEST(ShardEngineTest, ResetStatsDuringTrafficKeepsAWellFormedWindow) {
