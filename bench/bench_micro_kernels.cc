@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels behind the
 // paper's query-time numbers: NeuroSketch forward pass (the few-microsecond
-// claim), kd-tree routing, R-tree range queries, exact scans and GEMM.
+// claim), kd-tree routing, R-tree range queries, exact scans, the range
+// filter per ISA and GEMM.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -156,6 +157,36 @@ void BM_ExactScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactScan);
+
+// The filter under every exact scan (CompiledAxisRange::Select's first
+// attribute): one 1024-row column block at 50% selectivity, one arm per
+// ISA kernel this host runs. Reports ns_per_row.
+void BM_RangeSelect(benchmark::State& state, RangeSelectKernel kernel) {
+  Rng rng(1605);
+  std::vector<double> x(BatchScan::kBlock);
+  for (auto& v : x) v = rng.Uniform();
+  std::vector<uint32_t> sel(x.size());
+  const double lo = 0.25, hi = lo + 0.5;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        kernel.select(x.data(), x.size(), lo, hi, sel.data()));
+    benchmark::DoNotOptimize(sel.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(x.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+const bool kRangeSelectRegistered = [] {
+  for (const RangeSelectKernel& kernel : RangeSelectKernels()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_RangeSelect/") + kernel.isa).c_str(), BM_RangeSelect,
+        kernel);
+  }
+  return true;
+}();
 
 void BM_RTreeRangeQuery(benchmark::State& state) {
   Rng rng(1600);

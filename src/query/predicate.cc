@@ -3,6 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/simd_dispatch.h"
+
+#if NS_SIMD_DISPATCH
+#include <immintrin.h>
+#endif
+
 namespace neurosketch {
 
 void PredicateFunction::QueryBox(const QueryInstance& q, size_t data_dim,
@@ -49,6 +55,106 @@ bool CompiledAxisRange::Compile(const PredicateFunction& predicate,
     ++num_active_;
   }
   return true;
+}
+
+namespace {
+
+size_t SelectInRangeBaseline(const double* x, size_t len, double lo,
+                             double hi, uint32_t* sel) {
+  return CompiledAxisRange::SelectRows(x, 1, 0, len, lo, hi, sel, 0);
+}
+
+#if NS_SIMD_DISPATCH
+// Each step stores a full vector of offsets at sel[k]; k <= j, so the
+// store stays inside sel[0, j + step) and a full step needs j + step <=
+// len. Lanes past the popcount are overwritten by the next step or left
+// as undefined slots past the count.
+__attribute__((target("avx512f"))) size_t SelectInRangeAvx512(
+    const double* x, size_t len, double lo, double hi, uint32_t* sel) {
+  const __m512d vlo = _mm512_set1_pd(lo), vhi = _mm512_set1_pd(hi);
+  __m512i rows = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                   13, 14, 15);
+  const __m512i step = _mm512_set1_epi32(16);
+  size_t k = 0, j = 0;
+  for (; j + 16 <= len; j += 16) {
+    const __m512d a = _mm512_loadu_pd(x + j), b = _mm512_loadu_pd(x + j + 8);
+    const __mmask8 in_a = _mm512_mask_cmp_pd_mask(
+        _mm512_cmp_pd_mask(a, vlo, _CMP_NLT_UQ), a, vhi, _CMP_NGE_UQ);
+    const __mmask8 in_b = _mm512_mask_cmp_pd_mask(
+        _mm512_cmp_pd_mask(b, vlo, _CMP_NLT_UQ), b, vhi, _CMP_NGE_UQ);
+    const __mmask16 in = _mm512_kunpackb(in_b, in_a);
+    _mm512_storeu_si512(sel + k, _mm512_maskz_compress_epi32(in, rows));
+    k += static_cast<size_t>(__builtin_popcount(in));
+    rows = _mm512_add_epi32(rows, step);
+  }
+  return CompiledAxisRange::SelectRows(x, 1, j, len, lo, hi, sel, k);
+}
+
+// kLanes[m] lists the set bits of the 4-bit mask m in ascending order.
+alignas(16) constexpr uint32_t kLanes[16][4] = {
+    {0, 0, 0, 0}, {0, 0, 0, 0}, {1, 0, 0, 0}, {0, 1, 0, 0},
+    {2, 0, 0, 0}, {0, 2, 0, 0}, {1, 2, 0, 0}, {0, 1, 2, 0},
+    {3, 0, 0, 0}, {0, 3, 0, 0}, {1, 3, 0, 0}, {0, 1, 3, 0},
+    {2, 3, 0, 0}, {0, 2, 3, 0}, {1, 2, 3, 0}, {0, 1, 2, 3}};
+
+__attribute__((target("avx2"))) size_t SelectInRangeAvx2(
+    const double* x, size_t len, double lo, double hi, uint32_t* sel) {
+  const __m256d vlo = _mm256_set1_pd(lo), vhi = _mm256_set1_pd(hi);
+  size_t k = 0, j = 0;
+  for (; j + 4 <= len; j += 4) {
+    const __m256d v = _mm256_loadu_pd(x + j);
+    const int in = _mm256_movemask_pd(
+        _mm256_and_pd(_mm256_cmp_pd(v, vlo, _CMP_NLT_UQ),
+                      _mm256_cmp_pd(v, vhi, _CMP_NGE_UQ)));
+    const __m128i lanes =
+        _mm_load_si128(reinterpret_cast<const __m128i*>(kLanes[in]));
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(sel + k),
+        _mm_add_epi32(lanes, _mm_set1_epi32(static_cast<int>(j))));
+    k += static_cast<size_t>(__builtin_popcount(in));
+  }
+  return CompiledAxisRange::SelectRows(x, 1, j, len, lo, hi, sel, k);
+}
+
+__attribute__((target("avx512f"))) size_t SelectInRangeIsa(
+    const double* x, size_t len, double lo, double hi, uint32_t* sel) {
+  return SelectInRangeAvx512(x, len, lo, hi, sel);
+}
+
+__attribute__((target("avx2"))) size_t SelectInRangeIsa(
+    const double* x, size_t len, double lo, double hi, uint32_t* sel) {
+  return SelectInRangeAvx2(x, len, lo, hi, sel);
+}
+#endif
+
+NS_TARGET_DEFAULT
+size_t SelectInRangeIsa(const double* x, size_t len, double lo, double hi,
+                        uint32_t* sel) {
+  return SelectInRangeBaseline(x, len, lo, hi, sel);
+}
+
+}  // namespace
+
+size_t SelectInRange(const double* x, size_t len, double lo, double hi,
+                     uint32_t* sel) {
+  return SelectInRangeIsa(x, len, lo, hi, sel);
+}
+
+const std::vector<RangeSelectKernel>& RangeSelectKernels() {
+  static const std::vector<RangeSelectKernel> kernels = [] {
+    std::vector<RangeSelectKernel> v = {{"baseline", SelectInRangeBaseline}};
+#if NS_SIMD_DISPATCH
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) {
+      v.push_back({"avx2", SelectInRangeAvx2});
+    }
+    if (__builtin_cpu_supports("avx512f")) {
+      v.push_back({"avx512f", SelectInRangeAvx512});
+    }
+#endif
+    return v;
+  }();
+  return kernels;
 }
 
 void AxisRangePredicate::QueryBox(const QueryInstance& q, size_t data_dim,

@@ -56,6 +56,37 @@ class AxisRangePredicate : public PredicateFunction {
   }
 };
 
+/// \brief The unit-stride filter under CompiledAxisRange::Select: writes
+/// the offsets j < len with `CompiledAxisRange::InRange(x[j], lo, hi)`
+/// to `sel`, in order, and returns their count. Reads only x[0, len) and
+/// writes only sel[0, len).
+///
+/// Mask and compact: each step compares a vector of values with both
+/// bounds into a match mask, using the unordered predicates `NLT` and
+/// `NGE`, i.e. `!(v < lo) & !(v >= hi)`, so a NaN cell or bound matches
+/// exactly when InRange says it does. It then stores the matching row
+/// offsets at sel[k] and advances k by the mask's popcount. AVX-512
+/// takes 16 rows a step (two 8-wide compares, one 16-lane compress);
+/// AVX2 takes 4 (a 16-entry table of lane patterns); the baseline, and
+/// every tail shorter than a step, is the scalar
+/// CompiledAxisRange::SelectRows. Every kernel writes the same selection
+/// vector, so a scan's answer is bit-identical on every ISA. Dispatched
+/// per ISA (util/simd_dispatch.h).
+size_t SelectInRange(const double* x, size_t len, double lo, double hi,
+                     uint32_t* sel);
+
+/// \brief One ISA's kernel behind SelectInRange.
+struct RangeSelectKernel {
+  const char* isa;  // "baseline", "avx2" or "avx512f"
+  size_t (*select)(const double* x, size_t len, double lo, double hi,
+                   uint32_t* sel);
+};
+
+/// \brief The kernels this build compiles and this CPU runs, baseline
+/// first and widest last (the one SelectInRange dispatches to), so tests
+/// and benchmarks can run each.
+const std::vector<RangeSelectKernel>& RangeSelectKernels();
+
 /// \brief One AxisRangePredicate query compiled for a scan: its active
 /// attributes with their [lo, hi) bounds. Exact and delta scans compile a
 /// query once and then test only the active columns of each row, instead
@@ -99,8 +130,12 @@ class CompiledAxisRange {
   /// (stride 1) and a row-major block (stride = row width) alike. `sel`
   /// receives the offsets `j * stride` of the matching rows: with
   /// `values = column_at(c)`, `values[sel[i]]` is attribute c of the i-th
-  /// match. The first active attribute fills `sel` and each further one
-  /// narrows it; every step writes its slot and advances by the test
+  /// match; `sel` must hold `len` entries, and slots past the returned
+  /// count hold no defined value. The first active attribute fills `sel`:
+  /// over a column block through SelectInRange, the ISA-dispatched
+  /// mask-and-compact kernel, and over a row-major block through the
+  /// scalar SelectRows. Each further attribute narrows `sel` with the
+  /// scalar loop. Every step writes its slot and advances by the test
   /// result, so no loop has a data-dependent branch. A query with no
   /// active attribute selects every row.
   template <typename ColumnAt>
@@ -113,12 +148,9 @@ class CompiledAxisRange {
       return len;
     }
     const double* x = column_at(column_[0]);
-    const double lo = lo_[0], hi = hi_[0];
-    size_t k = 0;
-    for (size_t j = 0; j < len; ++j) {
-      sel[k] = static_cast<uint32_t>(j * stride);
-      k += InRange(x[j * stride], lo, hi);
-    }
+    size_t k = stride == 1
+                   ? SelectInRange(x, len, lo_[0], hi_[0], sel)
+                   : SelectRows(x, stride, 0, len, lo_[0], hi_[0], sel, 0);
     for (size_t a = 1; a < num_active_; ++a) {
       const double* y = column_at(column_[a]);
       const double lo_a = lo_[a], hi_a = hi_[a];
@@ -129,6 +161,20 @@ class CompiledAxisRange {
         kept += InRange(y[r], lo_a, hi_a);
       }
       k = kept;
+    }
+    return k;
+  }
+
+  /// \brief The scalar filter over rows [from, len): writes `j * stride`
+  /// to sel[k] and advances k by InRange(x[j * stride], lo, hi) for each
+  /// row j, then returns k. Select's path for row-major blocks, and the
+  /// baseline and tail of the unit-stride kernels.
+  static size_t SelectRows(const double* x, size_t stride, size_t from,
+                           size_t len, double lo, double hi, uint32_t* sel,
+                           size_t k) {
+    for (size_t j = from; j < len; ++j) {
+      sel[k] = static_cast<uint32_t>(j * stride);
+      k += InRange(x[j * stride], lo, hi);
     }
     return k;
   }

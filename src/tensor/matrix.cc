@@ -4,32 +4,9 @@
 #include <cmath>
 #include <cstring>
 
-// Runtime-dispatched SIMD clones for the GEMM kernels: the same source
-// loop is compiled per ISA (AVX-512 / AVX2 / baseline) and glibc's ifunc
-// resolver picks the widest one the CPU supports. The element-wise
-// accumulation order is identical in every clone and the build pins
-// -ffp-contract=off, so results are bit-identical across ISAs — serving
-// batches answer exactly what the scalar per-query path answers. The fused
-// dense-forward tile kernels dispatch the same way through one
-// hand-written entry point per ISA (see FusedDenseTiles below).
-//
-// NEUROSKETCH_NO_SIMD_CLONES disables the dispatch (plain baseline
-// codegen). ThreadSanitizer builds need this: the dynamic linker runs
-// ifunc resolvers while processing relocations, before libtsan's
-// .preinit_array initializes its thread state, and GCC's libtsan
-// segfaults on the first intercepted call from that window. Results are
-// unchanged either way — every clone computes the same bits.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(NEUROSKETCH_NO_SIMD_CLONES) && !defined(__SANITIZE_THREAD__)
-#define NS_SIMD_DISPATCH 1
-#define NS_TARGET_CLONES \
-  __attribute__((target_clones("avx512f", "avx2", "default")))
-#define NS_TARGET_DEFAULT __attribute__((target("default")))
-#else
-#define NS_SIMD_DISPATCH 0
-#define NS_TARGET_CLONES
-#define NS_TARGET_DEFAULT
-#endif
+#include "util/simd_dispatch.h"
+
+// GEMM kernels are SIMD clones (util/simd_dispatch.h), bit-identical per ISA.
 
 // Helpers inlined into every ISA entry point, so each is compiled for that
 // entry point's ISA; an out-of-line copy would be baseline code.

@@ -19,6 +19,7 @@
 #include "query/predicate.h"
 #include "query/workload.h"
 #include "util/random.h"
+#include "util/simd_dispatch.h"
 #include "util/stats.h"
 
 // Global allocation counter for the zero-allocation test: every operator
@@ -570,6 +571,163 @@ TEST(EngineScanTest, FilterCostDoesNotDependOnSelectivity) {
   EXPECT_LT(half_ns, 1.5 * all_ns)
       << "random-selectivity scan " << half_ns << " ns vs all-match scan "
       << all_ns << " ns";
+}
+
+// ---------------------------------------------------------------------
+// Per-ISA range-filter kernels vs the scalar loop they replace.
+
+/// The first-attribute filter as the scalar Select loop runs it: the
+/// selection vector every kernel must write.
+size_t ScalarSelect(const double* x, size_t stride, size_t len, double lo,
+                    double hi, uint32_t* sel) {
+  size_t k = 0;
+  for (size_t j = 0; j < len; ++j) {
+    sel[k] = static_cast<uint32_t>(j * stride);
+    k += !(x[j * stride] < lo) & !(x[j * stride] >= hi);
+  }
+  return k;
+}
+
+/// The whole scalar Select: the first attribute fills `sel`, each further
+/// one narrows it.
+size_t ScalarSelectAll(const CompiledAxisRange& range,
+                       const double* const* columns, size_t stride,
+                       size_t len, uint32_t* sel) {
+  if (range.num_active() == 0) {
+    for (size_t j = 0; j < len; ++j) sel[j] = static_cast<uint32_t>(j * stride);
+    return len;
+  }
+  size_t k = ScalarSelect(columns[range.column(0)], stride, len, range.lo(0),
+                          range.hi(0), sel);
+  for (size_t a = 1; a < range.num_active(); ++a) {
+    const double* y = columns[range.column(a)];
+    size_t kept = 0;
+    for (size_t j = 0; j < k; ++j) {
+      const uint32_t r = sel[j];
+      sel[kept] = r;
+      kept += !(y[r] < range.lo(a)) & !(y[r] >= range.hi(a));
+    }
+    k = kept;
+  }
+  return k;
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Bounds that probe the compare predicates: plain, signed zeros, empty
+/// (lo == hi) and inverted (lo > hi) ranges, NaN and infinite bounds.
+constexpr double kEdgeBounds[][2] = {
+    {0.25, 0.75}, {0.0, 0.5},    {-0.0, 0.0},  {0.0, -0.0},
+    {0.5, 0.5},   {0.75, 0.25},  {kNaN, 0.5},  {0.25, kNaN},
+    {kNaN, kNaN}, {-kInf, kInf}, {-kInf, 0.5}, {0.5, kInf},
+    {kInf, kInf}, {-kInf, -kInf}};
+
+/// Cells mixing uniform values with NaN, +-inf, +-0.0 and every bound in
+/// kEdgeBounds, so each compare meets equality and unordered operands.
+std::vector<double> EdgeCells(size_t n, Rng* rng) {
+  const double specials[] = {kNaN, kInf, -kInf, 0.0, -0.0, 0.25, 0.5, 0.75};
+  std::vector<double> cells(n);
+  for (double& v : cells) {
+    v = rng->Bernoulli(0.3) ? specials[rng->Index(std::size(specials))]
+                            : rng->Uniform(-0.25, 1.25);
+  }
+  return cells;
+}
+
+TEST(EngineScanTest, RangeSelectKernelsCoverEverySupportedIsa) {
+  const std::vector<RangeSelectKernel>& kernels = RangeSelectKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.front().isa, "baseline");
+  std::vector<std::string> isas;
+  for (const RangeSelectKernel& k : kernels) isas.push_back(k.isa);
+#if NS_SIMD_DISPATCH
+  __builtin_cpu_init();
+  const bool avx2 = __builtin_cpu_supports("avx2");
+  const bool avx512 = __builtin_cpu_supports("avx512f");
+#else
+  const bool avx2 = false, avx512 = false;
+#endif
+  EXPECT_EQ(std::count(isas.begin(), isas.end(), "avx2"), avx2 ? 1 : 0);
+  EXPECT_EQ(std::count(isas.begin(), isas.end(), "avx512f"), avx512 ? 1 : 0);
+  EXPECT_EQ(isas.size(), 1u + avx2 + avx512);
+}
+
+TEST(EngineScanTest, RangeSelectKernelsMatchScalarLoopAtEveryLength) {
+  // Every length 0..1030 hits every tail size of every vector step. The
+  // input ends where the kernel's rows end, so a read past `len` leaves
+  // the buffer (ASan), and guard slots after sel[len) must stay untouched.
+  constexpr size_t kMaxLen = 1030, kGuard = 32;
+  constexpr uint32_t kPoison = 0xDEADBEEFu;
+  Rng rng(2121);
+  const std::vector<double> cells = EdgeCells(kMaxLen, &rng);
+  std::vector<uint32_t> want(kMaxLen), got(kMaxLen + kGuard);
+  size_t compared = 0;
+  for (const RangeSelectKernel& kernel : RangeSelectKernels()) {
+    for (const auto& bounds : kEdgeBounds) {
+      const double lo = bounds[0], hi = bounds[1];
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        const double* x = cells.data() + kMaxLen - len;
+        const size_t n = ScalarSelect(x, 1, len, lo, hi, want.data());
+        std::fill(got.begin(), got.end(), kPoison);
+        ASSERT_EQ(kernel.select(x, len, lo, hi, got.data()), n)
+            << kernel.isa << " len " << len << " [" << lo << ", " << hi << ")";
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i], want[i]) << kernel.isa << " len " << len
+                                     << " slot " << i << " [" << lo << ", "
+                                     << hi << ")";
+        }
+        for (size_t i = len; i < len + kGuard; ++i) {
+          ASSERT_EQ(got[i], kPoison)
+              << kernel.isa << " wrote past len " << len << " at " << i;
+        }
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, RangeSelectKernels().size() *
+                          std::size(kEdgeBounds) * (kMaxLen + 1));
+}
+
+TEST(EngineScanTest, SelectMatchesScalarLoopOnEveryStride) {
+  // Stride 1: separate columns (the dispatched kernel, then narrowing).
+  // Strides 2..20: row-major blocks of that many attributes (the scalar
+  // path). Queries draw 0..3 active attributes with edge bounds.
+  Rng rng(3131);
+  std::vector<uint32_t> want(BatchScan::kBlock), got(BatchScan::kBlock);
+  for (size_t stride = 1; stride <= 20; ++stride) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const size_t dim = stride == 1 ? 1 + rng.Index(4) : stride;
+      const size_t len = trial < 2 ? static_cast<size_t>(trial)
+                                   : rng.Index(BatchScan::kBlock + 1);
+      const std::vector<double> cells = EdgeCells(len * dim, &rng);
+      const double* columns[20];
+      for (size_t c = 0; c < dim; ++c) {
+        columns[c] = stride == 1 ? cells.data() + c * len : cells.data() + c;
+      }
+      std::vector<double> lo(dim, 0.0), width(dim, 1.0);
+      const size_t active = rng.Index(std::min<size_t>(dim, 3) + 1);
+      for (size_t a : rng.SampleWithoutReplacement(dim, active)) {
+        const auto& bounds = kEdgeBounds[rng.Index(std::size(kEdgeBounds))];
+        lo[a] = bounds[0];
+        width[a] = bounds[1] - bounds[0];
+        if (lo[a] == 0.0 && width[a] >= 1.0) width[a] = 0.5;  // stay active
+      }
+      CompiledAxisRange range;
+      ASSERT_TRUE(range.Compile(AxisRangePredicate(),
+                                QueryInstance::AxisRange(lo, width), dim));
+      const size_t n =
+          ScalarSelectAll(range, columns, stride, len, want.data());
+      const size_t k = range.Select(
+          [&columns](size_t c) { return columns[c]; }, stride, len,
+          got.data());
+      ASSERT_EQ(k, n) << "stride " << stride << " trial " << trial;
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << "stride " << stride << " trial " << trial << " slot " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
