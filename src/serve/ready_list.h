@@ -1,4 +1,4 @@
-// ReadyList: the keys of one dispatcher shard that have pending requests,
+// ReadyList: the keys of one dispatcher shard that have pending queries,
 // and the dispatch rule that picks among them. A shard may have seen
 // thousands of keys (one per query function of a large paged catalog),
 // but only the few with queued work can be dispatched; keeping those in
@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "serve/sketch_store.h"
@@ -19,11 +18,12 @@ namespace neurosketch {
 namespace serve {
 
 /// \brief A shard's keys whose `pending` queue is non-empty. `State` is
-/// the per-key state; its `pending` member is a deque of requests, each
-/// with a steady_clock `enqueued` stamp. The list stays exact: the owner
-/// Adds a key when its queue goes from empty to non-empty, and Take
-/// unlists it when a dispatch empties the queue (a partial take leaves it
-/// listed).
+/// the per-key state: its `pending` member is a deque of spans, each the
+/// not-yet-taken queries [next, end) of one `completion` with a
+/// steady_clock `enqueued` stamp, and its `queued` member counts the
+/// queries in them. The list stays exact: the owner Adds a key when its
+/// queue goes from empty to non-empty, and Take unlists it when a dispatch
+/// empties the queue (a partial take leaves it listed).
 template <typename State>
 class ReadyList {
  public:
@@ -50,7 +50,7 @@ class ReadyList {
   }
 
   /// The dispatch rule. A key is dispatchable when its queue holds at
-  /// least `max_batch` requests, its window (front request's enqueue time
+  /// least `max_batch` queries, its window (front query's enqueue time
   /// + `window`) has expired, the window is zero, or the shard is
   /// stopping. Among dispatchable keys the earliest deadline wins — a
   /// continuously full hot key must not starve a colder key whose window
@@ -61,9 +61,9 @@ class ReadyList {
     p.chosen = entries_.size();
     Clock::time_point chosen_deadline{};
     for (size_t i = 0; i < entries_.size(); ++i) {
-      const auto& pending = entries_[i].state->pending;
-      const Clock::time_point deadline = pending.front().enqueued + window;
-      if (pending.size() >= max_batch || window.count() == 0 || stopping ||
+      const State& st = *entries_[i].state;
+      const Clock::time_point deadline = st.pending.front().enqueued + window;
+      if (st.queued >= max_batch || window.count() == 0 || stopping ||
           deadline <= now) {
         if (p.chosen == entries_.size() || deadline < chosen_deadline ||
             (deadline == chosen_deadline &&
@@ -79,18 +79,24 @@ class ReadyList {
     return p;
   }
 
-  /// Moves up to `max_batch` requests from the front of entry `i`'s queue
-  /// onto `out`, and unlists the key if that empties its queue (the last
-  /// entry then takes index `i`).
+  /// Cuts up to `max_batch` queries from the front of entry `i`'s queue
+  /// onto `out` as pieces {completion, begin, count}, one per span touched
+  /// (the last one may be split), and unlists the key if that empties its
+  /// queue (the last entry then takes index `i`).
   template <typename Out>
   void Take(size_t i, size_t max_batch, Out* out) {
-    auto& pending = entries_[i].state->pending;
-    const size_t take = std::min(max_batch, pending.size());
-    for (size_t k = 0; k < take; ++k) {
-      out->push_back(std::move(pending.front()));
-      pending.pop_front();
+    State& st = *entries_[i].state;
+    size_t want = std::min(max_batch, st.queued);
+    st.queued -= want;
+    while (want > 0) {
+      auto& span = st.pending.front();
+      const size_t count = std::min(want, span.end - span.next);
+      out->push_back({span.completion, span.next, count});
+      span.next += count;
+      want -= count;
+      if (span.next == span.end) st.pending.pop_front();
     }
-    if (pending.empty()) {
+    if (st.pending.empty()) {
       entries_[i] = entries_.back();
       entries_.pop_back();
     }

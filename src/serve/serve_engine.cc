@@ -262,36 +262,25 @@ void ServeEngine::Route(Submission s) {
 std::future<ServeResult> ServeEngine::Submit(const std::string& dataset,
                                              const QueryFunctionSpec& spec,
                                              QueryInstance q) {
-  Submission s;
-  s.key = ServeKey::From(dataset, spec);
-  s.spec = spec;
-  s.enqueued = Clock::now();
-  s.q = std::move(q);
-  s.promise = std::make_unique<std::promise<ServeResult>>();
-  std::future<ServeResult> fut = s.promise->get_future();
-  Route(std::move(s));
+  auto* c = new Completion(std::move(q));
+  std::future<ServeResult> fut =
+      std::get<Completion::One>(c->promise).get_future();
+  Route({ServeKey::From(dataset, spec), spec, c});
   return fut;
 }
 
 std::future<std::vector<ServeResult>> ServeEngine::SubmitMany(
     const std::string& dataset, const QueryFunctionSpec& spec,
     std::vector<QueryInstance> queries) {
-  auto wave = std::make_shared<Wave>();
-  const size_t n = queries.size();
-  wave->results.resize(n);
-  wave->remaining.store(n, std::memory_order_relaxed);
-  std::future<std::vector<ServeResult>> fut = wave->promise.get_future();
-  if (n == 0) {
-    wave->promise.set_value({});
-    return fut;
+  if (queries.empty()) {
+    std::promise<std::vector<ServeResult>> none;
+    none.set_value({});
+    return none.get_future();
   }
-  Submission s;
-  s.key = ServeKey::From(dataset, spec);
-  s.spec = spec;
-  s.enqueued = Clock::now();
-  s.queries = std::move(queries);
-  s.wave = std::move(wave);
-  Route(std::move(s));
+  auto* c = new Completion(std::move(queries));
+  std::future<std::vector<ServeResult>> fut =
+      std::get<Completion::Many>(c->promise).get_future();
+  Route({ServeKey::From(dataset, spec), spec, c});
   return fut;
 }
 
@@ -301,33 +290,15 @@ ServeResult ServeEngine::Answer(const std::string& dataset,
   return Submit(dataset, spec, std::move(q)).get();
 }
 
-size_t ServeEngine::DrainRingLocked(Shard* shard) {
-  size_t filed = 0;
+void ServeEngine::DrainRingLocked(Shard* shard) {
   Submission s;
   while (shard->ring.TryPop(&s)) {
     auto& [key, st] = KeyStateLocked(shard, s.key, s.spec);
     if (st.pending.empty()) shard->ready.Add(&key, &st);
-    if (s.wave != nullptr) {
-      const size_t n = s.queries.size();
-      for (size_t i = 0; i < n; ++i) {
-        Request r;
-        r.q = std::move(s.queries[i]);
-        r.enqueued = s.enqueued;
-        r.wave = s.wave;
-        r.wave_slot = i;
-        st.pending.push_back(std::move(r));
-      }
-      filed += n;
-    } else {
-      Request r;
-      r.q = std::move(s.q);
-      r.enqueued = s.enqueued;
-      r.promise = std::move(s.promise);
-      st.pending.push_back(std::move(r));
-      ++filed;
-    }
+    Completion* c = s.completion;
+    st.pending.push_back({c, 0, c->remaining, c->enqueued});
+    st.queued += c->remaining;
   }
-  return filed;
 }
 
 void ServeEngine::DispatchLoop(Shard* shard) {
@@ -338,7 +309,7 @@ void ServeEngine::DispatchLoop(Shard* shard) {
     // forward pass ran is filed into per-key queues now — the ring IS the
     // pipeline stage that decouples submission from inference.
     DrainRingLocked(shard);
-    // Pick among the keys with pending requests (see ReadyList::Next for
+    // Pick among the keys with pending queries (see ReadyList::Next for
     // the rule).
     const auto now = Clock::now();
     const bool stopping = stop_.load(std::memory_order_relaxed);
@@ -402,42 +373,48 @@ void ServeEngine::DispatchLoop(Shard* shard) {
   }
 }
 
-void ServeEngine::Fulfill(Shard* shard, Request* r, double value,
-                          bool used_sketch, PlanPrecision tier, KeyState* st) {
-  ServeCounters& c = st->counters;
-  c.Tick(Counter::kQueries);
+void ServeEngine::Fulfill(Shard* shard, size_t i, double value,
+                          bool used_sketch) {
+  shard->batch_results[i] = ServeResult{value, used_sketch};
+  ServeCounts& tally = shard->tally;
   if (used_sketch) {
-    c.Tick(Counter::kSketch);
-    // Ticked together with sketch_answers (and before the answer is
-    // held) so the per-tier counters are always a consistent subset.
-    if (tier == PlanPrecision::kF32) {
-      c.Tick(Counter::kF32);
-    } else if (tier == PlanPrecision::kInt8) {
-      c.Tick(Counter::kInt8);
-    }
+    ++tally.sketch_answers;
   } else if (std::isnan(value)) {
-    c.Tick(Counter::kFailed);
+    ++tally.failed_answers;
   } else {
-    c.Tick(Counter::kFallback);
+    ++tally.fallback_answers;
   }
-  const ServeResult result{value, used_sketch};
-  if (r->wave != nullptr) {
-    r->wave->results[r->wave_slot] = result;
-    if (r->wave->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-      return;  // the burst resolves with its last answer
+}
+
+void ServeEngine::Settle(Shard* shard, KeyState* st, PlanPrecision tier) {
+  ServeCounts& tally = shard->tally;
+  tally.batches = 1;
+  tally.queries = shard->batch_results.size();
+  // The per-tier counters are a subset of sketch_answers, added with them.
+  if (tier == PlanPrecision::kF32) {
+    tally.f32_sketch_answers = tally.sketch_answers;
+  } else if (tier == PlanPrecision::kInt8) {
+    tally.int8_sketch_answers = tally.sketch_answers;
+  }
+  // Every counter lands before any answer of the batch is held.
+  for (size_t c = 0; c < kNumCounters; ++c) {
+    const uint64_t n = tally.*kCounterTable[c].field;
+    if (n != 0) st->counters.Add(static_cast<Counter>(c), n);
+  }
+  tally = ServeCounts{};
+  const ServeResult* result = shard->batch_results.data();
+  for (const Piece& p : shard->batch) {
+    Completion* c = p.completion;
+    std::copy(result, result + p.count, c->slots() + p.begin);
+    result += p.count;
+    c->remaining -= p.count;
+    if (c->remaining == 0) {
+      // ExecuteBatch records the running batch's stamps after Settle, at
+      // exactly this index.
+      shard->held.push_back(
+          {c, tier, st, static_cast<uint32_t>(shard->held_batches.size())});
     }
   }
-  Held h;
-  h.promise = std::move(r->promise);
-  h.wave = std::move(r->wave);
-  h.result = result;
-  h.tier = tier;
-  h.enqueued = r->enqueued;
-  h.st = st;
-  // ExecuteBatch records the running batch's stamps after its last
-  // Fulfill, at exactly this index.
-  h.batch = static_cast<uint32_t>(shard->held_batches.size());
-  shard->held.push_back(std::move(h));
 }
 
 void ServeEngine::Publish(Shard* shard) {
@@ -452,10 +429,10 @@ void ServeEngine::Publish(Shard* shard) {
   // when everything behind that future is already resolved. Each
   // answer's stats land before its own future resolves.
   for (auto it = shard->held.rbegin(); it != shard->held.rend(); ++it) {
-    Held& h = *it;
-    const double us = MicrosBetween(h.enqueued, now);
-    const uint64_t answers = h.wave != nullptr ? h.wave->results.size() : 1;
-    h.st->counters.latency.Add(us, answers);
+    const Held& h = *it;
+    Completion* c = h.completion;
+    const double us = MicrosBetween(c->enqueued, now);
+    h.st->counters.latency.Add(us, c->size());
     // Everything past the lock-free threshold gate is lazy (trace
     // strings, the stage split), so the common case costs one relaxed
     // load and one compare.
@@ -463,24 +440,22 @@ void ServeEngine::Publish(Shard* shard) {
       const HeldBatch& b = shard->held_batches[h.batch];
       metrics::SlowQueryTrace t;
       t.total_us = us;
-      t.queue_us = MicrosBetween(h.enqueued, b.collected);
+      t.queue_us = MicrosBetween(c->enqueued, b.collected);
       t.assembly_us = MicrosBetween(b.collected, b.infer_start);
       t.inference_us = MicrosBetween(b.infer_start, b.answered);
       const double rest = us - t.queue_us - t.assembly_us - t.inference_us;
       t.fulfill_us = rest > 0.0 ? rest : 0.0;
       t.store = h.st->label;
-      t.tier = h.result.used_sketch        ? PlanPrecisionName(h.tier)
-               : std::isnan(h.result.value) ? "failed"
-                                            : "exact";
+      const ServeResult& last = c->slots()[c->size() - 1];
+      t.tier = last.used_sketch        ? PlanPrecisionName(h.tier)
+               : std::isnan(last.value) ? "failed"
+                                        : "exact";
       t.batch_size = b.size;
       t.shard = shard->index;
       slow_queries_.Offer(std::move(t));
     }
-    if (h.wave != nullptr) {
-      h.wave->promise.set_value(std::move(h.wave->results));
-    } else {
-      h.promise->set_value(h.result);
-    }
+    c->Resolve();
+    delete c;
   }
   shard->held.clear();
   shard->held_batches.clear();
@@ -491,11 +466,8 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
     Clock::time_point collected) {
   // The key's spec is set when it is created and never changes, and its
   // counters are atomics, so both are used here without the shard lock.
-  ServeCounters& counters = st->counters;
-  counters.Tick(Counter::kBatches);
   const bool tracing = options_.stage_tracing;
   const QueryFunctionSpec& spec = st->spec;
-  std::vector<Request>& batch = shard->batch;
   // Acquisition order matters for compaction safety: the delta SNAPSHOT
   // comes first, then the (sketch, watermarks) view, then the pinned base
   // version. Watermarks and the base fold watermark only ever advance, so
@@ -525,11 +497,17 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
   const ExactEngine::PinnedBase pinned =
       engine != nullptr ? engine->Pin() : ExactEngine::PinnedBase{};
 
-  // Requests own their queries and never read them again; steal the
+  // Completions own their queries and never read them again; steal the
   // buffers instead of cloning one heap allocation per query.
   std::vector<QueryInstance>& queries = shard->batch_queries;
   queries.clear();
-  for (auto& r : batch) queries.push_back(std::move(r.q));
+  for (const Piece& p : shard->batch) {
+    QueryInstance* first = p.completion->queries() + p.begin;
+    queries.insert(queries.end(), std::make_move_iterator(first),
+                   std::make_move_iterator(first + p.count));
+  }
+  shard->batch_results.resize(queries.size());
+  PlanPrecision tier = PlanPrecision::kF64;  // of the sketch answers
 
   // Stage boundaries: assembly = collection -> inference start (store
   // lookup + query stealing), inference = inference start -> every
@@ -545,7 +523,7 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
   // the full 4-way split. This keeps the tracing-on single-query p50
   // within the <2% budget that tools/check_serving_overhead.sh gates.
   Clock::time_point infer_start = collected;
-  if (tracing && batch.size() > 1) infer_start = Clock::now();
+  if (tracing && queries.size() > 1) infer_start = Clock::now();
 
   if (sketch != nullptr) {
     // Dispatcher-thread answer buffer: capacity is retained across
@@ -628,7 +606,7 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
       nans += modes[i] == kRepaired || std::isnan(answers[i]) ? 1 : 0;
     }
     const size_t genuine = answers.size() - nans;
-    const PlanPrecision tier = sketch->plan_precision();
+    tier = sketch->plan_precision();
 
     bool tripped = false;
     {
@@ -651,7 +629,7 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
                   static_cast<double>(st->sketch_answers)) {
         st->demoted = true;
         tripped = true;
-        counters.Tick(Counter::kBudgetTrips);
+        st->counters.Add(Counter::kBudgetTrips);
       }
     }
     // Eviction-policy signals for the paged catalog (no-ops for fully
@@ -664,22 +642,20 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
     for (size_t i = 0; i < answers.size(); ++i) {
       if (modes[i] == kRepaired ||
           (std::isnan(answers[i]) && engine != nullptr)) {
-        // Exact repair of a NaN answer: Fulfill ticks fallback_answers
+        // Exact repair of a NaN answer: Fulfill tallies fallback_answers
         // (or failed_answers when the engine is also stumped).
-        Fulfill(shard, &batch[i], answers[i], false, PlanPrecision::kF64, st);
+        Fulfill(shard, i, answers[i], false);
       } else if (modes[i] == kRecomputed) {
         // Non-decomposable aggregate recomputed exactly over base+delta:
         // counted as a fallback answer (used_sketch=false) plus the
         // delta_exact sub-counter.
-        counters.Tick(Counter::kDeltaExact);
-        Fulfill(shard, &batch[i], answers[i], false, PlanPrecision::kF64, st);
+        ++shard->tally.delta_exact_answers;
+        Fulfill(shard, i, answers[i], false);
       } else {
         if (modes[i] == kDeltaCorrected) {
-          counters.Tick(Counter::kDeltaCorrected);
+          ++shard->tally.delta_corrected_answers;
         }
-        const bool genuine_answer = !std::isnan(answers[i]);
-        Fulfill(shard, &batch[i], answers[i], genuine_answer,
-                genuine_answer ? tier : PlanPrecision::kF64, st);
+        Fulfill(shard, i, answers[i], !std::isnan(answers[i]));
       }
     }
   } else if (engine != nullptr) {
@@ -700,26 +676,29 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
       answers = engine->AnswerBatch(spec, queries, options_.exact_batch_threads);
     }
     for (size_t i = 0; i < answers.size(); ++i) {
-      Fulfill(shard, &batch[i], answers[i], false, PlanPrecision::kF64, st);
+      Fulfill(shard, i, answers[i], false);
     }
   } else {
     // Neither a sketch nor an exact engine: answer NaN rather than hang.
-    for (auto& r : batch) {
-      Fulfill(shard, &r, std::nan(""), false, PlanPrecision::kF64, st);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      Fulfill(shard, i, std::nan(""), false);
     }
   }
+  Settle(shard, st, tier);
 
   const Clock::time_point answered = Clock::now();
   if (tracing) {
-    // Queue waits are recomputed from the requests' enqueue stamps (still
-    // valid after the query steal), so no per-request state is buffered.
-    for (const auto& r : batch) {
-      shard->stages[kQueue].Add(MicrosBetween(r.enqueued, collected));
+    // Queue waits are recomputed from the completions' enqueue stamps
+    // (held completions live until the next Publish), one histogram add
+    // per piece.
+    for (const Piece& p : shard->batch) {
+      shard->stages[kQueue].Add(
+          MicrosBetween(p.completion->enqueued, collected), p.count);
     }
     shard->stages[kAssembly].Add(MicrosBetween(collected, infer_start));
     shard->stages[kInference].Add(MicrosBetween(infer_start, answered));
     shard->held_batches.push_back(
-        HeldBatch{collected, infer_start, answered, batch.size()});
+        HeldBatch{collected, infer_start, answered, queries.size()});
   }
   return answered;
 }
@@ -738,7 +717,7 @@ void ServeEngine::DemoteStore(const std::string& dataset,
     if (!st.demoted) {
       st.demoted = true;
       tripped = true;
-      st.counters.Tick(Counter::kBudgetTrips);
+      st.counters.Add(Counter::kBudgetTrips);
     }
   }
   // Demotion zeroes serving heat: a store whose drift outruns refresh is

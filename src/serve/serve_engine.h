@@ -16,6 +16,12 @@
 // dispatcher drains the ring into per-key queues (batch assembly) each
 // time it comes back from a forward pass.
 //
+// Submit and SubmitMany share one completion type (queries, result slots,
+// one promise), and each ring entry is filed as one span of its key's
+// queue. A batch cuts up to max_batch queries off the front spans as
+// pieces, so per-query work is the forward pass and one answer copy;
+// counters are added and completions settled once per batch.
+//
 // Answers are published in groups: a computed answer is held on its
 // shard and resolved with the rest of its group, newest first, so a
 // pipelined client blocked on its oldest future wakes once per group
@@ -55,6 +61,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "serve/ready_list.h"
@@ -71,11 +78,11 @@ namespace serve {
 
 struct ServeOptions {
   /// Micro-batch size bound: a batch dispatches as soon as this many
-  /// requests are pending for one store entry. 1 disables batching
-  /// (per-query dispatch).
+  /// queries are pending for one store entry, and takes at most this many.
+  /// 1 disables batching (per-query dispatch).
   size_t max_batch = 256;
   /// Micro-batch time bound in microseconds: a batch dispatches once its
-  /// oldest request has waited this long, full or not. 0 disables the
+  /// oldest query has waited this long, full or not. 0 disables the
   /// wait (dispatch as soon as a dispatcher is free).
   double batch_window_us = 200.0;
   /// Dispatcher shards, each with a dedicated thread, submission ring and
@@ -119,7 +126,7 @@ class ServeEngine {
  public:
   explicit ServeEngine(const SketchStore* store, ServeOptions options = {});
 
-  /// \brief Drains every pending request, then stops the dispatchers.
+  /// \brief Answers every pending query, then stops the dispatchers.
   ~ServeEngine();
 
   ServeEngine(const ServeEngine&) = delete;
@@ -191,50 +198,81 @@ class ServeEngine {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Completion state for one SubmitMany burst: the last answered slot
-  /// resolves the shared promise.
-  struct Wave {
-    std::vector<ServeResult> results;
-    std::atomic<size_t> remaining{0};
-    std::promise<std::vector<ServeResult>> promise;
-  };
-
   /// Longest a computed answer may be held for group publication,
   /// counting the predicted duration of the batch about to run.
   static constexpr std::chrono::microseconds kMaxHold{50};
 
-  struct Request {
-    QueryInstance q;
+  /// One submission's queries, result slots and promise: a single Submit
+  /// (one inline query and result, no vectors) or a SubmitMany burst. Its
+  /// key's spans all go to one dispatcher, which owns it from filing until
+  /// Publish resolves and deletes it, so `remaining` is a plain count.
+  struct Completion {
+    using One = std::promise<ServeResult>;
+    using Many = std::promise<std::vector<ServeResult>>;
+
     Clock::time_point enqueued;
-    std::unique_ptr<std::promise<ServeResult>> promise;  // single Submit
-    std::shared_ptr<Wave> wave;                          // SubmitMany
-    size_t wave_slot = 0;
+    size_t remaining = 0;  // queries not yet settled
+    QueryInstance one;     // Submit's query
+    ServeResult one_result;
+    std::vector<QueryInstance> many;   // SubmitMany's queries
+    std::vector<ServeResult> results;  // SubmitMany's result slots
+    std::variant<One, Many> promise;   // exactly one, of its kind
+
+    explicit Completion(QueryInstance q)
+        : enqueued(Clock::now()), remaining(1), one(std::move(q)) {}
+    explicit Completion(std::vector<QueryInstance> qs)
+        : enqueued(Clock::now()), remaining(qs.size()), many(std::move(qs)),
+          results(remaining), promise(std::in_place_type<Many>) {}
+
+    bool single() const { return promise.index() == 0; }
+    size_t size() const { return single() ? 1 : many.size(); }
+    QueryInstance* queries() { return single() ? &one : many.data(); }
+    ServeResult* slots() { return single() ? &one_result : results.data(); }
+    /// Hands the results to the client; the last thing done with `this`.
+    void Resolve() {
+      if (single()) {
+        std::get<One>(promise).set_value(one_result);
+      } else {
+        std::get<Many>(promise).set_value(std::move(results));
+      }
+    }
   };
 
-  /// One ring entry: a single request or a whole SubmitMany burst, with
-  /// enough routing context (key + canonical spec) for the dispatcher to
-  /// file it into the right per-key queue.
+  /// The queries [next, end) of a completion not yet taken by a batch, in
+  /// a key's pending queue. `enqueued` is the completion's stamp, kept
+  /// here so the dispatch rule reads it without chasing the pointer.
+  struct Span {
+    Completion* completion;
+    size_t next, end;
+    Clock::time_point enqueued;
+  };
+
+  /// The queries [begin, begin + count) of a completion, cut from its span
+  /// by ReadyList::Take into the running batch.
+  struct Piece {
+    Completion* completion;
+    size_t begin, count;
+  };
+
+  /// One ring entry: a Submit or a whole SubmitMany burst, with enough
+  /// routing context (key + canonical spec) for the dispatcher to file it
+  /// into the right per-key queue.
   struct Submission {
     ServeKey key;
     QueryFunctionSpec spec;
-    Clock::time_point enqueued;
-    // Single Submit:
-    QueryInstance q;
-    std::unique_ptr<std::promise<ServeResult>> promise;
-    // SubmitMany burst:
-    std::vector<QueryInstance> queries;
-    std::shared_ptr<Wave> wave;
+    Completion* completion = nullptr;
   };
 
   /// One key's answer counters (relaxed atomics indexed by Counter) and
-  /// its submit->publish histogram. Ticked by the key's dispatcher (and
-  /// by DemoteStore), read lock-free by Snapshot.
+  /// its submit->publish histogram. Added to by the key's dispatcher
+  /// (once per batch and counter) and by DemoteStore, read lock-free by
+  /// Snapshot.
   struct ServeCounters {
     std::array<std::atomic<uint64_t>, kNumCounters> counts{};
     LatencyHistogram latency;
 
-    void Tick(Counter c) {
-      counts[static_cast<size_t>(c)].fetch_add(1, std::memory_order_relaxed);
+    void Add(Counter c, uint64_t n = 1) {
+      counts[static_cast<size_t>(c)].fetch_add(n, std::memory_order_relaxed);
     }
     ServeCounts Read() const;
     void Reset();
@@ -248,7 +286,8 @@ class ServeEngine {
   struct KeyState {
     QueryFunctionSpec spec;  // canonical spec, set by the first Submit
     std::string label;       // StoreLabel, set with spec
-    std::deque<Request> pending;
+    std::deque<Span> pending;
+    size_t queued = 0;  // queries in `pending`
     uint64_t sketch_answers = 0;  // genuinely sketch-answered (non-NaN)
     uint64_t sketch_nans = 0;     // sketch NaNs (repaired or failed)
     bool demoted = false;  // error budget exceeded; serve exact only
@@ -258,16 +297,13 @@ class ServeEngine {
     Clock::duration last_batch = kMaxHold;
   };
 
-  /// A computed answer waiting for its group's publication: one single
-  /// Submit, or one SubmitMany burst whose last slot was just answered.
+  /// A completion whose last query was just answered, waiting for its
+  /// group's publication.
   struct Held {
-    std::unique_ptr<std::promise<ServeResult>> promise;  // single Submit
-    std::shared_ptr<Wave> wave;                          // SubmitMany
-    ServeResult result;  // the single answer, or the burst's last one
-    PlanPrecision tier = PlanPrecision::kF64;
-    Clock::time_point enqueued;
-    KeyState* st = nullptr;
-    uint32_t batch = 0;  // index into Shard::held_batches (tracing only)
+    Completion* completion;
+    PlanPrecision tier;  // the tier of its last answer's batch
+    KeyState* st;
+    uint32_t batch;  // index into Shard::held_batches (tracing only)
   };
 
   /// Stage boundaries of one executed batch, kept until its answers are
@@ -300,7 +336,7 @@ class ServeEngine {
     /// `sleeping` and ringing the cv.
     std::atomic<bool> sleeping{false};
     std::map<ServeKey, KeyState> keys;
-    /// The keys with pending requests: what DispatchLoop picks from.
+    /// The keys with pending queries: what DispatchLoop picks from.
     ReadyList<KeyState> ready;
 
     // Metrics with no key: backpressure is counted on the client thread
@@ -311,12 +347,15 @@ class ServeEngine {
 
     // Dispatcher-owned (never touched by another thread): the held
     // answer group, its batches' stage stamps, and per-batch buffers
-    // whose capacity is reused from batch to batch.
+    // whose capacity is reused from batch to batch: the pieces taken, their
+    // queries, answers and counter tally (Fulfill writes, Settle reads).
     std::vector<Held> held;
     Clock::time_point held_since;  // when the group's first answer was held
     std::vector<HeldBatch> held_batches;
-    std::vector<Request> batch;
+    std::vector<Piece> batch;
     std::vector<QueryInstance> batch_queries;
+    std::vector<ServeResult> batch_results;
+    ServeCounts tally;
 
     const size_t index;  // position in shards_, for slow-query traces
 
@@ -333,9 +372,9 @@ class ServeEngine {
   ServeStats Collect(MergedHistograms* merged) const;
 
   void DispatchLoop(Shard* shard);
-  /// Moves every published ring entry into the shard's per-key queues.
-  /// Caller holds shard->mu. Returns the number of requests filed.
-  size_t DrainRingLocked(Shard* shard);
+  /// Files every published ring entry as one span in its key's queue.
+  /// Caller holds shard->mu.
+  void DrainRingLocked(Shard* shard);
   /// Routes a submission to its shard: one ring Push (wait-free claim)
   /// plus the sleep/wake handshake.
   void Route(Submission s);
@@ -346,13 +385,17 @@ class ServeEngine {
   Clock::time_point ExecuteBatch(Shard* shard, KeyState* st,
                                  const ServeKey& key, bool allow_sketch,
                                  Clock::time_point collected);
-  /// Ticks the answer's counters and holds it for the next Publish.
-  /// `tier` is the precision the answer was served from; only meaningful
-  /// when used_sketch is true (fallback/failed answers pass kF64).
-  void Fulfill(Shard* shard, Request* r, double value, bool used_sketch,
-               PlanPrecision tier, KeyState* st);
-  /// Resolves every held answer, newest first, and records their
-  /// submit->publish latencies (one clock read for the whole group).
+  /// Writes the batch's i-th answer into shard scratch and tallies its
+  /// counters.
+  void Fulfill(Shard* shard, size_t i, double value, bool used_sketch);
+  /// Once per batch, after its last Fulfill: adds each tallied counter to
+  /// `st` once, copies the answers into their completions' slots, and
+  /// holds every completion whose last query was answered. `tier` is the
+  /// precision the batch's sketch answers were served from.
+  void Settle(Shard* shard, KeyState* st, PlanPrecision tier);
+  /// Resolves every held completion, newest first, records their
+  /// submit->publish latencies (one clock read for the whole group) and
+  /// deletes them.
   void Publish(Shard* shard);
   /// Locates (creating on demand) the key's map node; caller must hold
   /// the shard's lock. Only the owning dispatcher calls this.

@@ -176,15 +176,23 @@ TEST(ServeKeyHashTest, PureFunctionOfKeyFields) {
 }
 
 // ---------------------------------------------------------------------
-// ReadyList: the dispatcher's pick over keys with pending requests
+// ReadyList: the dispatcher's pick over keys with pending queries
 // ---------------------------------------------------------------------
 
-struct FakeRequest {
+// A span's completion is named by its filing order on the key.
+struct FakeSpan {
+  int completion;
+  size_t next, end;
   std::chrono::steady_clock::time_point enqueued;
-  int id = 0;
+};
+struct FakePiece {
+  int completion;
+  size_t begin, count;
 };
 struct FakeKeyState {
-  std::deque<FakeRequest> pending;
+  std::deque<FakeSpan> pending;
+  size_t queued = 0;
+  int filed = 0;
 };
 using FakeReadyList = serve::ReadyList<FakeKeyState>;
 using std::chrono::microseconds;
@@ -193,14 +201,26 @@ ServeKey NamedKey(const std::string& dataset) {
   return ServeKey{dataset, QueryFunctionKey{"axis_range", Aggregate::kAvg, 0}};
 }
 
-// Queues `n` requests on `st`, all enqueued at `at`, listing the key the
-// way the engine does: on the empty -> non-empty transition.
+// Files one span of `n` queries on `st`, enqueued at `at`, listing the key
+// the way the engine does: on the empty -> non-empty transition.
 void Enqueue(FakeReadyList* ready, const ServeKey* key, FakeKeyState* st,
-             std::chrono::steady_clock::time_point at, int n) {
+             std::chrono::steady_clock::time_point at, size_t n) {
   if (st->pending.empty()) ready->Add(key, st);
-  for (int i = 0; i < n; ++i) {
-    st->pending.push_back({at, static_cast<int>(st->pending.size())});
-  }
+  st->pending.push_back({st->filed++, 0, n, at});
+  st->queued += n;
+}
+
+size_t QueriesIn(const std::vector<FakePiece>& batch) {
+  size_t n = 0;
+  for (const FakePiece& p : batch) n += p.count;
+  return n;
+}
+
+void ExpectPiece(const FakePiece& p, int completion, size_t begin,
+                 size_t count) {
+  EXPECT_EQ(p.completion, completion);
+  EXPECT_EQ(p.begin, begin);
+  EXPECT_EQ(p.count, count);
 }
 
 constexpr microseconds kWindow{200};
@@ -273,13 +293,13 @@ TEST(ReadyListTest, PartialTakeStaysListedAndDrainedKeyLeaves) {
   Enqueue(&ready, &a, &sa, now - microseconds(700), 2);
   ASSERT_EQ(ready.size(), 2u);
 
-  std::vector<FakeRequest> batch;
+  std::vector<FakePiece> batch;
   auto pick = ready.Next(now, kWindow, 4, false);
   ASSERT_EQ(ready[pick.chosen].key, &a);
   ready.Take(pick.chosen, 4, &batch);  // 12 pending > max_batch 4
-  ASSERT_EQ(batch.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(batch[i].id, i);  // FIFO
-  EXPECT_EQ(sa.pending.size(), 8u);
+  ASSERT_EQ(batch.size(), 1u);
+  ExpectPiece(batch[0], 0, 0, 4);  // FIFO: the first four queries
+  EXPECT_EQ(sa.queued, 8u);
   EXPECT_EQ(ready.size(), 2u);  // the partial take leaves `a` listed
 
   // `a`'s front is still the oldest; two more takes drain it.
@@ -288,7 +308,7 @@ TEST(ReadyListTest, PartialTakeStaysListedAndDrainedKeyLeaves) {
     pick = ready.Next(now, kWindow, 4, false);
     ASSERT_EQ(ready[pick.chosen].key, &a);
     ready.Take(pick.chosen, 4, &batch);
-    EXPECT_EQ(batch.size(), 4u);
+    EXPECT_EQ(QueriesIn(batch), 4u);
   }
   EXPECT_TRUE(sa.pending.empty());
   ASSERT_EQ(ready.size(), 1u);  // drained: unlisted
@@ -298,7 +318,7 @@ TEST(ReadyListTest, PartialTakeStaysListedAndDrainedKeyLeaves) {
   pick = ready.Next(now, kWindow, 4, false);
   ASSERT_EQ(pick.chosen, 0u);
   ready.Take(pick.chosen, 4, &batch);
-  EXPECT_EQ(batch.size(), 2u);
+  EXPECT_EQ(QueriesIn(batch), 2u);
   EXPECT_TRUE(ready.empty());
   pick = ready.Next(now, kWindow, 4, false);
   EXPECT_EQ(pick.chosen, 0u);  // == size(): nothing to dispatch
@@ -308,6 +328,100 @@ TEST(ReadyListTest, PartialTakeStaysListedAndDrainedKeyLeaves) {
   Enqueue(&ready, &a, &sa, now, 1);
   ASSERT_EQ(ready.size(), 1u);
   EXPECT_EQ(ready[0].key, &a);
+}
+
+TEST(ReadyListTest, LongSpanIsCutIntoMaxBatchPieces) {
+  const auto now = std::chrono::steady_clock::now();
+  const ServeKey a = NamedKey("a");
+  FakeKeyState sa;
+  FakeReadyList ready;
+  Enqueue(&ready, &a, &sa, now - microseconds(900), 10);
+  const size_t counts[] = {4, 4, 2};
+  for (size_t take = 0; take < 3; ++take) {
+    std::vector<FakePiece> batch;
+    ASSERT_EQ(ready.size(), 1u) << "take " << take;
+    ready.Take(0, 4, &batch);
+    ASSERT_EQ(batch.size(), 1u);
+    ExpectPiece(batch[0], 0, 4 * take, counts[take]);
+  }
+  EXPECT_TRUE(ready.empty());
+}
+
+TEST(ReadyListTest, TakesCrossSpanBoundariesInFifoOrder) {
+  const auto now = std::chrono::steady_clock::now();
+  const ServeKey a = NamedKey("a");
+  FakeKeyState sa;
+  FakeReadyList ready;
+  for (int i = 0; i < 3; ++i) Enqueue(&ready, &a, &sa, now, 3);
+  ASSERT_EQ(ready.size(), 1u);
+  EXPECT_EQ(sa.queued, 9u);
+
+  std::vector<FakePiece> batch;
+  ready.Take(0, 4, &batch);  // all of span 0, the head of span 1
+  ASSERT_EQ(batch.size(), 2u);
+  ExpectPiece(batch[0], 0, 0, 3);
+  ExpectPiece(batch[1], 1, 0, 1);
+  EXPECT_EQ(sa.queued, 5u);
+  // The split span stays at the front, still enqueued when it was filed.
+  ASSERT_EQ(sa.pending.size(), 2u);
+  EXPECT_EQ(sa.pending.front().next, 1u);
+  EXPECT_EQ(sa.pending.front().enqueued, now);
+
+  batch.clear();
+  ready.Take(0, 4, &batch);  // the rest of span 1, the head of span 2
+  ASSERT_EQ(batch.size(), 2u);
+  ExpectPiece(batch[0], 1, 1, 2);
+  ExpectPiece(batch[1], 2, 0, 2);
+  EXPECT_EQ(sa.queued, 1u);
+
+  batch.clear();
+  ready.Take(0, 4, &batch);
+  ASSERT_EQ(batch.size(), 1u);
+  ExpectPiece(batch[0], 2, 2, 1);
+  EXPECT_TRUE(ready.empty());
+}
+
+TEST(ReadyListTest, FullCountsQueriesNotSpans) {
+  const auto now = std::chrono::steady_clock::now();
+  const ServeKey a = NamedKey("a");
+  // One span of max_batch queries is full before its window...
+  {
+    FakeKeyState sa;
+    FakeReadyList ready;
+    Enqueue(&ready, &a, &sa, now, 4);
+    EXPECT_EQ(ready.Next(now, kWindow, 4, false).chosen, 0u);
+  }
+  // ...and so are max_batch one-query spans, but not one fewer.
+  {
+    FakeKeyState sa;
+    FakeReadyList ready;
+    for (int i = 0; i < 3; ++i) Enqueue(&ready, &a, &sa, now, 1);
+    auto pick = ready.Next(now, kWindow, 4, false);
+    EXPECT_EQ(pick.chosen, ready.size());
+    EXPECT_TRUE(pick.have_deadline);
+    Enqueue(&ready, &a, &sa, now, 1);
+    EXPECT_EQ(ready.size(), 1u);
+    EXPECT_EQ(ready.Next(now, kWindow, 4, false).chosen, 0u);
+  }
+}
+
+TEST(ReadyListTest, QueuedReturnsToZeroWhenDrained) {
+  const auto now = std::chrono::steady_clock::now();
+  const ServeKey a = NamedKey("a");
+  FakeKeyState sa;
+  FakeReadyList ready;
+  Enqueue(&ready, &a, &sa, now, 5);
+  Enqueue(&ready, &a, &sa, now, 2);
+  std::vector<FakePiece> batch;
+  size_t taken = 0;
+  while (!ready.empty()) {
+    batch.clear();
+    ready.Take(0, 3, &batch);
+    taken += QueriesIn(batch);
+  }
+  EXPECT_EQ(taken, 7u);
+  EXPECT_EQ(sa.queued, 0u);
+  EXPECT_TRUE(sa.pending.empty());
 }
 
 // ---------------------------------------------------------------------
@@ -558,6 +672,134 @@ TEST(ShardEngineTest, ManyIdleKeysThenInterleavedHotBursts) {
   EXPECT_EQ(stats.queries, 512 + futs.size() * kBurst);
   EXPECT_EQ(stats.sketch_answers, futs.size() * kBurst);
   EXPECT_EQ(stats.per_shard[0].resident_keys, 512u + hot.size());
+}
+
+// One submission in flight: a single Submit or a SubmitMany burst whose
+// answers are the serial ones for queries [first, first + n).
+struct SubmittedRun {
+  size_t first = 0, n = 0;
+  std::future<ServeResult> one;
+  std::future<std::vector<ServeResult>> many;
+};
+
+// Interleaves single Submits with bursts of every size in `kBurstSizes`
+// on one key, cycling through `f.queries`.
+constexpr size_t kBurstSizes[] = {1, 3, 17, 40, 256, 300};
+
+std::vector<SubmittedRun> SubmitInterleaved(ServeEngine* serve,
+                                            const ShardFixture& f,
+                                            const std::string& dataset) {
+  std::vector<SubmittedRun> runs;
+  size_t next = 0;
+  auto submit = [&](size_t n) {
+    SubmittedRun r;
+    r.first = next % (f.queries.size() - n + 1);
+    r.n = n;
+    if (n == 1 && runs.size() % 2 == 0) {
+      r.one = serve->Submit(dataset, f.spec, f.queries[r.first]);
+    } else {
+      r.many = serve->SubmitMany(
+          dataset, f.spec,
+          std::vector<QueryInstance>(f.queries.begin() + r.first,
+                                     f.queries.begin() + r.first + n));
+    }
+    next = r.first + n;
+    runs.push_back(std::move(r));
+  };
+  for (int round = 0; round < 2; ++round) {
+    for (size_t n : kBurstSizes) {
+      submit(1);
+      submit(1);
+      submit(n);
+    }
+  }
+  return runs;
+}
+
+// Waits for every run (none may hang) and checks its answers, in order,
+// against serial AnswerBatch; returns the number of answers.
+size_t ExpectRunsMatchSerial(std::vector<SubmittedRun>* runs,
+                             const ShardFixture& f) {
+  size_t answered = 0;
+  for (size_t k = 0; k < runs->size(); ++k) {
+    SubmittedRun& r = (*runs)[k];
+    SCOPED_TRACE("run " + std::to_string(k));
+    if (r.one.valid()) {
+      EXPECT_EQ(r.one.wait_for(std::chrono::seconds(30)),
+                std::future_status::ready);
+      const ServeResult res = r.one.get();  // throws on a broken promise
+      EXPECT_TRUE(res.used_sketch);
+      EXPECT_EQ(res.value, f.expected[r.first]);
+      EXPECT_FALSE(r.one.valid());
+    } else {
+      EXPECT_EQ(r.many.wait_for(std::chrono::seconds(30)),
+                std::future_status::ready);
+      const std::vector<ServeResult> res = r.many.get();
+      EXPECT_FALSE(r.many.valid());
+      EXPECT_EQ(res.size(), r.n);
+      for (size_t j = 0; j < res.size() && j < r.n; ++j) {
+        EXPECT_TRUE(res[j].used_sketch);
+        EXPECT_EQ(res[j].value, f.expected[r.first + j]) << "q" << j;
+      }
+    }
+    answered += r.n;
+  }
+  return answered;
+}
+
+// Bursts are filed as spans and cut into pieces of at most max_batch
+// queries, which may cross span boundaries: every answer must still land
+// in its own completion's slot, bit-identical to serial AnswerBatch, and
+// each completion must resolve exactly once (a second set_value would
+// throw on the dispatcher). Counters and the queue-stage histogram count
+// queries, not spans or pieces.
+TEST(ShardEngineTest, SplitBurstsMatchSerialAndResolveOnce) {
+  ShardFixture f = ShardFixture::Make(640);
+  ExactEngine engine(&f.table);
+  SketchStore store;
+  ASSERT_TRUE(store.RegisterDataset("gmm", &engine).ok());
+  ASSERT_TRUE(store.Register("gmm", f.spec, f.sketch).ok());
+  for (size_t max_batch : {size_t{16}, size_t{256}}) {
+    SCOPED_TRACE("max_batch " + std::to_string(max_batch));
+    ServeOptions opts;
+    opts.num_shards = 1;
+    opts.max_batch = max_batch;
+    opts.stage_tracing = true;
+    ServeEngine serve(&store, opts);
+    std::vector<SubmittedRun> runs = SubmitInterleaved(&serve, f, "gmm");
+    const size_t submitted = ExpectRunsMatchSerial(&runs, f);
+    const auto stats = serve.Snapshot();
+    EXPECT_EQ(stats.queries, submitted);
+    EXPECT_EQ(stats.sketch_answers, submitted);
+    EXPECT_EQ(stats.stage_queue.count, submitted);
+    EXPECT_GE(stats.batches * max_batch, submitted);
+  }
+}
+
+// The destructor drains spans still waiting for their window: every
+// future resolves with its serial answer, and every completion is freed
+// (the sanitizer build's leak check covers the latter).
+TEST(ShardEngineTest, DestroyedWithPendingSpansResolvesEverything) {
+  ShardFixture f = ShardFixture::Make(640);
+  ExactEngine engine(&f.table);
+  SketchStore store;
+  ASSERT_TRUE(store.RegisterDataset("gmm", &engine).ok());
+  ASSERT_TRUE(store.Register("gmm", f.spec, f.sketch).ok());
+  std::vector<SubmittedRun> runs;
+  {
+    ServeOptions opts;
+    opts.num_shards = 1;
+    opts.max_batch = 16;
+    opts.batch_window_us = 10e6;  // a short tail waits for stop, not time
+    ServeEngine serve(&store, opts);
+    runs = SubmitInterleaved(&serve, f, "gmm");
+  }
+  for (const SubmittedRun& r : runs) {
+    ASSERT_EQ(r.one.valid() ? r.one.wait_for(std::chrono::seconds(0))
+                            : r.many.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+  }
+  ExpectRunsMatchSerial(&runs, f);
 }
 
 TEST(ShardEngineTest, ResetStatsDuringTrafficKeepsAWellFormedWindow) {
@@ -852,15 +1094,10 @@ TEST(GroupPublishTest, AnswersAndCountersMatchSerialAcrossBatchSizes) {
   for (size_t max_batch : {size_t{1}, size_t{256}}) {
     SCOPED_TRACE("max_batch " + std::to_string(max_batch));
     ServeEngine serve(&store, PointOptions(max_batch));
-    struct InFlight {
-      size_t first, n;
-      std::future<ServeResult> one;
-      std::future<std::vector<ServeResult>> many;
-    };
-    std::deque<InFlight> flight;
+    std::deque<SubmittedRun> flight;
     uint64_t observed = 0;
     auto complete = [&] {
-      InFlight x = std::move(flight.front());
+      SubmittedRun x = std::move(flight.front());
       flight.pop_front();
       if (x.one.valid()) {
         EXPECT_EQ(x.one.get().value, f.expected[x.first]) << "q" << x.first;
@@ -877,7 +1114,7 @@ TEST(GroupPublishTest, AnswersAndCountersMatchSerialAcrossBatchSizes) {
     };
     size_t i = 0, k = 0;
     while (i < f.queries.size()) {
-      InFlight x;
+      SubmittedRun x;
       x.first = i;
       if (k++ % 4 == 0) {
         x.n = std::min<size_t>(7, f.queries.size() - i);

@@ -1309,7 +1309,9 @@ TEST_P(CompactionExactSweep, AnswersBitIdenticalAcrossCompaction) {
   for (const auto& q : queries) {
     const ServeResult got = serve.Answer("gmm", spec, q);
     const double want = merged2.Answer(spec, q);
-    if (!std::isnan(want)) EXPECT_EQ(got.value, want) << AggregateName(agg);
+    if (!std::isnan(want)) {
+      EXPECT_EQ(got.value, want) << AggregateName(agg);
+    }
   }
 }
 
