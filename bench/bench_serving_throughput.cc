@@ -1098,8 +1098,8 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "train: %s\n", sketch.status().ToString().c_str());
     return 1;
   }
-  // Serve the f64 reference tier even when NEUROSKETCH_FORCE_*_PLANS made
-  // Train come back serving a narrow tier.
+  // Serve the f64 reference tier even when NEUROSKETCH_FORCE_F32_PLANS made
+  // Train come back serving f32.
   (void)sketch.value().SelectPrecision(PlanPrecision::kF64);
   const std::shared_ptr<const NeuroSketch> shared =
       std::make_shared<const NeuroSketch>(std::move(sketch).value());

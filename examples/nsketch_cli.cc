@@ -2,16 +2,15 @@
 // line, using CSV data and the parametric-SQL front end (Sec. 4.3).
 //
 //   nsketch_cli train <data.csv> "<sql template>" <out.sketch> [n_train]
-//                     [f64|f32|int8]
+//                     [f64|f32]
 //       Trains a sketch for the query function denoted by the template
 //       (e.g. "SELECT AVG(duration) FROM t WHERE latitude BETWEEN ?a AND
 //       ?b AND longitude BETWEEN ?c AND ?d"). Writes <out.sketch> plus a
 //       <out.sketch>.norm sidecar holding the column normalization so
 //       query-time parameters can be given in original units. The final
 //       argument selects the compiled-plan precision tier (default f64);
-//       f32 and int8 are validated against the f64 reference on the
-//       training workload and automatically fall back when out of bound
-//       (int8 -> f32 -> f64).
+//       f32 is validated against the f64 reference on the training
+//       workload and automatically falls back to f64 when out of bound.
 //
 //   nsketch_cli query <out.sketch> "<sql template>" <data.csv> <p1> <p2> ...
 //       Binds the parameters (original units) and answers from the sketch
@@ -167,11 +166,8 @@ int CmdTrain(int argc, char** argv) {
     const std::string tier = argv[6];
     if (tier == "f32") {
       precision = PlanPrecision::kF32;
-    } else if (tier == "int8") {
-      precision = PlanPrecision::kInt8;
     } else if (tier != "f64") {
-      return Fail(
-          Status::InvalidArgument("precision must be f64, f32 or int8"));
+      return Fail(Status::InvalidArgument("precision must be f64 or f32"));
     }
   }
 
@@ -203,18 +199,12 @@ int CmdTrain(int argc, char** argv) {
               sketch.value().SizeBytes() / 1024.0);
   if (precision != PlanPrecision::kF64) {
     const NeuroSketch& ns = sketch.value();
-    const bool narrow_active = ns.plan_precision() == precision;
-    const double div = precision == PlanPrecision::kInt8
-                           ? ns.int8_max_divergence()
-                           : ns.f32_max_divergence();
-    const double bound = precision == PlanPrecision::kInt8
-                             ? ns.int8_error_bound()
-                             : ns.f32_error_bound();
-    std::printf("plan precision: %s (max %s divergence %.3g, bound %.3g)%s\n",
+    std::printf("plan precision: %s (max f32 divergence %.3g, bound %.3g)%s\n",
                 PlanPrecisionName(ns.plan_precision()),
-                PlanPrecisionName(precision), div, bound,
-                narrow_active ? ""
-                              : " — fell back from the requested tier");
+                ns.f32_max_divergence(), ns.f32_error_bound(),
+                ns.plan_precision() == precision
+                    ? ""
+                    : " — fell back from the requested tier");
   }
   Status st = sketch.value().Save(out_path);
   if (!st.ok()) return Fail(st);
@@ -397,11 +387,10 @@ int CmdServe(int argc, char** argv) {
               static_cast<unsigned long long>(stats.queries), n_clients,
               seconds);
   std::printf("  qps: %.0f | mean batch: %.1f | fallback rate: %.2f%% | "
-              "f32 answers: %llu | int8 answers: %llu\n",
+              "f32 answers: %llu\n",
               static_cast<double>(stats.queries) / seconds,
               stats.mean_batch_size, 100.0 * stats.fallback_rate,
-              static_cast<unsigned long long>(stats.f32_sketch_answers),
-              static_cast<unsigned long long>(stats.int8_sketch_answers));
+              static_cast<unsigned long long>(stats.f32_sketch_answers));
   std::printf("  latency p50/p95/p99/p99.9: %.0f / %.0f / %.0f / %.0f us\n",
               stats.p50_us, stats.p95_us, stats.p99_us, stats.p999_us);
   if (stats.stage_tracing && stats.stage_queue.count > 0) {

@@ -54,11 +54,8 @@ class MovableFlag {
 /// the accuracy reference (bit-identical to the scalar Mlp path); kF32 is
 /// the opt-in fast tier: half the flat-buffer footprint, twice the SIMD
 /// lanes, validated against the f64 reference before it is allowed to
-/// serve. kInt8 is the quantized tier: weights as int8 with calibrated
-/// symmetric scales, int32 accumulation, f32 requantization — ~1/8 the
-/// weight footprint — under the same validate-or-fallback contract
-/// (falling back int8 -> f32 -> f64).
-enum class PlanPrecision { kF64 = 0, kF32 = 1, kInt8 = 2 };
+/// serve, and falling back to f64 when it is not.
+enum class PlanPrecision { kF64 = 0, kF32 = 1 };
 
 const char* PlanPrecisionName(PlanPrecision p);
 
@@ -66,12 +63,6 @@ const char* PlanPrecisionName(PlanPrecision p);
 /// upgrades default-precision (kF64) requests to the f32 tier. Exposed so
 /// tests can key their expectations off the same predicate Train uses.
 bool ForceF32PlansFromEnv();
-
-/// \brief True when NEUROSKETCH_FORCE_INT8_PLANS is set (CI hook): Train
-/// upgrades default-precision (kF64) requests to the int8 tier (which
-/// itself may validate-and-fall-back to f32/f64). Takes priority over
-/// NEUROSKETCH_FORCE_F32_PLANS when both are set.
-bool ForceInt8PlansFromEnv();
 
 struct NeuroSketchConfig {
   /// Partitioning (paper defaults: height 4, merge to s = 8 leaves).
@@ -88,13 +79,12 @@ struct NeuroSketchConfig {
   uint64_t seed = 17;
 
   /// Construction parallelism for every phase of Train — the kd-tree
-  /// partition/merge, per-leaf training, and the narrow-tier
-  /// calibrate/validate replays — on the shared pool: 0 = one job per
-  /// hardware thread, 1 = sequential, n = at most n concurrent workers.
-  /// Results are bit-identical for every setting: tree splits are pure
-  /// functions of each node's query set, each leaf derives its init and
-  /// shuffle seeds from its leaf id alone, and the sharded
-  /// calibration/validation reductions (max / absmax / counts) are exact
+  /// partition/merge, per-leaf training, and the f32 validate replay — on
+  /// the shared pool: 0 = one job per hardware thread, 1 = sequential,
+  /// n = at most n concurrent workers. Results are bit-identical for every
+  /// setting: tree splits are pure functions of each node's query set,
+  /// each leaf derives its init and shuffle seeds from its leaf id alone,
+  /// and the sharded validation reduction (max / counts) is exact
   /// regardless of shard boundaries (see docs/ARCHITECTURE.md,
   /// "Construction pipeline").
   size_t train_threads = 0;
@@ -102,13 +92,9 @@ struct NeuroSketchConfig {
   /// Serving precision for the compiled plans. kF32 compiles both tiers,
   /// measures the max |f32 - f64| divergence over the training workload,
   /// and serves f32 only if it stays within `f32_error_bound`; otherwise
-  /// the sketch automatically falls back to f64. kInt8 calibrates
-  /// per-layer activation ranges over the training workload, quantizes,
-  /// and validates against `int8_error_bound`; when out of bound it falls
-  /// back to the f32 tier (which validates in turn, chaining down to
-  /// f64). (The environment variables NEUROSKETCH_FORCE_F32_PLANS=1 /
-  /// NEUROSKETCH_FORCE_INT8_PLANS=1 upgrade kF64 requests so CI can run
-  /// the whole suite on each tier.)
+  /// the sketch automatically falls back to f64. (The environment
+  /// variable NEUROSKETCH_FORCE_F32_PLANS=1 upgrades kF64 requests so CI
+  /// can run the whole suite on the f32 tier.)
   PlanPrecision plan_precision = PlanPrecision::kF64;
 
   /// Max tolerated |f32 - f64| divergence, measured in standardized (per-
@@ -118,17 +104,6 @@ struct NeuroSketchConfig {
   /// are ~1e-6..1e-5; the default leaves two orders of magnitude headroom
   /// while still catching pathological f32 blow-ups.
   double f32_error_bound = 1e-3;
-
-  /// Max tolerated |int8 - f64| divergence, standardized units (same
-  /// space as f32_error_bound). Int8 quantization error is inherently
-  /// larger than f32 rounding: with 127 symmetric levels per layer
-  /// compounding through the paper-default depth, measured divergence is
-  /// typically ~0.1 (`nsketch_cli train ... int8` prints it; build
-  /// metrics export it as nsketch_build_int8_max_divergence). The default
-  /// gives ~2x headroom over that while still rejecting calibration
-  /// blow-ups. Tighten it to push accuracy-critical deployments down the
-  /// fallback chain to f32/f64.
-  double int8_error_bound = 0.25;
 };
 
 /// \brief A trained NeuroSketch for one query function.
@@ -137,8 +112,8 @@ class NeuroSketch {
   /// Per-phase wall times of the construction pipeline. Every phase runs
   /// on the shared pool under `NeuroSketchConfig::train_threads`:
   /// partition (kd-tree build + AQC merge), train (per-leaf MLP training +
-  /// plan compilation), calibrate (the narrow-tier validate-or-calibrate
-  /// replays; 0 when the sketch trains at the default f64 precision).
+  /// plan compilation), calibrate (the f32 validate replay; 0 when the
+  /// sketch trains at the default f64 precision).
   struct BuildStats {
     double partition_seconds = 0.0;
     double train_seconds = 0.0;
@@ -176,12 +151,12 @@ class NeuroSketch {
   /// leaf_id * 1000003`), so retraining leaf L here is bit-identical to
   /// what a clean rebuild over the same partition would produce for L.
   /// Runs per-leaf training in parallel on the shared pool under
-  /// `config.train_threads`. The narrow plan tiers were validated against
-  /// the old leaf models, so they are dropped and rebuilt through the
-  /// same validate-or-fallback chain as Train (int8 -> f32 -> f64) over
-  /// `queries`; SizeBytes()==Save() stays pinned throughout. NOT
-  /// thread-safe with concurrent Answer calls — the serving path retrains
-  /// a copy and atomically swaps it into the store.
+  /// `config.train_threads`. The f32 tier was validated against the old
+  /// leaf models, so it is dropped and rebuilt through the same
+  /// validate-or-fallback step as Train (f32 -> f64) over `queries`;
+  /// SizeBytes()==Save() stays pinned throughout. NOT thread-safe with
+  /// concurrent Answer calls — the serving path retrains a copy and
+  /// atomically swaps it into the store.
   Status RetrainLeaves(const std::vector<int>& leaf_ids,
                        const std::vector<QueryInstance>& queries,
                        const std::vector<double>& answers,
@@ -223,10 +198,9 @@ class NeuroSketch {
   size_t SizeBytes() const;
 
   /// \brief Bytes this sketch currently holds in memory: the routing
-  /// block, per-leaf scales, every *materialized* plan tier, the int8
-  /// calibration record, and (when resident) the trainable Mlp forms
-  /// (parameters + gradient buffers; training activation caches are
-  /// transient and excluded). Unlike SizeBytes() this moves with
+  /// block, per-leaf scales, every *materialized* plan tier, and (when
+  /// resident) the trainable Mlp forms (parameters + gradient buffers;
+  /// training activation caches are transient and excluded). Unlike SizeBytes() this moves with
   /// EnsureTier/ReleaseTier/ReleaseTrainer — it is the admission unit of
   /// the serving buffer pool.
   size_t ResidentBytes() const;
@@ -245,26 +219,17 @@ class NeuroSketch {
   /// \brief The precision tier Answer / AnswerBatch* currently serve from.
   PlanPrecision plan_precision() const { return precision_; }
   /// \brief True when the sketch *carries* the tier: validated at train
-  /// time and deterministically rebuildable from the f64 parameters (f32
-  /// by narrowing, int8 by re-quantizing with the saved calibration
-  /// scales). Carrying a tier does not imply it is materialized — see
+  /// time and deterministically rebuildable from the f64 parameters by
+  /// narrowing. Carrying a tier does not imply it is materialized — see
   /// TierResident / EnsureTier / ReleaseTier.
   bool has_f32_plans() const { return f32_available_; }
-  bool has_int8_plans() const { return int8_available_; }
 
   /// \brief True when the tier's compiled plans are resident right now.
   /// kF64 plans are the canonical in-memory parameter store and are
   /// always resident on a warm sketch.
   bool TierResident(PlanPrecision precision) const {
-    switch (precision) {
-      case PlanPrecision::kF32:
-        return !plans_f32_.empty();
-      case PlanPrecision::kInt8:
-        return !plans_i8_.empty();
-      case PlanPrecision::kF64:
-        break;
-    }
-    return !plans_.empty();
+    return precision == PlanPrecision::kF32 ? !plans_f32_.empty()
+                                            : !plans_.empty();
   }
 
   /// \brief True when the trainable Mlp forms (the scalar reference path)
@@ -276,40 +241,13 @@ class NeuroSketch {
   /// validation pass, in standardized units (0 when never validated).
   double f32_max_divergence() const { return f32_max_divergence_; }
   double f32_error_bound() const { return f32_error_bound_; }
-  /// \brief Max |int8 - f64| divergence measured by the last int8
-  /// validation pass, standardized units (0 when never validated).
-  double int8_max_divergence() const { return int8_max_divergence_; }
-  double int8_error_bound() const { return int8_error_bound_; }
-
-  /// \brief Per-leaf int8 calibration records (per-layer input absmax).
-  /// Empty when the sketch does not carry the int8 tier; a leaf with no
-  /// calibration coverage contributes an empty inner vector. This is the
-  /// canonical record — it stays resident (it is tiny) even when the int8
-  /// plans themselves are released, so EnsureTier can re-quantize without
-  /// touching disk. Exposed so tests can pin the calibration scales
-  /// bit-for-bit across thread counts.
-  const std::vector<std::vector<double>>& Int8CalibrationScales() const {
-    return int8_absmax_;
-  }
-
-  /// \brief Multiply every int8 calibration absmax by `factor` and
-  /// re-quantize the int8 plans from the perturbed record. A fault
-  /// hook for drift tests: a large factor models calibration scales that
-  /// no longer match the served data distribution (the quantization grid
-  /// coarsens by `factor`), which the refresh validation gate must catch
-  /// and answer with a tier demotion. InvalidArgument when the sketch
-  /// does not carry the int8 tier or `factor` is not positive. Same
-  /// thread-safety contract as EnsureTier: must happen-before concurrent
-  /// Answer calls.
-  Status RescaleInt8Calibration(double factor);
 
   /// \brief Resident bytes of a tier's compiled flat buffers (0 when that
   /// tier is not materialized). The f32 tier is half the f64 tier.
   size_t PlanBytes(PlanPrecision precision) const;
 
   /// \brief Materialize a carried tier's compiled plans if they are not
-  /// resident: f32 narrows the f64 parameters, int8 re-quantizes them
-  /// with the saved calibration scales — both deterministic, so the
+  /// resident: f32 narrows the f64 parameters — deterministic, so the
   /// rebuilt plans are bit-identical to the ones Train validated.
   /// InvalidArgument when the sketch does not carry the tier (never
   /// validated, or validation dropped it). kF64 is always resident on a
@@ -350,24 +288,9 @@ class NeuroSketch {
   bool EnableF32(const std::vector<QueryInstance>& validation,
                  double error_bound, size_t num_threads = 0);
 
-  /// \brief Compile the int8 plan tier: calibrate per-layer activation
-  /// ranges by replaying `validation` through the f64 plans, quantize
-  /// each leaf (leaves with no calibration coverage keep serving their
-  /// f64 plan — int8 is never served uncalibrated), and validate the max
-  /// standardized-unit divergence against `error_bound`. Activates int8
-  /// serving and returns true iff in bound; otherwise drops the int8
-  /// plans. The measured divergence is available from
-  /// int8_max_divergence() either way. Both replays shard across
-  /// `num_threads` workers (0 = hardware concurrency); per-shard absmax /
-  /// coverage / divergence reductions combine in fixed shard order, so
-  /// calibration scales and the validation record are bit-identical to a
-  /// serial sweep for every thread count.
-  bool EnableInt8(const std::vector<QueryInstance>& validation,
-                  double error_bound, size_t num_threads = 0);
-
-  /// \brief Switch the active serving tier. kF32/kInt8 require that
-  /// tier's plans (compiled by Train with the matching plan_precision,
-  /// EnableF32/EnableInt8, or Load of a sketch carrying the tier).
+  /// \brief Switch the active serving tier. kF32 requires the f32 plans
+  /// (compiled by Train with plan_precision = kF32, EnableF32, or Load of
+  /// a sketch carrying the tier).
   Status SelectPrecision(PlanPrecision precision);
 
   /// \brief Mirror the construction-side record — BuildStats phase wall
@@ -379,11 +302,13 @@ class NeuroSketch {
                           const std::string& prefix = "nsketch_build_") const;
 
   /// \brief Serialize / deserialize the full sketch (routing + scales +
-  /// model parameters + precision tier + int8 calibration scales).
-  /// Parameters are always stored in f64 — the accuracy reference — and
-  /// narrow tiers deterministically rebuild from them on Load (f32 by
-  /// narrowing, int8 by re-quantizing with the saved calibration
-  /// absmax), so round-trips are bit-exact in every tier. Load comes up
+  /// model parameters + precision tier). Parameters are always stored in
+  /// f64 — the accuracy reference — and the f32 tier deterministically
+  /// rebuilds from them on Load by narrowing, so round-trips are
+  /// bit-exact in every tier. Load also reads images that carry the
+  /// retired int8 tier's calibration block: it checks the block and
+  /// drops it, and the sketch comes up on f32 when the image carries f32
+  /// and on f64 otherwise. Load comes up
   /// warm-and-lean: only the active tier's plans are materialized
   /// (carried inactive tiers rebuild through EnsureTier) and the
   /// trainable Mlp forms rebuild lazily on first AnswerScalar. The
@@ -411,23 +336,15 @@ class NeuroSketch {
   mutable internal::MovableFlag trainer_ready_;
   std::vector<nn::CompiledMlp> plans_;  // serving form, same indexing
   std::vector<nn::CompiledMlpF32> plans_f32_;  // opt-in fast tier
-  std::vector<nn::CompiledMlpI8> plans_i8_;    // opt-in quantized tier
   /// Tier availability (carried, validated, rebuildable) — survives
   /// ReleaseTier, which only drops the materialized plans.
   bool f32_available_ = false;
-  bool int8_available_ = false;
-  /// Canonical int8 calibration record (per leaf, per layer input
-  /// absmax; empty inner vector = uncovered leaf). Source of truth for
-  /// Save and for EnsureTier(kInt8) re-quantization.
-  std::vector<std::vector<double>> int8_absmax_;
   size_t routing_doubles_ = 0;  // EncodeRouting().size(), cached
   std::vector<double> target_mean_;     // per-leaf target standardization
   std::vector<double> target_scale_;
   PlanPrecision precision_ = PlanPrecision::kF64;
   double f32_error_bound_ = 0.0;     // bound in effect when validated
   double f32_max_divergence_ = 0.0;  // measured by the validation pass
-  double int8_error_bound_ = 0.0;     // int8 validation record
-  double int8_max_divergence_ = 0.0;
   BuildStats stats_;
 };
 

@@ -161,23 +161,15 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
     DriftReport post = target.monitor.CheckAgainst(fresh, truth);
     out.post_mae = post.normalized_mae;
     out.retrained = true;
-    // Tier re-validation: RetrainLeaves fixes the f64 parameters, but a
-    // surviving narrow tier (int8 especially) still serves through
-    // calibration scales captured on the PRE-drift distribution. If the
-    // narrow tier is what pushed the probe out of bound, demote it —
-    // int8 -> f32 -> f64 — re-validating at each step, rather than
-    // discarding a refresh whose f64 reference is fine.
-    while (post.normalized_mae > target.monitor.policy().max_normalized_mae &&
-           fresh.plan_precision() != PlanPrecision::kF64) {
-      const PlanPrecision was = fresh.plan_precision();
-      const PlanPrecision next =
-          (was == PlanPrecision::kInt8 && fresh.has_f32_plans())
-              ? PlanPrecision::kF32
-              : PlanPrecision::kF64;
-      Status demote = fresh.EnsureTier(next);
-      if (demote.ok()) demote = fresh.SelectPrecision(next);
-      if (!demote.ok()) break;  // can't demote further; gate decides below
-      fresh.ReleaseTier(was);   // stale-calibrated plans must not linger
+    // Tier re-validation: RetrainLeaves re-validates the f32 tier on the
+    // training workload, but the probe set can still see it out of bound.
+    // If the f32 tier is what pushed the probe out of bound, demote it to
+    // f64 and re-validate, rather than discarding a refresh whose f64
+    // reference is fine.
+    if (post.normalized_mae > target.monitor.policy().max_normalized_mae &&
+        fresh.plan_precision() == PlanPrecision::kF32 &&
+        fresh.SelectPrecision(PlanPrecision::kF64).ok()) {
+      fresh.ReleaseTier(PlanPrecision::kF32);
       ++out.tier_fallbacks;
       post = target.monitor.CheckAgainst(fresh, truth);
       out.post_mae = post.normalized_mae;
@@ -375,7 +367,7 @@ void RefreshController::ExportMetrics(metrics::MetricsRegistry* registry,
                        "Passes where the drift probe was within bound");
   registry->SetCounter(
       prefix + "refresh_tier_fallbacks_total", s.tier_fallbacks,
-      "Validation-driven serving-tier demotions (stale narrow calibration)");
+      "Validation-driven serving-tier demotions (f32 to f64)");
   registry->SetCounter(
       prefix + "refresh_compactions_total", s.compactions,
       "Threshold-triggered delta compactions that folded rows into base");

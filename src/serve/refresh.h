@@ -76,8 +76,7 @@ struct RefreshOutcome {
   bool demoted = false;      ///< this failure crossed the demotion streak
   size_t retrained_leaves = 0;
   /// Times the post-retrain validation demoted the serving tier
-  /// (int8 -> f32 -> f64) because the surviving narrow tier was out of
-  /// bound on the drifted data (stale calibration).
+  /// (f32 -> f64) because the f32 tier was out of bound on the probe set.
   size_t tier_fallbacks = 0;
   std::vector<int> stale_leaves;  ///< what the probe flagged
   double pre_mae = 0.0;      ///< probe normalized MAE before retrain

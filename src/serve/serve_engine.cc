@@ -390,11 +390,9 @@ void ServeEngine::Settle(Shard* shard, KeyState* st, PlanPrecision tier) {
   ServeCounts& tally = shard->tally;
   tally.batches = 1;
   tally.queries = shard->batch_results.size();
-  // The per-tier counters are a subset of sketch_answers, added with them.
+  // The f32 counter is a subset of sketch_answers, added with them.
   if (tier == PlanPrecision::kF32) {
     tally.f32_sketch_answers = tally.sketch_answers;
-  } else if (tier == PlanPrecision::kInt8) {
-    tally.int8_sketch_answers = tally.sketch_answers;
   }
   // Every counter lands before any answer of the batch is held.
   for (size_t c = 0; c < kNumCounters; ++c) {

@@ -48,12 +48,9 @@ struct LatencyBreakdown {
 struct ServeCounts {
   uint64_t queries = 0;          ///< answers delivered
   uint64_t sketch_answers = 0;   ///< answered by a sketch forward pass
-  /// Subsets of sketch_answers by the sketch's active tier at answer
-  /// time. Note: an int8 sketch serves its rare uncalibrated leaves from
-  /// their f64 plan, but those answers still count under the active tier
-  /// here — the counters attribute traffic per sketch, not per kernel.
+  /// Subset of sketch_answers served while the sketch's active tier
+  /// was f32.
   uint64_t f32_sketch_answers = 0;
-  uint64_t int8_sketch_answers = 0;
   uint64_t fallback_answers = 0; ///< answered by the exact engine
   uint64_t failed_answers = 0;   ///< NaN with no fallback available
   /// Sketch answers composed with an exact correction over unfolded
@@ -75,7 +72,6 @@ enum class Counter : size_t {
   kQueries,
   kSketch,
   kF32,
-  kInt8,
   kFallback,
   kFailed,
   kDeltaCorrected,
@@ -104,8 +100,6 @@ inline constexpr CounterInfo kCounterTable[] = {
      "Answered by a sketch forward pass", true, false},
     {&ServeCounts::f32_sketch_answers, "f32_sketch_answers",
      "Sketch answers from an f32 plan", false, false},
-    {&ServeCounts::int8_sketch_answers, "int8_sketch_answers",
-     "Sketch answers from an int8 plan", false, false},
     {&ServeCounts::fallback_answers, "fallback_answers",
      "Answered by the exact engine", true, false},
     {&ServeCounts::failed_answers, "failed_answers",

@@ -1,13 +1,11 @@
 // The construction determinism contract: every phase of NeuroSketch::Train
-// — kd-tree partition/merge, per-leaf training, and the narrow-tier
-// calibrate/validate replays — runs on the shared pool under
-// NeuroSketchConfig::train_threads, and the resulting sketch must be
-// bit-identical for every thread count. This battery builds at
-// train_threads ∈ {1, 2, hw} and pins partitions (routing encoding and
-// leaf query sets), per-leaf model parameters (serialized bytes),
-// per-leaf AQC, the f32 validation record, the int8 calibration scales
-// and validation record, and every served answer, against the serial
-// build. It extends the seeded-determinism pattern of
+// — kd-tree partition/merge, per-leaf training, and the f32 validate
+// replay — runs on the shared pool under NeuroSketchConfig::train_threads,
+// and the resulting sketch must be bit-identical for every thread count.
+// This battery builds at train_threads ∈ {1, 2, hw} and pins partitions
+// (routing encoding and leaf query sets), per-leaf model parameters
+// (serialized bytes), per-leaf AQC, the f32 validation record, and every
+// served answer, against the serial build. It extends the seeded-determinism pattern of
 // inference_plan_test.cc from the training phase to the whole pipeline.
 #include <gtest/gtest.h>
 
@@ -152,7 +150,6 @@ void ExpectBitIdenticalBuilds(PlanPrecision precision, uint64_t seed) {
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const std::string serial_bytes = SaveToBytes(serial.value(), "serial");
   const auto serial_routing = serial.value().tree().EncodeRouting();
-  const auto serial_scales = serial.value().Int8CalibrationScales();
 
   for (size_t threads : {2u, kHardware}) {
     auto parallel = NeuroSketch::Train(queries, answers,
@@ -174,12 +171,6 @@ void ExpectBitIdenticalBuilds(PlanPrecision precision, uint64_t seed) {
     EXPECT_EQ(p.plan_precision(), s.plan_precision());
     EXPECT_EQ(p.f32_max_divergence(), s.f32_max_divergence());
     EXPECT_EQ(p.f32_error_bound(), s.f32_error_bound());
-    EXPECT_EQ(p.int8_max_divergence(), s.int8_max_divergence());
-    EXPECT_EQ(p.int8_error_bound(), s.int8_error_bound());
-
-    // Int8 calibration scales: the sharded absmax reduction must land on
-    // the exact doubles the serial replay produced.
-    EXPECT_EQ(p.Int8CalibrationScales(), serial_scales);
 
     // Per-leaf parameters, scales, routing, trailer: the serialized form
     // captures all of them — demand byte equality.
@@ -203,15 +194,10 @@ TEST(ConstructionParallelTest, F32BuildBitIdenticalAcrossThreadCounts) {
   ExpectBitIdenticalBuilds(PlanPrecision::kF32, 630);
 }
 
-TEST(ConstructionParallelTest, Int8BuildBitIdenticalAcrossThreadCounts) {
-  ExpectBitIdenticalBuilds(PlanPrecision::kInt8, 640);
-}
-
 // ------------------------------------------------- post-hoc Enable passes
 
-// EnableF32 / EnableInt8 on an already-trained sketch: the sharded
-// validation and calibrate-then-validate replays must reproduce the
-// serial records bit-for-bit. Training is deterministic, so two builds of
+// EnableF32 on an already-trained sketch: the sharded validation replay
+// must reproduce the serial record bit-for-bit. Training is deterministic, so two builds of
 // the same config are interchangeable serial/parallel subjects.
 TEST(ConstructionParallelTest, EnableTiersParallelMatchesSerial) {
   std::vector<QueryInstance> queries;
@@ -229,15 +215,6 @@ TEST(ConstructionParallelTest, EnableTiersParallelMatchesSerial) {
     ASSERT_TRUE(b.value().EnableF32(queries, bound_f32, threads));
     EXPECT_EQ(b.value().f32_max_divergence(), a.value().f32_max_divergence())
         << "threads=" << threads;
-
-    const double bound_i8 = NeuroSketchConfig().int8_error_bound;
-    ASSERT_TRUE(a.value().EnableInt8(queries, bound_i8, /*num_threads=*/1));
-    ASSERT_TRUE(b.value().EnableInt8(queries, bound_i8, threads));
-    EXPECT_EQ(b.value().int8_max_divergence(), a.value().int8_max_divergence())
-        << "threads=" << threads;
-    EXPECT_EQ(b.value().Int8CalibrationScales(),
-              a.value().Int8CalibrationScales())
-        << "threads=" << threads;
     EXPECT_EQ(SaveToBytes(b.value(), "enable_b"),
               SaveToBytes(a.value(), "enable_a"))
         << "threads=" << threads;
@@ -252,7 +229,7 @@ TEST(ConstructionParallelTest, PhaseWallTimesPopulatedAtEveryThreadCount) {
   MakeTrainingSet(660, 2500, &queries, &answers);
   for (size_t threads : {1u, 2u, kHardware}) {
     auto sketch = NeuroSketch::Train(
-        queries, answers, MakeConfig(660, threads, PlanPrecision::kInt8));
+        queries, answers, MakeConfig(660, threads, PlanPrecision::kF32));
     ASSERT_TRUE(sketch.ok());
     const auto& stats = sketch.value().stats();
     EXPECT_GT(stats.partition_seconds, 0.0) << "threads=" << threads;

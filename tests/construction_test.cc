@@ -217,9 +217,9 @@ TEST(CsSgdTest, TrainOnMismatchedDimsIsNoOp) {
 
 // BuildStats splits the construction pipeline into per-phase wall times:
 // partition (kd-tree + AQC merge), train (per-leaf MLPs + plans), and
-// calibrate (narrow-tier validate/calibrate replays). A narrow-tier build
-// must populate all three; a default f64 build performs no calibration
-// replay and must report exactly 0 for that phase.
+// calibrate (the f32 validate replay). An f32 build must populate all
+// three; a default f64 build performs no validate replay and must report
+// exactly 0 for that phase.
 TEST(BuildStatsTest, AllThreePhaseTimesPopulated) {
   Rng rng(4100);
   std::vector<QueryInstance> queries;
@@ -237,7 +237,7 @@ TEST(BuildStatsTest, AllThreePhaseTimesPopulated) {
   cfg.l_rest = 8;
   cfg.train.epochs = 10;
   cfg.seed = 4101;
-  cfg.plan_precision = PlanPrecision::kInt8;
+  cfg.plan_precision = PlanPrecision::kF32;
   auto sketch = NeuroSketch::Train(queries, answers, cfg);
   ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
   const auto& stats = sketch.value().stats();
@@ -245,7 +245,7 @@ TEST(BuildStatsTest, AllThreePhaseTimesPopulated) {
   EXPECT_GT(stats.train_seconds, 0.0);
   EXPECT_GT(stats.calibrate_seconds, 0.0);
 
-  if (!ForceF32PlansFromEnv() && !ForceInt8PlansFromEnv()) {
+  if (!ForceF32PlansFromEnv()) {
     cfg.plan_precision = PlanPrecision::kF64;
     auto plain = NeuroSketch::Train(queries, answers, cfg);
     ASSERT_TRUE(plain.ok());

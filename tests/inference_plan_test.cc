@@ -56,19 +56,16 @@ std::vector<double> RandomInput(Rng* rng, size_t dim) {
 
 // Compare a compiled-plan answer against the f64 scalar reference. At the
 // default precision the contract is bitwise equality; when the CI matrix
-// forces a narrow tier (NEUROSKETCH_FORCE_F32_PLANS=1 /
-// NEUROSKETCH_FORCE_INT8_PLANS=1) the compiled path legitimately diverges
-// within that tier's validated error bound, so compare with an
-// answer-space tolerance instead. The bound is in standardized units;
-// answer-space divergence is bound x the leaf's target scale, so callers
-// pass `answer_scale` = 1 + the workload's max |answer| (an upper proxy
-// for any leaf's target stddev).
+// forces the f32 tier (NEUROSKETCH_FORCE_F32_PLANS=1) the compiled path
+// legitimately diverges within that tier's validated error bound, so
+// compare with an answer-space tolerance instead. The bound is in
+// standardized units; answer-space divergence is bound x the leaf's target
+// scale, so callers pass `answer_scale` = 1 + the workload's max |answer|
+// (an upper proxy for any leaf's target stddev).
 void ExpectMatchesScalar(const NeuroSketch& sketch, double compiled,
                          double scalar, double answer_scale) {
   if (sketch.plan_precision() == PlanPrecision::kF32) {
     EXPECT_NEAR(compiled, scalar, sketch.f32_error_bound() * answer_scale);
-  } else if (sketch.plan_precision() == PlanPrecision::kInt8) {
-    EXPECT_NEAR(compiled, scalar, sketch.int8_error_bound() * answer_scale);
   } else {
     EXPECT_EQ(compiled, scalar);
   }

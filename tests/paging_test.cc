@@ -351,8 +351,8 @@ struct Bench {
   NeuroSketchConfig cfg;
 };
 
-// Same shape as precision_test's bench: big enough that f32/int8 tiers
-// validate, small enough to train in well under a second.
+// Same shape as precision_test's bench: big enough that the f32 tier
+// validates, small enough to train in well under a second.
 Bench MakeBench(uint64_t seed) {
   Bench b;
   Table t = MakeUniformTable(4000, 2, seed);
@@ -739,8 +739,7 @@ TEST(PagedServeTest, CatalogOf256ServesBitIdenticalAtQuarterBudget) {
 }
 
 TEST(PagedServeTest, EvictFaultInRoundTripsBitIdenticalOnEveryTier) {
-  for (PlanPrecision tier : {PlanPrecision::kF64, PlanPrecision::kF32,
-                             PlanPrecision::kInt8}) {
+  for (PlanPrecision tier : {PlanPrecision::kF64, PlanPrecision::kF32}) {
     SCOPED_TRACE(PlanPrecisionName(tier));
     // Budget fits ~1.2 sketches: every alternation between the three
     // keys evicts the previous one, so each Lookup below is a fresh

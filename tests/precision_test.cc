@@ -1,21 +1,23 @@
-// Tests for the opt-in narrow compiled-plan tiers (f32 and int8):
-// activation under the error bound, automatic fallback chaining
-// (int8 -> f32 -> f64) when bounds are blown, bitwise f64 golden behavior
-// at the default precision, precision + calibration surviving
+// Tests for the opt-in f32 compiled-plan tier: activation under the error
+// bound, automatic fallback to f64 when the bound is blown, bitwise f64
+// golden behavior at the default precision, precision surviving
 // serialization, tier switching, serialized-size accounting (SizeBytes()
-// == bytes Save() writes), and int8 calibration edge cases (zero-range
-// layers, saturating outliers).
+// == bytes Save() writes), and loading images written with the retired
+// int8 tier's calibration block.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/neurosketch.h"
 #include "data/generators.h"
-#include "nn/inference_plan.h"
 #include "nn/mlp.h"
 #include "query/predicate.h"
 #include "serve/sketch_store.h"
@@ -121,8 +123,8 @@ TEST(PrecisionTest, BlownErrorBoundFallsBackToF64) {
 }
 
 TEST(PrecisionTest, DefaultPrecisionIsBitwiseGolden) {
-  if (ForceF32PlansFromEnv() || ForceInt8PlansFromEnv()) {
-    GTEST_SKIP() << "NEUROSKETCH_FORCE_*_PLANS upgrades the default tier";
+  if (ForceF32PlansFromEnv()) {
+    GTEST_SKIP() << "NEUROSKETCH_FORCE_F32_PLANS upgrades the default tier";
   }
   Bench b = MakeBench(93);
   auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
@@ -166,7 +168,7 @@ TEST(PrecisionTest, VectorizedLeafIdsMatchRouteOnEveryTier) {
   // to, so a caller need not route again; asking for the ids leaves the
   // answers bit-identical on every tier, the single-query path included.
   Bench b = MakeBench(96);
-  b.cfg.plan_precision = PlanPrecision::kInt8;
+  b.cfg.plan_precision = PlanPrecision::kF32;
   auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
   ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
   NeuroSketch& ns = sketch.value();
@@ -175,8 +177,7 @@ TEST(PrecisionTest, VectorizedLeafIdsMatchRouteOnEveryTier) {
   }
   const std::vector<QueryInstance>& probes = b.probes;
   size_t tiers = 0;
-  for (PlanPrecision tier :
-       {PlanPrecision::kF64, PlanPrecision::kF32, PlanPrecision::kInt8}) {
+  for (PlanPrecision tier : {PlanPrecision::kF64, PlanPrecision::kF32}) {
     if (!ns.SelectPrecision(tier).ok()) continue;
     ++tiers;
     for (size_t n : {size_t{1}, probes.size()}) {
@@ -199,7 +200,7 @@ TEST(PrecisionTest, VectorizedLeafIdsMatchRouteOnEveryTier) {
       }
     }
   }
-  EXPECT_EQ(tiers, 3u);
+  EXPECT_EQ(tiers, 2u);
 }
 
 TEST(PrecisionTest, EnableF32RefusesEmptyValidation) {
@@ -266,8 +267,7 @@ TEST(PrecisionTest, InactiveF32TierSurvivesSaveLoad) {
 }
 
 TEST(PrecisionTest, SizeBytesMatchesSaveOutputExactly) {
-  for (PlanPrecision p :
-       {PlanPrecision::kF64, PlanPrecision::kF32, PlanPrecision::kInt8}) {
+  for (PlanPrecision p : {PlanPrecision::kF64, PlanPrecision::kF32}) {
     Bench b = MakeBench(97);
     b.cfg.plan_precision = p;
     auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
@@ -278,285 +278,6 @@ TEST(PrecisionTest, SizeBytesMatchesSaveOutputExactly) {
         << "precision " << PlanPrecisionName(sketch.value().plan_precision());
     std::remove(path.c_str());
   }
-}
-
-// ---------------------------------------------------------------- int8
-
-TEST(PrecisionTest, Int8ActivatesWithinBoundAndShrinksFootprint) {
-  Bench b = MakeBench(81);
-  b.cfg.plan_precision = PlanPrecision::kInt8;
-  auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-  ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
-  const NeuroSketch& ns = sketch.value();
-
-  ASSERT_EQ(ns.plan_precision(), PlanPrecision::kInt8)
-      << "int8 tier should activate under the default bound (measured "
-      << ns.int8_max_divergence() << ")";
-  EXPECT_TRUE(ns.has_int8_plans());
-  EXPECT_GT(ns.int8_max_divergence(), 0.0);
-  EXPECT_LE(ns.int8_max_divergence(), ns.int8_error_bound());
-  // The headline footprint claim: the int8 tier's resident plan bytes are
-  // at most a quarter of the f64 tier's (int8 weights are 1/8; the f32
-  // bias/dequant epilogue and calibration record eat some of that back).
-  EXPECT_LE(ns.PlanBytes(PlanPrecision::kInt8),
-            ns.PlanBytes(PlanPrecision::kF64) / 4);
-
-  // Every batch surface serves the same int8 bits as single-query Answer,
-  // and all stay within the standardized bound of the f64 reference.
-  const auto serial = ns.AnswerBatch(b.probes);
-  const auto vectorized = ns.AnswerBatchVectorized(b.probes);
-  double max_abs = 0.0;
-  for (const auto& q : b.probes) {
-    max_abs = std::max(max_abs, std::fabs(ns.AnswerScalar(q)));
-  }
-  const double tol = ns.int8_error_bound() * (1.0 + max_abs);
-  for (size_t i = 0; i < b.probes.size(); ++i) {
-    const double int8_answer = ns.Answer(b.probes[i]);
-    const double f64_answer = ns.AnswerScalar(b.probes[i]);
-    EXPECT_EQ(int8_answer, serial[i]) << "probe " << i;
-    EXPECT_EQ(int8_answer, vectorized[i]) << "probe " << i;
-    EXPECT_NEAR(int8_answer, f64_answer, tol) << "probe " << i;
-  }
-}
-
-TEST(PrecisionTest, Int8BlownBoundChainsToF32ThenF64) {
-  {
-    // Int8 bound blown, f32 bound fine: the chain lands on f32.
-    Bench b = MakeBench(82);
-    b.cfg.plan_precision = PlanPrecision::kInt8;
-    b.cfg.int8_error_bound = 0.0;  // nothing passes: force the demotion
-    auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-    ASSERT_TRUE(sketch.ok());
-    EXPECT_EQ(sketch.value().plan_precision(), PlanPrecision::kF32);
-    EXPECT_FALSE(sketch.value().has_int8_plans());
-    EXPECT_TRUE(sketch.value().has_f32_plans());
-    EXPECT_GT(sketch.value().int8_max_divergence(), 0.0);  // measured
-  }
-  {
-    // Both narrow bounds blown: the chain bottoms out on the f64 golden
-    // reference, bit-identical to the scalar path.
-    Bench b = MakeBench(82);
-    b.cfg.plan_precision = PlanPrecision::kInt8;
-    b.cfg.int8_error_bound = 0.0;
-    b.cfg.f32_error_bound = 0.0;
-    auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-    ASSERT_TRUE(sketch.ok());
-    const NeuroSketch& ns = sketch.value();
-    EXPECT_EQ(ns.plan_precision(), PlanPrecision::kF64);
-    EXPECT_FALSE(ns.has_int8_plans());
-    EXPECT_FALSE(ns.has_f32_plans());
-    for (const auto& q : b.probes) {
-      EXPECT_EQ(ns.Answer(q), ns.AnswerScalar(q));
-    }
-  }
-}
-
-TEST(PrecisionTest, EnableInt8RefusesEmptyValidation) {
-  Bench b = MakeBench(83);
-  auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-  ASSERT_TRUE(sketch.ok());
-  // No calibration coverage at all -> int8 must not activate. A non-int8
-  // serving tier (f64, or the tier a forced CI matrix trained) is left
-  // untouched; a previously active int8 tier is dropped rather than kept
-  // serving bits the failed re-validation no longer vouches for.
-  const PlanPrecision before = sketch.value().plan_precision();
-  EXPECT_FALSE(sketch.value().EnableInt8(
-      {}, NeuroSketchConfig().int8_error_bound));
-  EXPECT_NE(sketch.value().plan_precision(), PlanPrecision::kInt8);
-  if (before != PlanPrecision::kInt8) {
-    EXPECT_EQ(sketch.value().plan_precision(), before);
-  }
-  EXPECT_FALSE(sketch.value().has_int8_plans());
-}
-
-// A layer whose input is identically zero (dead first layer) has a
-// zero-range calibration: its activations quantize to all zeros and the
-// layer degenerates to act(bias), matching the f64 reference up to the
-// f32 bias cast.
-TEST(PrecisionTest, Int8ZeroRangeLayerDegeneratesToBias) {
-  nn::MlpConfig cfg;
-  cfg.in_dim = 3;
-  cfg.hidden = {8, 4};
-  nn::Mlp model(cfg, 7);
-  // Kill layer 0: zero weights and bias -> its ReLU output is exactly 0,
-  // so layer 1 calibrates a zero range.
-  model.layers()[0].weight().Zero();
-  model.layers()[0].bias().Zero();
-  nn::CompiledMlp plan = nn::CompiledMlp::FromMlp(model);
-
-  nn::Workspace ws;
-  std::vector<double> absmax(plan.layers().size(), 0.0);
-  Rng rng(19);
-  std::vector<std::vector<double>> calib;
-  for (int i = 0; i < 32; ++i) {
-    std::vector<double> x(3);
-    for (double& v : x) v = rng.Uniform(-1.0, 1.0);
-    plan.CalibrateOne(x.data(), &ws, absmax.data());
-    calib.push_back(std::move(x));
-  }
-  ASSERT_GT(absmax[0], 0.0);
-  EXPECT_EQ(absmax[1], 0.0) << "dead layer must calibrate a zero range";
-
-  nn::CompiledMlpI8 i8 = nn::CompiledMlpI8::FromPlan(plan, absmax);
-  for (const auto& x : calib) {
-    const double got = i8.PredictOne(x.data(), &ws);
-    const double want = plan.PredictOne(x.data(), &ws);
-    EXPECT_TRUE(std::isfinite(got));
-    // Everything downstream of the dead layer is a bias chain; the only
-    // divergence left is the f64 -> f32 bias narrowing.
-    EXPECT_NEAR(got, want, 1e-5);
-  }
-}
-
-// Serve-time activations beyond the calibrated range saturate at the
-// +/-127 quantization boundary instead of wrapping: an outlier input
-// answers exactly what the boundary input answers.
-TEST(PrecisionTest, Int8SaturatingOutliersClampAtCalibrationBoundary) {
-  nn::MlpConfig cfg;
-  cfg.in_dim = 1;
-  cfg.hidden = {};  // single linear output layer
-  nn::Mlp model(cfg, 3);
-  nn::CompiledMlp plan = nn::CompiledMlp::FromMlp(model);
-
-  nn::Workspace ws;
-  std::vector<double> absmax(plan.layers().size(), 0.0);
-  for (double x : {-1.0, 0.25, 1.0}) {
-    plan.CalibrateOne(&x, &ws, absmax.data());
-  }
-  ASSERT_EQ(absmax[0], 1.0);
-
-  nn::CompiledMlpI8 i8 = nn::CompiledMlpI8::FromPlan(plan, absmax);
-  const double boundary = 1.0, outlier = 10.0, far_outlier = 1e6;
-  const double at_boundary = i8.PredictOne(&boundary, &ws);
-  EXPECT_TRUE(std::isfinite(at_boundary));
-  EXPECT_EQ(i8.PredictOne(&outlier, &ws), at_boundary);
-  EXPECT_EQ(i8.PredictOne(&far_outlier, &ws), at_boundary);
-  const double neg = -5.0;
-  const double neg_boundary = -1.0;
-  EXPECT_EQ(i8.PredictOne(&neg, &ws), i8.PredictOne(&neg_boundary, &ws));
-}
-
-// Pins the current *signed* symmetric activation-quantization scheme
-// (127 levels per side, step = absmax/127) — including for ReLU layers
-// whose activations are non-negative and would fit an unsigned 0..255
-// grid with half the step (the deferred ROADMAP item: unsigned ReLU
-// activation quantization would roughly halve measured divergence at the
-// same width). If that scheme lands, this test is the one that must
-// change: the pinned step below halves, and the zero-range / saturating
-// behavior must be re-pinned under the new grid (today those edges are
-// covered by Int8ZeroRangeLayerDegeneratesToBias and
-// Int8SaturatingOutliersClampAtCalibrationBoundary, both of which are
-// grid-agnostic on the negative side only for signed grids).
-TEST(PrecisionTest, Int8ActivationQuantizationPinnedToSignedGrid) {
-  // Identity network: 1 input, single linear layer, weight 1, bias 0.
-  // With absmax = 127 the activation multiplier is exactly 127/127 = 1,
-  // so PredictOne(x) == round(x) exposes the quantization grid directly.
-  nn::MlpConfig cfg;
-  cfg.in_dim = 1;
-  cfg.hidden = {};
-  nn::Mlp model(cfg, 5);
-  model.layers()[0].weight()(0, 0) = 1.0;
-  model.layers()[0].bias()(0, 0) = 0.0;
-  nn::CompiledMlp plan = nn::CompiledMlp::FromMlp(model);
-  nn::CompiledMlpI8 i8 = nn::CompiledMlpI8::FromPlan(plan, {127.0});
-
-  nn::Workspace ws;
-  // Signed grid: step = absmax/127 = 1.0, symmetric about zero. An
-  // unsigned 0..255 grid for the same range would have step 127/255 and
-  // these expectations would fail (e.g. 2.4 would quantize near 2.49; the
-  // 1e-4 tolerance absorbs only the f32 dequant-multiplier rounding, not
-  // a grid change).
-  const struct { double in, out; } pinned[] = {
-      {0.0, 0.0},  {0.4, 0.0},  {0.6, 1.0},  {2.4, 2.0},   {2.6, 3.0},
-      {-0.4, 0.0}, {-0.6, -1.0}, {-2.6, -3.0}, {126.4, 126.0},
-  };
-  for (const auto& c : pinned) {
-    EXPECT_NEAR(i8.PredictOne(&c.in, &ws), c.out, 1e-4) << "input " << c.in;
-  }
-  // The worst-case rounding error of the signed grid is half a step,
-  // absmax/254 — twice what the deferred unsigned scheme would measure on
-  // non-negative (ReLU-range) inputs. Pin it from above *and* below so a
-  // silent scheme change in either direction trips here.
-  double max_err = 0.0;
-  for (double x = 0.0; x <= 127.0; x += 0.01) {
-    max_err = std::max(max_err, std::fabs(i8.PredictOne(&x, &ws) - x));
-  }
-  EXPECT_NEAR(max_err, 127.0 / 254.0, 1e-2);
-  EXPECT_GT(max_err, 127.0 / 510.0) << "unsigned-grid error bound reached: "
-                                       "re-pin this test to the new scheme";
-}
-
-TEST(PrecisionTest, Int8PrecisionAndCalibrationSurviveSaveLoad) {
-  Bench b = MakeBench(84);
-  b.cfg.plan_precision = PlanPrecision::kInt8;
-  auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-  ASSERT_TRUE(sketch.ok());
-  ASSERT_EQ(sketch.value().plan_precision(), PlanPrecision::kInt8);
-
-  const std::string path = testing::TempDir() + "/ns_int8_roundtrip.bin";
-  ASSERT_TRUE(sketch.value().Save(path).ok());
-  auto loaded = NeuroSketch::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  std::remove(path.c_str());
-
-  EXPECT_EQ(loaded.value().plan_precision(), PlanPrecision::kInt8);
-  EXPECT_TRUE(loaded.value().has_int8_plans());
-  EXPECT_EQ(loaded.value().int8_max_divergence(),
-            sketch.value().int8_max_divergence());
-  EXPECT_EQ(loaded.value().int8_error_bound(),
-            sketch.value().int8_error_bound());
-  for (const auto& q : b.probes) {
-    // Re-quantizing the saved f64 parameters with the saved calibration
-    // scales is deterministic: the loaded sketch serves the exact same
-    // int8 bits, and the f64 reference is untouched.
-    EXPECT_EQ(loaded.value().Answer(q), sketch.value().Answer(q));
-    EXPECT_EQ(loaded.value().AnswerScalar(q), sketch.value().AnswerScalar(q));
-  }
-}
-
-TEST(PrecisionTest, InactiveInt8TierSurvivesSaveLoad) {
-  Bench b = MakeBench(85);
-  b.cfg.plan_precision = PlanPrecision::kInt8;
-  auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-  ASSERT_TRUE(sketch.ok());
-  NeuroSketch& ns = sketch.value();
-  ASSERT_EQ(ns.plan_precision(), PlanPrecision::kInt8);
-  const double int8_answer = ns.Answer(b.probes[0]);
-
-  // Serve the reference tier for a while, then Save: the validated int8
-  // plans (and their calibration) must survive the round-trip.
-  ASSERT_TRUE(ns.SelectPrecision(PlanPrecision::kF64).ok());
-  const std::string path = testing::TempDir() + "/ns_inactive_int8.bin";
-  ASSERT_TRUE(ns.Save(path).ok());
-  auto loaded = NeuroSketch::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  std::remove(path.c_str());
-
-  EXPECT_EQ(loaded.value().plan_precision(), PlanPrecision::kF64);
-  EXPECT_TRUE(loaded.value().has_int8_plans());
-  EXPECT_EQ(loaded.value().Answer(b.probes[0]),
-            loaded.value().AnswerScalar(b.probes[0]));
-  ASSERT_TRUE(loaded.value().SelectPrecision(PlanPrecision::kInt8).ok());
-  EXPECT_EQ(loaded.value().Answer(b.probes[0]), int8_answer);
-}
-
-TEST(PrecisionTest, StoreListingReportsInt8Precision) {
-  Bench b = MakeBench(86);
-  b.cfg.plan_precision = PlanPrecision::kInt8;
-  auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-  ASSERT_TRUE(sketch.ok());
-  ASSERT_EQ(sketch.value().plan_precision(), PlanPrecision::kInt8);
-
-  QueryFunctionSpec spec;
-  spec.predicate = AxisRangePredicate::Make();
-  spec.agg = Aggregate::kCount;
-  spec.measure_col = 0;
-  serve::SketchStore store;
-  ASSERT_TRUE(store.Register("uni", spec, std::move(sketch).value()).ok());
-  const auto listings = store.List();
-  ASSERT_EQ(listings.size(), 1u);
-  EXPECT_EQ(listings[0].precision, PlanPrecision::kInt8);
-  EXPECT_TRUE(listings[0].compiled);
 }
 
 TEST(PrecisionTest, StoreListingReportsPrecision) {
@@ -576,6 +297,121 @@ TEST(PrecisionTest, StoreListingReportsPrecision) {
   ASSERT_EQ(listings.size(), 1u);
   EXPECT_EQ(listings[0].precision, PlanPrecision::kF32);
   EXPECT_TRUE(listings[0].compiled);
+}
+
+// ------------------------------------------------------ legacy int8 images
+
+std::string SaveToString(const NeuroSketch& ns) {
+  std::ostringstream out;
+  EXPECT_TRUE(ns.SaveTo(&out).ok());
+  return out.str();
+}
+
+Result<NeuroSketch> LoadFromString(const std::string& image) {
+  std::istringstream in(image);
+  return NeuroSketch::LoadFrom(&in);
+}
+
+// Rewrites a current image the way the retired int8 tier wrote it: trailer
+// bits 2 (int8 active) and 3 (int8 carried) set, `clear` bits cleared, and
+// the calibration block appended — the int8 bound, its measured
+// divergence, then per leaf a layer count and that many per-layer absmax
+// doubles. Leaf 0 is uncovered (0 layers); leaf 1 claims `nl_skew` more
+// layers than its model has.
+std::string WithLegacyInt8Block(const std::string& image, const NeuroSketch& ns,
+                                const NeuroSketchConfig& cfg, uint32_t clear,
+                                uint64_t nl_skew = 0) {
+  std::string out = image;
+  // The trailer ends the image: magic, precision word, f32 bound, f32
+  // divergence.
+  const size_t word = out.size() - 2 * sizeof(double) - sizeof(uint32_t);
+  uint32_t precision;
+  std::memcpy(&precision, out.data() + word, sizeof(precision));
+  precision = (precision & ~clear) | 4u | 8u;
+  std::memcpy(&out[word], &precision, sizeof(precision));
+  auto put = [&out](const auto& v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(0.25);
+  put(0.12);
+  const uint64_t layers = nn::MlpConfig::Paper(ns.query_dim(), cfg.n_layers,
+                                               cfg.l_first, cfg.l_rest)
+                              .hidden.size() +
+                          1;
+  for (size_t leaf = 0; leaf < ns.num_partitions(); ++leaf) {
+    const uint64_t nl = leaf == 0 ? 0 : layers + (leaf == 1 ? nl_skew : 0);
+    put(nl);
+    for (uint64_t l = 0; l < nl; ++l) put(0.5 + static_cast<double>(l));
+  }
+  return out;
+}
+
+TEST(PrecisionTest, LegacyInt8ImagesLoadOnF32OrF64) {
+  for (PlanPrecision p : {PlanPrecision::kF64, PlanPrecision::kF32}) {
+    SCOPED_TRACE(PlanPrecisionName(p));
+    Bench b = MakeBench(88);
+    b.cfg.plan_precision = p;
+    auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
+    ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
+    const NeuroSketch& src = sketch.value();
+    if (p == PlanPrecision::kF32) {
+      ASSERT_EQ(src.plan_precision(), PlanPrecision::kF32);
+    }
+    ASSERT_GE(src.num_partitions(), 2u);
+    const std::string image = SaveToString(src);
+    // clear = 1: an int8-active image, whose f32-active bit was never
+    // set; bit 1 alone (f32 carried) must put it on f32.
+    for (uint32_t clear : {0u, 1u}) {
+      SCOPED_TRACE(clear);
+      const std::string legacy =
+          WithLegacyInt8Block(image, src, b.cfg, clear);
+      ASSERT_GT(legacy.size(), image.size());
+      auto loaded = LoadFromString(legacy);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      const NeuroSketch& ns = loaded.value();
+      EXPECT_EQ(ns.plan_precision(), src.plan_precision());
+      EXPECT_EQ(ns.has_f32_plans(), src.has_f32_plans());
+      for (const auto& q : b.probes) {
+        const double got = ns.Answer(q), want = src.Answer(q);
+        if (std::isnan(want)) {
+          EXPECT_TRUE(std::isnan(got));
+        } else {
+          EXPECT_EQ(got, want);
+        }
+      }
+      // Re-saving drops the calibration block: the image is the source's
+      // own, byte for byte, and SizeBytes() accounts for exactly it.
+      const std::string resaved = SaveToString(ns);
+      EXPECT_EQ(resaved, image);
+      EXPECT_EQ(ns.SizeBytes(), resaved.size());
+    }
+  }
+}
+
+TEST(PrecisionTest, LegacyInt8BlockIsValidated) {
+  Bench b = MakeBench(89);
+  auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
+  ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
+  const NeuroSketch& src = sketch.value();
+  ASSERT_GE(src.num_partitions(), 2u);
+  const std::string image = SaveToString(src);
+  const std::string legacy = WithLegacyInt8Block(image, src, b.cfg, 0u);
+
+  // Every cut inside the calibration block is a truncated image.
+  for (size_t cut = image.size(); cut < legacy.size(); ++cut) {
+    auto loaded = LoadFromString(legacy.substr(0, cut));
+    ASSERT_FALSE(loaded.ok()) << "cut at " << cut;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError) << "cut at " << cut;
+  }
+
+  // A layer count that does not match the leaf's model is rejected.
+  for (uint64_t skew : {uint64_t{1}, ~uint64_t{0}}) {
+    auto loaded = LoadFromString(
+        WithLegacyInt8Block(image, src, b.cfg, 0u, /*nl_skew=*/skew));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
 }
 
 }  // namespace

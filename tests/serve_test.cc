@@ -469,40 +469,6 @@ TEST(ServeEngineTest, F32SketchAnswersAreCounted) {
   EXPECT_GT(stats.f32_sketch_answers, 0u);
 }
 
-// int8-tier serving: a sketch with an activated int8 tier reports it in
-// the store listing and the engine counts its answers as int8 (and not as
-// f32 — the per-tier counters are disjoint subsets of sketch_answers).
-TEST(ServeEngineTest, Int8SketchAnswersAreCounted) {
-  ServeFixture f = ServeFixture::Make(64);
-  ExactEngine engine(&f.table);
-  if (!f.sketch.EnableInt8(f.queries, NeuroSketchConfig().int8_error_bound)) {
-    GTEST_SKIP() << "int8 out of bound on this fixture (measured "
-                 << f.sketch.int8_max_divergence() << ")";
-  }
-  ASSERT_EQ(f.sketch.plan_precision(), PlanPrecision::kInt8);
-
-  SketchStore store;
-  ASSERT_TRUE(store.RegisterDataset("gmm", &engine).ok());
-  ASSERT_TRUE(store.Register("gmm", f.spec, std::move(f.sketch)).ok());
-  const auto listings = store.List();
-  ASSERT_EQ(listings.size(), 1u);
-  EXPECT_EQ(listings[0].precision, PlanPrecision::kInt8);
-
-  ServeOptions opts;
-  opts.max_batch = 16;
-  opts.batch_window_us = 100.0;
-  ServeEngine serve(&store, opts);
-  auto results = serve.SubmitMany("gmm", f.spec, f.queries).get();
-  size_t sketch_answered = 0;
-  for (const auto& r : results) sketch_answered += r.used_sketch ? 1 : 0;
-
-  const auto stats = serve.Snapshot();
-  EXPECT_EQ(stats.sketch_answers, sketch_answered);
-  EXPECT_EQ(stats.int8_sketch_answers, sketch_answered);
-  EXPECT_GT(stats.int8_sketch_answers, 0u);
-  EXPECT_EQ(stats.f32_sketch_answers, 0u);
-}
-
 // Per-store accounting: traffic split across two datasets — one with a
 // sketch, one exact-only — must come back attributed per store, with the
 // per-store counters summing to the engine totals.
@@ -764,7 +730,6 @@ TEST(ServeEngineTest, ExportMetricsProducesExposition) {
       "fallback_answers_total",
       "faultin_hits_total",
       "faultins_total",
-      "int8_sketch_answers_total",
       "latency_us",
       "mean_batch_size",
       "queries_total",

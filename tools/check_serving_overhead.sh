@@ -26,31 +26,43 @@ if [[ ! -f "$json" ]]; then
   exit 1
 fi
 
-line=$(grep -o '"tracing_overhead": {[^}]*}' "$json" || true)
-if [[ -z "$line" ]]; then
-  echo "error: no tracing_overhead section in $json" >&2
-  exit 1
-fi
+# Each half prints its reading and returns non-zero on a failure; both
+# halves run before the exit, so a failing tracing half does not hide the
+# scaling ratio.
 
-overhead=$(field overhead_pct "$line" tracing_overhead)
-on_us=$(field single_query_p50_on_us "$line" tracing_overhead)
-off_us=$(field single_query_p50_off_us "$line" tracing_overhead)
+# --- stage-tracing overhead --------------------------------------------
+check_tracing() {
+  local line overhead on_us off_us ok
+  line=$(grep -o '"tracing_overhead": {[^}]*}' "$json" || true)
+  if [[ -z "$line" ]]; then
+    echo "error: no tracing_overhead section in $json" >&2
+    return 1
+  fi
+  overhead=$(field overhead_pct "$line" tracing_overhead) || return 1
+  on_us=$(field single_query_p50_on_us "$line" tracing_overhead) || return 1
+  off_us=$(field single_query_p50_off_us "$line" tracing_overhead) ||
+    return 1
 
-echo "tracing overhead: on ${on_us}us vs off ${off_us}us = ${overhead}%" \
-  "(budget ${budget_pct}%)"
+  echo "tracing overhead: on ${on_us}us vs off ${off_us}us = ${overhead}%" \
+    "(budget ${budget_pct}%)"
 
-ok=$(awk -v o="$overhead" -v b="$budget_pct" 'BEGIN { print (o < b) ? 1 : 0 }')
-if [[ "$ok" != "1" ]]; then
-  echo "error: stage-tracing overhead ${overhead}% exceeds ${budget_pct}%" >&2
-  exit 1
-fi
+  ok=$(awk -v o="$overhead" -v b="$budget_pct" \
+    'BEGIN { print (o < b) ? 1 : 0 }')
+  if [[ "$ok" != "1" ]]; then
+    echo "error: stage-tracing overhead ${overhead}% exceeds ${budget_pct}%" >&2
+    return 1
+  fi
+}
 
 # --- multi-core scaling sanity -----------------------------------------
-hw=$(field hardware_threads "$(< "$json")" "$json")
+check_scaling() {
+  local hw qps1 qps4 speedup ok
+  hw=$(field hardware_threads "$(< "$json")" "$json") || return 1
 
-if [[ "$hw" -lt 4 ]]; then
-  echo "scaling check: skipped (${hw} hardware thread(s) < 4)"
-else
+  if [[ "$hw" -lt 4 ]]; then
+    echo "scaling check: skipped (${hw} hardware thread(s) < 4)"
+    return 0
+  fi
   # Pull per-shard QPS rows out of the multi_core section.
   qps1=$(grep -o '{"shards": 1, "qps": *[0-9.]*' "$json" | head -1 |
     grep -o '[0-9.]*$' || true)
@@ -58,7 +70,7 @@ else
     grep -o '[0-9.]*$' || true)
   if [[ -z "$qps1" || -z "$qps4" ]]; then
     echo "error: no multi_core shard rows in $json" >&2
-    exit 1
+    return 1
   fi
   speedup=$(awk -v a="$qps1" -v b="$qps4" \
     'BEGIN { printf "%.2f", (a > 0) ? b / a : 0 }')
@@ -69,7 +81,14 @@ else
   if [[ "$ok" != "1" ]]; then
     echo "error: 4-shard micro-batch QPS only ${speedup}x the 1-shard" \
       "QPS (need >= ${scaling_min_x}x)" >&2
-    exit 1
+    return 1
   fi
+}
+
+status=0
+check_tracing || status=1
+check_scaling || status=1
+if [[ "$status" -ne 0 ]]; then
+  exit 1
 fi
 echo "OK"
