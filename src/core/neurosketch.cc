@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <mutex>
 #include <ostream>
 
 #include "nn/serialize.h"
@@ -32,11 +31,47 @@ bool EnvFlagSet(const char* name) {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
-// Serializes lazy trainer rebuilds (EnsureTrainer on a const sketch).
-// Process-wide rather than per-sketch so NeuroSketch keeps its implicit
-// copy/move operations; the rebuild is a cold path (once per sketch after
-// Load/ReleaseTrainer), so cross-sketch serialization is harmless.
-std::mutex g_trainer_rebuild_mu;
+// Trains one leaf's MLP on its standardized targets (Train and
+// RetrainLeaves share it, which is what makes a retrained leaf
+// bit-identical to a clean rebuild) and returns its compiled f64 plan;
+// the trainable form is dropped. `ids` index `qs`/`as`; an empty leaf
+// keeps mean 0 / scale 1 and its plan predicts the initialization's
+// output.
+nn::CompiledMlp TrainLeaf(int id, const std::vector<size_t>& ids,
+                          const std::vector<QueryInstance>& qs,
+                          const std::vector<double>& as,
+                          const NeuroSketchConfig& config, size_t qdim,
+                          double* mean_out, double* scale_out) {
+  nn::Mlp model(nn::MlpConfig::Paper(qdim, config.n_layers, config.l_first,
+                                     config.l_rest),
+                config.seed + id);
+  *mean_out = 0.0;
+  *scale_out = 1.0;
+  if (!ids.empty()) {
+    // Per-leaf target standardization keeps the MSE well-scaled across
+    // query functions with very different answer magnitudes.
+    std::vector<double> targets;
+    targets.reserve(ids.size());
+    for (size_t i : ids) targets.push_back(as[i]);
+    const double mean = stats::Mean(targets);
+    double scale = stats::Stddev(targets);
+    if (scale <= 1e-12) scale = 1.0;
+    *mean_out = mean;
+    *scale_out = scale;
+
+    Matrix inputs(ids.size(), qdim);
+    Matrix outputs(ids.size(), 1);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const auto& q = qs[ids[i]];
+      for (size_t jj = 0; jj < qdim; ++jj) inputs(i, jj) = q.q[jj];
+      outputs(i, 0) = (as[ids[i]] - mean) / scale;
+    }
+    nn::TrainConfig tc = config.train;
+    tc.seed = config.train.seed + static_cast<uint64_t>(id) * 1000003ULL;
+    nn::TrainRegressor(&model, inputs, outputs, tc);
+  }
+  return nn::CompiledMlp::FromMlp(model);
+}
 
 // Result of a validation replay: worst divergence seen and how many
 // queries actually contributed a measurement.
@@ -133,7 +168,6 @@ Result<NeuroSketch> NeuroSketch::Train(
   Timer train_timer;
   auto leaves = sketch.tree_.Leaves();
   sketch.stats_.num_partitions = leaves.size();
-  sketch.models_.resize(leaves.size());
   sketch.plans_.resize(leaves.size());
   sketch.target_mean_.assign(leaves.size(), 0.0);
   sketch.target_scale_.assign(leaves.size(), 1.0);
@@ -142,44 +176,13 @@ Result<NeuroSketch> NeuroSketch::Train(
   // from its leaf id alone and writes only its own slots, so training them
   // concurrently on the shared pool reproduces the sequential build
   // bit-for-bit regardless of thread count or completion order.
-  auto train_leaf = [&](size_t li) {
-    const auto* leaf = leaves[li];
-    const int id = leaf->leaf_id;
-    const auto& ids = leaf->query_ids;
-    nn::Mlp& model = sketch.models_[id];
-    model = nn::Mlp(nn::MlpConfig::Paper(qdim, config.n_layers, config.l_first,
-                                         config.l_rest),
-                    config.seed + id);
-    if (!ids.empty()) {
-      // Per-leaf target standardization keeps the MSE well-scaled across
-      // query functions with very different answer magnitudes.
-      std::vector<double> targets;
-      targets.reserve(ids.size());
-      for (size_t i : ids) targets.push_back(a_ok[i]);
-      const double mean = stats::Mean(targets);
-      double scale = stats::Stddev(targets);
-      if (scale <= 1e-12) scale = 1.0;
-      sketch.target_mean_[id] = mean;
-      sketch.target_scale_[id] = scale;
-
-      Matrix inputs(ids.size(), qdim);
-      Matrix outputs(ids.size(), 1);
-      for (size_t i = 0; i < ids.size(); ++i) {
-        const auto& q = q_ok[ids[i]];
-        for (size_t jj = 0; jj < qdim; ++jj) inputs(i, jj) = q.q[jj];
-        outputs(i, 0) = (a_ok[ids[i]] - mean) / scale;
-      }
-      nn::TrainConfig tc = config.train;
-      tc.seed = config.train.seed + static_cast<uint64_t>(id) * 1000003ULL;
-      nn::TrainRegressor(&model, inputs, outputs, tc);
-    }
-    // An untrained (empty-leaf) model still gets a plan: it predicts the
-    // initialization's output, matching the previous behavior.
-    sketch.plans_[id] = nn::CompiledMlp::FromMlp(model);
-  };
-  ThreadPool::Shared().ParallelFor(leaves.size(), config.train_threads,
-                                   train_leaf);
-  sketch.trainer_ready_.store(true);
+  ThreadPool::Shared().ParallelFor(
+      leaves.size(), config.train_threads, [&](size_t li) {
+        const int id = leaves[li]->leaf_id;
+        sketch.plans_[id] = TrainLeaf(
+            id, leaves[li]->query_ids, q_ok, a_ok, config, qdim,
+            &sketch.target_mean_[id], &sketch.target_scale_[id]);
+      });
   sketch.stats_.train_seconds = train_timer.ElapsedSeconds();
 
   if (config.plan_precision == PlanPrecision::kF32 || ForceF32PlansFromEnv()) {
@@ -246,50 +249,15 @@ Status NeuroSketch::RetrainLeaves(const std::vector<int>& leaf_ids,
     if (wanted[leaf->leaf_id]) members[leaf->leaf_id].push_back(i);
   }
 
-  // The untouched leaves' trainable forms must survive the partial
-  // rebuild (Save and AnswerScalar read them all); materialize them
-  // before overwriting the retrained slots.
-  EnsureTrainer();
-
-  // Identical per-leaf training to Train's train_leaf: same init seed,
-  // same standardization (stddev floored to 1), same shuffle-seed
-  // derivation — retraining a leaf here is bit-identical to a clean
-  // rebuild of that leaf over the same partition and training set.
-  auto retrain_leaf = [&](size_t k) {
-    const int id = ids[k];
-    const auto& idxs = members[id];
-    nn::Mlp& model = models_[id];
-    model = nn::Mlp(nn::MlpConfig::Paper(qdim, config.n_layers, config.l_first,
-                                         config.l_rest),
-                    config.seed + id);
-    target_mean_[id] = 0.0;
-    target_scale_[id] = 1.0;
-    if (!idxs.empty()) {
-      std::vector<double> targets;
-      targets.reserve(idxs.size());
-      for (size_t i : idxs) targets.push_back(a_ok[i]);
-      const double mean = stats::Mean(targets);
-      double scale = stats::Stddev(targets);
-      if (scale <= 1e-12) scale = 1.0;
-      target_mean_[id] = mean;
-      target_scale_[id] = scale;
-
-      Matrix inputs(idxs.size(), qdim);
-      Matrix outputs(idxs.size(), 1);
-      for (size_t i = 0; i < idxs.size(); ++i) {
-        const auto& q = q_ok[idxs[i]];
-        for (size_t jj = 0; jj < qdim; ++jj) inputs(i, jj) = q.q[jj];
-        outputs(i, 0) = (a_ok[idxs[i]] - mean) / scale;
-      }
-      nn::TrainConfig tc = config.train;
-      tc.seed = config.train.seed + static_cast<uint64_t>(id) * 1000003ULL;
-      nn::TrainRegressor(&model, inputs, outputs, tc);
-    }
-    plans_[id] = nn::CompiledMlp::FromMlp(model);
-  };
-  ThreadPool::Shared().ParallelFor(ids.size(), config.train_threads,
-                                   retrain_leaf);
-  trainer_ready_.store(true);
+  // Train's per-leaf step (TrainLeaf): retraining a leaf here is
+  // bit-identical to a clean rebuild of that leaf over the same partition
+  // and training set.
+  ThreadPool::Shared().ParallelFor(
+      ids.size(), config.train_threads, [&](size_t k) {
+        const int id = ids[k];
+        plans_[id] = TrainLeaf(id, members[id], q_ok, a_ok, config, qdim,
+                               &target_mean_[id], &target_scale_[id]);
+      });
 
   // The f32 tier was validated against the OLD leaf parameters; serving it
   // over the new ones would be unvalidated. Drop it and re-run the same
@@ -351,7 +319,7 @@ bool NeuroSketch::EnableF32(const std::vector<QueryInstance>& validation,
   if (measured == 0 || !(max_div <= error_bound)) {
     // Blown bound, NaN divergence, or no validation coverage at all: f32
     // is never served blind — drop the tier, keep serving f64.
-    plans_f32_.clear();
+    std::vector<nn::CompiledMlpF32>().swap(plans_f32_);
     f32_available_ = false;
     precision_ = PlanPrecision::kF64;
     return false;
@@ -362,76 +330,26 @@ bool NeuroSketch::EnableF32(const std::vector<QueryInstance>& validation,
 }
 
 Status NeuroSketch::SelectPrecision(PlanPrecision precision) {
-  // Materializes the tier if it is carried but released (lazy Load /
-  // ReleaseTier); fails when the sketch does not carry it at all.
-  NS_RETURN_NOT_OK(EnsureTier(precision));
-  precision_ = precision;
-  return Status::OK();
-}
-
-Status NeuroSketch::EnsureTier(PlanPrecision precision) {
-  if (precision == PlanPrecision::kF32) {
+  if (precision == PlanPrecision::kF64) {
+    // The f32 tier stays carried; only its plans go.
+    std::vector<nn::CompiledMlpF32>().swap(plans_f32_);
+  } else {
     if (!f32_available_) {
       return Status::InvalidArgument(
           "no f32 plans compiled: train with plan_precision = kF32 or call "
           "EnableF32");
     }
     if (plans_f32_.empty()) {
-      // Deterministic narrowing of the resident f64 parameters — the
-      // exact rebuild Load performs, so the plans match the validated
-      // ones bit-for-bit.
+      // Deterministic narrowing of the f64 parameters, so the plans match
+      // the validated ones bit-for-bit.
       plans_f32_.resize(plans_.size());
       for (size_t i = 0; i < plans_.size(); ++i) {
         plans_f32_[i] = nn::CompiledMlpF32::FromPlan(plans_[i]);
       }
     }
-    return Status::OK();
   }
-  // kF64: the canonical parameter store, always resident on a warm sketch.
+  precision_ = precision;
   return Status::OK();
-}
-
-size_t NeuroSketch::ReleaseTier(PlanPrecision precision) {
-  // The active tier and the f64 parameter store are not releasable: the
-  // former would break Answer's invariant that the active tier is
-  // materialized, the latter is what every rebuild derives from (shedding
-  // it means going cold — dropping the whole sketch object).
-  if (precision == precision_ || precision == PlanPrecision::kF64) return 0;
-  const size_t freed = PlanBytes(precision);
-  std::vector<nn::CompiledMlpF32>().swap(plans_f32_);
-  return freed;
-}
-
-void NeuroSketch::EnsureTrainer() const {
-  if (trainer_ready_.load()) return;
-  std::lock_guard<std::mutex> lock(g_trainer_rebuild_mu);
-  if (trainer_ready_.load()) return;
-  // ToMlp round-trips the f64 parameters bit-exactly, so the rebuilt
-  // reference models answer identically to the originally trained ones.
-  std::vector<nn::Mlp> rebuilt;
-  rebuilt.reserve(plans_.size());
-  for (const auto& p : plans_) rebuilt.push_back(p.ToMlp());
-  models_ = std::move(rebuilt);
-  trainer_ready_.store(true);
-}
-
-size_t NeuroSketch::ReleaseTrainer() {
-  const size_t freed = TrainerBytes();
-  std::vector<nn::Mlp>().swap(models_);
-  trainer_ready_.store(false);
-  return freed;
-}
-
-size_t NeuroSketch::TrainerBytes() const {
-  if (!trainer_ready_.load()) return 0;
-  // Each trainable layer holds its parameters plus same-shaped gradient
-  // buffers; the cached forward activations are batch-sized transients
-  // (empty outside a training step) and are not counted.
-  size_t bytes = 0;
-  for (const auto& m : models_) {
-    bytes += 2 * m.num_params() * sizeof(double);
-  }
-  return bytes;
 }
 
 size_t NeuroSketch::ResidentBytes() const {
@@ -439,7 +357,6 @@ size_t NeuroSketch::ResidentBytes() const {
   bytes += 2 * plans_.size() * sizeof(double);  // per-leaf mean + scale
   bytes += PlanBytes(PlanPrecision::kF64);
   bytes += PlanBytes(PlanPrecision::kF32);
-  bytes += TrainerBytes();
   return bytes;
 }
 
@@ -469,16 +386,11 @@ double NeuroSketch::AnswerWithModel(const QueryInstance& q, int id) const {
 }
 
 double NeuroSketch::AnswerScalar(const QueryInstance& q) const {
-  // The reference models rebuild lazily after Load/ReleaseTrainer —
-  // bit-exact, so callers cannot tell whether they were kept resident.
-  EnsureTrainer();
-  const auto* leaf = tree_.Route(q);
-  if (leaf == nullptr || leaf->leaf_id < 0 ||
-      static_cast<size_t>(leaf->leaf_id) >= models_.size()) {
-    return std::nan("");
-  }
-  const int id = leaf->leaf_id;
-  const double raw = models_[id].PredictOne(q.q);
+  const int id = RouteToModel(q);
+  if (id < 0) return std::nan("");
+  // ToMlp round-trips the f64 parameters bit-exactly, so the rebuilt
+  // model answers identically to the one Train compiled.
+  const double raw = plans_[id].ToMlp().PredictOne(q.q);
   return raw * target_scale_[id] + target_mean_[id];
 }
 
@@ -581,8 +493,8 @@ void NeuroSketch::ExportBuildMetrics(metrics::MetricsRegistry* registry,
                      "Serialized sketch size (the paper's storage metric)");
   registry->SetGauge(prefix + "resident_bytes",
                      static_cast<double>(ResidentBytes()),
-                     "In-memory sketch footprint: materialized tiers + "
-                     "trainer (moves with EnsureTier/ReleaseTier)");
+                     "In-memory sketch footprint: routing, scales, f64 "
+                     "plans, and f32 plans while f32 is active");
   double aqc_max = 0.0, aqc_sum = 0.0;
   for (double a : stats_.leaf_aqc) {
     aqc_sum += a;
@@ -639,8 +551,6 @@ Status NeuroSketch::SaveTo(std::ostream* out_stream) const {
   out.write(reinterpret_cast<const char*>(&rsize), sizeof(rsize));
   out.write(reinterpret_cast<const char*>(routing.data()),
             static_cast<std::streamsize>(rsize * sizeof(double)));
-  // plans_ is what the loop below serializes; counting it (rather than
-  // models_) keeps the header honest if the two vectors ever diverge.
   const uint64_t nmodels = plans_.size();
   out.write(reinterpret_cast<const char*>(&nmodels), sizeof(nmodels));
   out.write(reinterpret_cast<const char*>(target_mean_.data()),
@@ -657,11 +567,9 @@ Status NeuroSketch::SaveTo(std::ostream* out_stream) const {
   }
   const uint32_t magic = kPrecisionMagic;
   // Bit 0: f32 is the active serving tier. Bit 1: the sketch carries the
-  // f32 tier (it may be carried while f64 is temporarily selected, or
-  // released from memory; the tier must survive the round-trip either
-  // way). Carried, not materialized: a released tier serializes
-  // identically because the rebuild is a pure function of the f64
-  // parameters.
+  // f32 tier (it may be carried while f64 is selected; the tier must
+  // survive the round-trip either way). The f32 plans themselves are
+  // never written: they are a pure function of the f64 parameters.
   const uint32_t precision = (precision_ == PlanPrecision::kF32 ? 1u : 0u) |
                              (f32_available_ ? 2u : 0u);
   out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
@@ -686,9 +594,12 @@ Result<NeuroSketch> NeuroSketch::LoadFrom(std::istream* in_stream) {
   in.read(reinterpret_cast<char*>(&qdim), sizeof(qdim));
   in.read(reinterpret_cast<char*>(&rsize), sizeof(rsize));
   if (!in.good()) return Status::IOError("truncated sketch header");
-  std::vector<double> routing(rsize);
-  in.read(reinterpret_cast<char*>(routing.data()),
-          static_cast<std::streamsize>(rsize * sizeof(double)));
+  // Counts come from untrusted bytes: ReadDoubles grows its vector only as
+  // far as the stream backs it.
+  std::vector<double> routing;
+  if (!nn::ReadDoubles(&in, rsize, &routing)) {
+    return Status::IOError("truncated sketch routing");
+  }
   in.read(reinterpret_cast<char*>(&nmodels), sizeof(nmodels));
   if (!in.good()) return Status::IOError("truncated sketch routing");
 
@@ -696,19 +607,16 @@ Result<NeuroSketch> NeuroSketch::LoadFrom(std::istream* in_stream) {
   NS_ASSIGN_OR_RETURN(sketch.tree_,
                       QuerySpaceKdTree::DecodeRouting(routing, qdim));
   sketch.routing_doubles_ = routing.size();
-  sketch.target_mean_.resize(nmodels);
-  sketch.target_scale_.resize(nmodels);
-  in.read(reinterpret_cast<char*>(sketch.target_mean_.data()),
-          static_cast<std::streamsize>(nmodels * sizeof(double)));
-  in.read(reinterpret_cast<char*>(sketch.target_scale_.data()),
-          static_cast<std::streamsize>(nmodels * sizeof(double)));
-  if (!in.good()) return Status::IOError("truncated sketch scales");
+  if (!nn::ReadDoubles(&in, nmodels, &sketch.target_mean_) ||
+      !nn::ReadDoubles(&in, nmodels, &sketch.target_scale_)) {
+    return Status::IOError("truncated sketch scales");
+  }
+  // 16 bytes per model are now known to be in the stream, so this
+  // reservation is proportional to the image size.
   sketch.plans_.reserve(nmodels);
   for (uint64_t i = 0; i < nmodels; ++i) {
     // Compile-on-load: the plan is the deserialization target (one
-    // contiguous parameter read). The trainable form is NOT rehydrated
-    // here — it rebuilds lazily (bit-exactly) on the first AnswerScalar,
-    // so a loaded sketch comes up at its lean serving footprint.
+    // contiguous parameter read).
     NS_ASSIGN_OR_RETURN(nn::CompiledMlp plan, nn::LoadCompiledMlp(&in));
     sketch.plans_.push_back(std::move(plan));
   }
@@ -761,17 +669,12 @@ Result<NeuroSketch> NeuroSketch::LoadFrom(std::istream* in_stream) {
         if (!in.good()) return Status::IOError("truncated int8 calibration");
       }
     }
-    // A carried tier is recorded but NOT materialized here — only the
-    // active tier's plans are rebuilt below, so a loaded sketch starts
-    // at its lean serving footprint. EnsureTier/SelectPrecision narrow
-    // an inactive carried f32 tier on demand, bit-identically.
+    // A carried but inactive f32 tier is recorded, not compiled;
+    // SelectPrecision(kF32) narrows it on demand, bit-identically.
     sketch.f32_available_ = has_f32;
     const bool active_f32 = (precision & 1u) != 0 || (legacy_int8 && has_f32);
-    sketch.precision_ =
-        active_f32 ? PlanPrecision::kF32 : PlanPrecision::kF64;
-    // Uphold the serving invariant: the ACTIVE tier is always
-    // materialized (Answer never checks).
-    NS_RETURN_NOT_OK(sketch.EnsureTier(sketch.precision_));
+    NS_RETURN_NOT_OK(sketch.SelectPrecision(
+        active_f32 ? PlanPrecision::kF32 : PlanPrecision::kF64));
   }
   return sketch;
 }

@@ -8,7 +8,6 @@
 #ifndef NEUROSKETCH_CORE_NEUROSKETCH_H_
 #define NEUROSKETCH_CORE_NEUROSKETCH_H_
 
-#include <atomic>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "core/partitioner.h"
 #include "index/kdtree.h"
 #include "nn/inference_plan.h"
-#include "nn/mlp.h"
 #include "nn/trainer.h"
 #include "query/engine.h"
 #include "query/query.h"
@@ -25,31 +23,6 @@
 #include "util/status.h"
 
 namespace neurosketch {
-namespace internal {
-
-/// \brief An atomic<bool> that is copyable/movable by value so classes
-/// holding one keep their implicit copy and move operations. Copies
-/// transfer the value, not any in-flight synchronization — fine for
-/// "already materialized" latches whose protected state is copied along
-/// with the flag in the same (externally synchronized) operation.
-class MovableFlag {
- public:
-  MovableFlag() = default;
-  explicit MovableFlag(bool v) : v_(v) {}
-  MovableFlag(const MovableFlag& o) : v_(o.load()) {}
-  MovableFlag& operator=(const MovableFlag& o) {
-    store(o.load());
-    return *this;
-  }
-  bool load() const { return v_.load(std::memory_order_acquire); }
-  void store(bool v) { v_.store(v, std::memory_order_release); }
-
- private:
-  std::atomic<bool> v_{false};
-};
-
-}  // namespace internal
-
 /// \brief Numeric tier the compiled inference plans execute in. kF64 is
 /// the accuracy reference (bit-identical to the scalar Mlp path); kF32 is
 /// the opt-in fast tier: half the flat-buffer footprint, twice the SIMD
@@ -168,9 +141,10 @@ class NeuroSketch {
   double Answer(const QueryInstance& q) const;
 
   /// \brief Reference implementation of Answer on the uncompiled Mlp
-  /// (Matrix-allocating scalar path, always f64). Bit-identical to Answer
-  /// when the active precision is kF64; kept for golden equivalence tests,
-  /// f32 validation, and scalar-vs-plan benchmarks.
+  /// (Matrix-allocating scalar path, always f64): rebuilds the routed
+  /// leaf's Mlp from its f64 plan (CompiledMlp::ToMlp, bit-exact) on every
+  /// call. Bit-identical to Answer when the active precision is kF64; kept
+  /// for golden equivalence tests.
   double AnswerScalar(const QueryInstance& q) const;
 
   std::vector<double> AnswerBatch(
@@ -192,17 +166,15 @@ class NeuroSketch {
                                double* out, int* leaf_ids = nullptr) const;
 
   /// \brief Serialized model size in bytes — the paper's storage metric.
-  /// Exactly the number of bytes Save() writes. Independent of which
-  /// tiers happen to be materialized in memory (ResidentBytes() tracks
-  /// that): parameters serialize in f64 with tier metadata either way.
+  /// Exactly the number of bytes Save() writes. Independent of the active
+  /// tier (ResidentBytes() tracks that): parameters serialize in f64 with
+  /// tier metadata either way.
   size_t SizeBytes() const;
 
-  /// \brief Bytes this sketch currently holds in memory: the routing
-  /// block, per-leaf scales, every *materialized* plan tier, and (when
-  /// resident) the trainable Mlp forms (parameters + gradient buffers;
-  /// training activation caches are transient and excluded). Unlike SizeBytes() this moves with
-  /// EnsureTier/ReleaseTier/ReleaseTrainer — it is the admission unit of
-  /// the serving buffer pool.
+  /// \brief Bytes this sketch holds in memory: the routing block, per-leaf
+  /// scales, the f64 plans, and the f32 plans while f32 is the active
+  /// tier. A trained sketch and its Save/Load copy report the same value;
+  /// it is the admission unit of the serving buffer pool.
   size_t ResidentBytes() const;
 
   size_t num_partitions() const { return plans_.size(); }
@@ -218,63 +190,18 @@ class NeuroSketch {
 
   /// \brief The precision tier Answer / AnswerBatch* currently serve from.
   PlanPrecision plan_precision() const { return precision_; }
-  /// \brief True when the sketch *carries* the tier: validated at train
-  /// time and deterministically rebuildable from the f64 parameters by
-  /// narrowing. Carrying a tier does not imply it is materialized — see
-  /// TierResident / EnsureTier / ReleaseTier.
+  /// \brief True when the sketch *carries* the f32 tier: validated at
+  /// train time and deterministically rebuildable from the f64 parameters
+  /// by narrowing. Its plans are in memory only while f32 is active.
   bool has_f32_plans() const { return f32_available_; }
-
-  /// \brief True when the tier's compiled plans are resident right now.
-  /// kF64 plans are the canonical in-memory parameter store and are
-  /// always resident on a warm sketch.
-  bool TierResident(PlanPrecision precision) const {
-    return precision == PlanPrecision::kF32 ? !plans_f32_.empty()
-                                            : !plans_.empty();
-  }
-
-  /// \brief True when the trainable Mlp forms (the scalar reference path)
-  /// are resident. Train leaves them resident; Load does not — they
-  /// rebuild lazily (bit-exactly, via CompiledMlp::ToMlp) on the first
-  /// AnswerScalar, or explicitly via EnsureTrainer.
-  bool trainer_resident() const { return trainer_ready_.load(); }
   /// \brief Max |f32 - f64| divergence measured by the last f32
   /// validation pass, in standardized units (0 when never validated).
   double f32_max_divergence() const { return f32_max_divergence_; }
   double f32_error_bound() const { return f32_error_bound_; }
 
-  /// \brief Resident bytes of a tier's compiled flat buffers (0 when that
-  /// tier is not materialized). The f32 tier is half the f64 tier.
+  /// \brief Resident bytes of a tier's compiled flat buffers (0 for f32
+  /// while f64 is active). The f32 tier is half the f64 tier.
   size_t PlanBytes(PlanPrecision precision) const;
-
-  /// \brief Materialize a carried tier's compiled plans if they are not
-  /// resident: f32 narrows the f64 parameters — deterministic, so the
-  /// rebuilt plans are bit-identical to the ones Train validated.
-  /// InvalidArgument when the sketch does not carry the tier (never
-  /// validated, or validation dropped it). kF64 is always resident on a
-  /// warm sketch and returns OK. NOT thread-safe: like SelectPrecision,
-  /// tier mutation must happen-before concurrent Answer calls (the serve
-  /// path materializes before publishing a faulted-in sketch).
-  Status EnsureTier(PlanPrecision precision);
-
-  /// \brief Drop a materialized tier's compiled plans, returning the
-  /// bytes freed (ResidentBytes() shrinks by exactly that much). The
-  /// tier stays carried — EnsureTier rebuilds it bit-identically on
-  /// demand. Refuses (returns 0) for kF64 — the canonical parameter
-  /// store; shedding it means going cold, i.e. dropping the whole sketch
-  /// and re-Loading later — and for the currently active tier. Same
-  /// thread-safety contract as EnsureTier.
-  size_t ReleaseTier(PlanPrecision precision);
-
-  /// \brief Materialize the trainable Mlp forms from the compiled f64
-  /// plans (bit-exact; parameters round-trip through ToMlp). Safe to
-  /// call concurrently with const use — AnswerScalar calls it lazily.
-  void EnsureTrainer() const;
-
-  /// \brief Drop the trainable Mlp forms, returning the bytes freed.
-  /// AnswerScalar transparently rebuilds them later; Answer and the
-  /// batched paths never need them. Same thread-safety contract as
-  /// EnsureTier.
-  size_t ReleaseTrainer();
 
   /// \brief Compile the f32 plan tier and validate it against the f64
   /// reference on `validation` queries. Activates f32 serving and returns
@@ -288,9 +215,12 @@ class NeuroSketch {
   bool EnableF32(const std::vector<QueryInstance>& validation,
                  double error_bound, size_t num_threads = 0);
 
-  /// \brief Switch the active serving tier. kF32 requires the f32 plans
-  /// (compiled by Train with plan_precision = kF32, EnableF32, or Load of
-  /// a sketch carrying the tier).
+  /// \brief Switch the active serving tier. kF64 frees the f32 plans; the
+  /// tier stays carried. kF32 requires a carried tier (Train with
+  /// plan_precision = kF32, EnableF32, or Load of a sketch carrying it)
+  /// and narrows the f64 parameters again — deterministic, so the plans
+  /// are bit-identical to the ones that were validated. NOT thread-safe:
+  /// a tier switch must happen-before concurrent Answer calls.
   Status SelectPrecision(PlanPrecision precision);
 
   /// \brief Mirror the construction-side record — BuildStats phase wall
@@ -308,10 +238,9 @@ class NeuroSketch {
   /// bit-exact in every tier. Load also reads images that carry the
   /// retired int8 tier's calibration block: it checks the block and
   /// drops it, and the sketch comes up on f32 when the image carries f32
-  /// and on f64 otherwise. Load comes up
-  /// warm-and-lean: only the active tier's plans are materialized
-  /// (carried inactive tiers rebuild through EnsureTier) and the
-  /// trainable Mlp forms rebuild lazily on first AnswerScalar. The
+  /// and on f64 otherwise. Load compiles only the active tier's plans.
+  /// Every length field is bounded by the bytes the stream holds before
+  /// it sizes an allocation, so a corrupt image fails with a Status. The
   /// stream variants serve the paged catalog format, which concatenates
   /// many sketch images into one file.
   Status Save(const std::string& path) const;
@@ -320,7 +249,6 @@ class NeuroSketch {
   static Result<NeuroSketch> LoadFrom(std::istream* in);
 
  private:
-  size_t TrainerBytes() const;
   /// The kd-tree route of q as a model slot, or -1 when no model answers.
   int RouteToModel(const QueryInstance& q) const;
   /// Forward pass of model `id` (from RouteToModel) on the active tier;
@@ -328,16 +256,11 @@ class NeuroSketch {
   double AnswerWithModel(const QueryInstance& q, int id) const;
 
   QuerySpaceKdTree tree_;
-  /// Trainable/reference forms, indexed by leaf_id. Mutable + latch:
-  /// rebuilt lazily (and bit-exactly) from plans_ under a rebuild mutex
-  /// when a const caller needs the scalar reference path after Load or
-  /// ReleaseTrainer.
-  mutable std::vector<nn::Mlp> models_;
-  mutable internal::MovableFlag trainer_ready_;
-  std::vector<nn::CompiledMlp> plans_;  // serving form, same indexing
-  std::vector<nn::CompiledMlpF32> plans_f32_;  // opt-in fast tier
-  /// Tier availability (carried, validated, rebuildable) — survives
-  /// ReleaseTier, which only drops the materialized plans.
+  std::vector<nn::CompiledMlp> plans_;  // f64 serving form, by leaf_id
+  /// f32 tier, same indexing; non-empty exactly while f32 is active.
+  std::vector<nn::CompiledMlpF32> plans_f32_;
+  /// Tier availability (carried, validated, rebuildable) — survives a
+  /// switch to f64, which frees the f32 plans.
   bool f32_available_ = false;
   size_t routing_doubles_ = 0;  // EncodeRouting().size(), cached
   std::vector<double> target_mean_;     // per-leaf target standardization

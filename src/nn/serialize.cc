@@ -1,5 +1,6 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -121,11 +122,42 @@ Status SaveCompiledMlp(const CompiledMlp& plan, std::ostream* out) {
 
 Result<CompiledMlp> LoadCompiledMlp(std::istream* in) {
   NS_ASSIGN_OR_RETURN(MlpConfig cfg, ReadHeader(in));
+  // Per layer: in * out weights + out biases. The widths are untrusted:
+  // the count is checked for overflow and its block read before the plan
+  // is sized.
+  uint64_t count = 0, prev = cfg.in_dim;
+  bool overflow = false;
+  auto add_layer = [&](uint64_t out) {
+    uint64_t layer = 0;
+    overflow = overflow || __builtin_mul_overflow(prev, out, &layer) ||
+               __builtin_add_overflow(layer, out, &layer) ||
+               __builtin_add_overflow(count, layer, &count);
+    prev = out;
+  };
+  for (size_t h : cfg.hidden) add_layer(h);
+  add_layer(cfg.out_dim);
+  if (overflow) return Status::InvalidArgument("model widths overflow");
+  std::vector<double> params;
+  if (!ReadDoubles(in, count, &params)) {
+    return Status::IOError("truncated parameter block");
+  }
   CompiledMlp plan = CompiledMlp::FromConfig(cfg);
-  in->read(reinterpret_cast<char*>(plan.mutable_params().data()),
-           static_cast<std::streamsize>(plan.num_params() * sizeof(double)));
-  if (!in->good()) return Status::IOError("truncated parameter block");
+  plan.mutable_params().swap(params);
   return plan;
+}
+
+bool ReadDoubles(std::istream* in, uint64_t count, std::vector<double>* out) {
+  constexpr uint64_t kChunk = uint64_t{1} << 16;
+  out->clear();
+  while (out->size() < count) {
+    const size_t have = out->size();
+    const size_t n = static_cast<size_t>(std::min(kChunk, count - have));
+    out->resize(have + n);
+    in->read(reinterpret_cast<char*>(out->data() + have),
+             static_cast<std::streamsize>(n * sizeof(double)));
+    if (!in->good()) return false;
+  }
+  return true;
 }
 
 size_t SerializedHeaderBytes(const MlpConfig& config) {

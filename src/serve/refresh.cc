@@ -169,7 +169,6 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
     if (post.normalized_mae > target.monitor.policy().max_normalized_mae &&
         fresh.plan_precision() == PlanPrecision::kF32 &&
         fresh.SelectPrecision(PlanPrecision::kF64).ok()) {
-      fresh.ReleaseTier(PlanPrecision::kF32);
       ++out.tier_fallbacks;
       post = target.monitor.CheckAgainst(fresh, truth);
       out.post_mae = post.normalized_mae;
@@ -186,7 +185,7 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
   if (ok) {
     // Publish: new fold watermarks cover exactly the snapshot the retrain
     // saw, for exactly the leaves retrained. The (sketch, watermarks)
-    // pair swaps into the store's version slot atomically.
+    // pair swaps into the key's store slot atomically.
     auto folded = view.leaf_folded != nullptr
                       ? std::make_shared<std::vector<uint64_t>>(
                             *view.leaf_folded)
@@ -199,7 +198,7 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
     out.retrained_leaves = out.stale_leaves.size();
     const Result<uint64_t> reg = store_->Register(
         target.dataset, spec,
-        std::make_shared<const NeuroSketch>(std::move(fresh)), 0,
+        std::make_shared<const NeuroSketch>(std::move(fresh)),
         std::move(folded));
     if (!reg.ok()) {
       ok = false;
@@ -238,20 +237,13 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
 }
 
 void RefreshController::MaybeCompactLocked(const std::string& dataset) {
-  if (options_.compact_min_rows == 0 && options_.compact_min_bytes == 0) {
-    return;  // compaction disabled
-  }
+  if (options_.compact_min_rows == 0) return;  // compaction disabled
   const std::shared_ptr<const DeltaBuffer> delta = store_->Delta(dataset);
   if (delta == nullptr) return;
   if (store_->StreamingTableFor(dataset) == nullptr) {
     return;  // nowhere to fold: dataset serves a plain static base
   }
-  const DeltaBufferStats s = delta->Stats();
-  const bool rows_hit =
-      options_.compact_min_rows > 0 && s.rows >= options_.compact_min_rows;
-  const bool bytes_hit =
-      options_.compact_min_bytes > 0 && s.bytes >= options_.compact_min_bytes;
-  if (!rows_hit && !bytes_hit) return;
+  if (delta->Stats().rows < options_.compact_min_rows) return;
   const Result<CompactionOutcome> res = store_->Compact(dataset);
   // Below-watermark passes (compacted=false) are normal when leaves have
   // not been refreshed past the resident rows yet; the next pass retries.

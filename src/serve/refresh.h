@@ -44,13 +44,12 @@ struct RefreshOptions {
   /// demoted to exact serving (0 disables demotion).
   size_t max_failures_before_demote = 3;
   /// Compaction trigger: after each pass, any streaming dataset whose
-  /// delta holds at least this many resident rows / bytes is compacted
-  /// through SketchStore::Compact (0 disables that threshold; both 0 =
-  /// the controller never compacts). A successful refresh swap advances
-  /// the fold watermarks, so triggering right after a pass is what keeps
-  /// delta residency bounded under sustained ingest.
+  /// delta holds at least this many resident rows is compacted through
+  /// SketchStore::Compact (0 = the controller never compacts). A
+  /// successful refresh swap advances the fold watermarks, so triggering
+  /// right after a pass is what keeps delta residency bounded under
+  /// sustained ingest.
   size_t compact_min_rows = 0;
-  size_t compact_min_bytes = 0;
 };
 
 /// \brief One (dataset, query function) under refresh management.

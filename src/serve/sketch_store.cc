@@ -28,7 +28,7 @@ Status SketchStore::RegisterDataset(const std::string& dataset,
 
 Result<uint64_t> SketchStore::Register(
     const std::string& dataset, const QueryFunctionSpec& spec,
-    std::shared_ptr<const NeuroSketch> sketch, uint64_t version,
+    std::shared_ptr<const NeuroSketch> sketch,
     std::shared_ptr<const std::vector<uint64_t>> leaf_folded) {
   if (sketch == nullptr) {
     return Status::InvalidArgument("null sketch for dataset " + dataset);
@@ -56,33 +56,32 @@ Result<uint64_t> SketchStore::Register(
       }
     }
   }
-  auto& versions = sketches_[key];
-  if (version == 0) {
-    version = versions.empty() ? 1 : versions.rbegin()->first + 1;
-  }
-  versions[version] = VersionEntry{std::move(sketch), std::move(leaf_folded)};
-  if (version_retention_ > 0) {
-    while (versions.size() > version_retention_) {
-      versions.erase(versions.begin());
-    }
-  }
-  return version;
+  return RegisterLocked(key, std::move(sketch), std::move(leaf_folded));
+}
+
+uint64_t SketchStore::RegisterLocked(
+    const ServeKey& key, std::shared_ptr<const NeuroSketch> sketch,
+    std::shared_ptr<const std::vector<uint64_t>> leaf_folded) {
+  VersionEntry& entry = sketches_[key];
+  ++entry.version;
+  // The replaced sketch lives on only in readers that still hold it.
+  entry.sketch = std::move(sketch);
+  entry.leaf_folded = std::move(leaf_folded);
+  return entry.version;
 }
 
 Result<uint64_t> SketchStore::Register(const std::string& dataset,
                                        const QueryFunctionSpec& spec,
-                                       NeuroSketch sketch, uint64_t version) {
+                                       NeuroSketch sketch) {
   return Register(dataset, spec,
-                  std::make_shared<const NeuroSketch>(std::move(sketch)),
-                  version);
+                  std::make_shared<const NeuroSketch>(std::move(sketch)));
 }
 
 Result<uint64_t> SketchStore::RegisterFromFile(const std::string& dataset,
                                                const QueryFunctionSpec& spec,
-                                               const std::string& path,
-                                               uint64_t version) {
+                                               const std::string& path) {
   NS_ASSIGN_OR_RETURN(NeuroSketch sketch, NeuroSketch::Load(path));
-  return Register(dataset, spec, std::move(sketch), version);
+  return Register(dataset, spec, std::move(sketch));
 }
 
 size_t SketchStore::ImportFromCatalog(const std::string& dataset,
@@ -93,21 +92,13 @@ size_t SketchStore::ImportFromCatalog(const std::string& dataset,
   auto tit = streaming_tables_.find(dataset);
   if (tit != streaming_tables_.end()) folded = tit->second->folded();
   for (auto& [fn_key, sketch] : catalog.Sketches()) {
-    auto& versions = sketches_[ServeKey{dataset, fn_key}];
-    const uint64_t version =
-        versions.empty() ? 1 : versions.rbegin()->first + 1;
     // Same assumption as Register without watermarks: catalog sketches
     // were trained on the current base table.
     auto leaf_folded =
         folded > 0 ? std::make_shared<const std::vector<uint64_t>>(
                          sketch->num_partitions(), folded)
                    : nullptr;
-    versions[version] = VersionEntry{sketch, std::move(leaf_folded)};
-    if (version_retention_ > 0) {
-      while (versions.size() > version_retention_) {
-        versions.erase(versions.begin());
-      }
-    }
+    RegisterLocked(ServeKey{dataset, fn_key}, sketch, std::move(leaf_folded));
     ++imported;
   }
   return imported;
@@ -156,9 +147,7 @@ std::shared_ptr<const NeuroSketch> SketchStore::Lookup(
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     auto it = sketches_.find(key);
-    if (it != sketches_.end() && !it->second.empty()) {
-      return it->second.rbegin()->second.sketch;
-    }
+    if (it != sketches_.end()) return it->second.sketch;
     auto pit = paged_.find(key);
     if (pit == paged_.end()) return nullptr;
     pe = pit->second;
@@ -166,28 +155,6 @@ std::shared_ptr<const NeuroSketch> SketchStore::Lookup(
   // Fault in without the store lock: disk I/O (and any admission wait)
   // must not block registrations or unrelated lookups.
   return FaultIn(key, pe);
-}
-
-std::shared_ptr<const NeuroSketch> SketchStore::Lookup(
-    const ServeKey& key, uint64_t version) const {
-  PagedEntry pe;
-  bool paged = false;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = sketches_.find(key);
-    if (it != sketches_.end()) {
-      auto vit = it->second.find(version);
-      if (vit != it->second.end()) return vit->second.sketch;
-    }
-    if (version == 1) {
-      auto pit = paged_.find(key);
-      if (pit != paged_.end()) {
-        pe = pit->second;
-        paged = true;
-      }
-    }
-  }
-  return paged ? FaultIn(key, pe) : nullptr;
 }
 
 ServedView SketchStore::LookupServed(const ServeKey& key) const {
@@ -199,10 +166,10 @@ ServedView SketchStore::LookupServed(const ServeKey& key) const {
     auto dit = deltas_.find(key.dataset);
     if (dit != deltas_.end()) view.delta = dit->second;
     auto it = sketches_.find(key);
-    if (it != sketches_.end() && !it->second.empty()) {
+    if (it != sketches_.end()) {
       // One slot read: the (sketch, leaf_folded) pair can never be
       // observed mid-swap.
-      const VersionEntry& entry = it->second.rbegin()->second;
+      const VersionEntry& entry = it->second;
       view.sketch = entry.sketch;
       view.leaf_folded = entry.leaf_folded;
       return view;
@@ -317,27 +284,19 @@ StreamingTable* SketchStore::StreamingTableFor(
 
 uint64_t SketchStore::SafeWatermarkLocked(const std::string& dataset,
                                           uint64_t delta_size) const {
-  // Minimum over every leaf watermark of every registered version of
-  // every key sharing the dataset. A version without watermarks and an
+  // Minimum over every leaf watermark of the registered sketch of every
+  // key sharing the dataset. A sketch without watermarks and an
   // unshadowed paged entry mean "nothing folded" (watermark 0); a dataset
   // with no keys at all serves exact-only and may fold everything.
   uint64_t safe = delta_size;
-  for (const auto& [key, versions] : sketches_) {
+  for (const auto& [key, entry] : sketches_) {
     if (key.dataset != dataset) continue;
-    for (const auto& [version, entry] : versions) {
-      (void)version;
-      if (entry.leaf_folded == nullptr) {
-        safe = 0;
-        continue;
-      }
-      for (uint64_t w : *entry.leaf_folded) safe = std::min(safe, w);
-    }
+    if (entry.leaf_folded == nullptr) return 0;
+    for (uint64_t w : *entry.leaf_folded) safe = std::min(safe, w);
   }
   for (const auto& [key, pe] : paged_) {
     (void)pe;
-    if (key.dataset != dataset) continue;
-    auto sit = sketches_.find(key);
-    if (sit == sketches_.end() || sit->second.empty()) safe = 0;
+    if (key.dataset == dataset && sketches_.count(key) == 0) return 0;
   }
   return safe;
 }
@@ -413,11 +372,6 @@ Result<CompactionOutcome> SketchStore::Compact(const std::string& dataset) {
   return out;
 }
 
-void SketchStore::SetVersionRetention(size_t keep_latest) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  version_retention_ = keep_latest;
-}
-
 std::vector<std::pair<std::string, CompactionCounters>>
 SketchStore::CompactionStats() const {
   std::vector<std::pair<std::string, CompactionCounters>> out;
@@ -453,11 +407,7 @@ const metrics::LogHistogram* SketchStore::FaultinLatency() const {
 
 size_t SketchStore::Unregister(const ServeKey& key) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = sketches_.find(key);
-  if (it == sketches_.end()) return 0;
-  const size_t removed = it->second.size();
-  sketches_.erase(it);
-  return removed;
+  return sketches_.erase(key);
 }
 
 const ExactEngine* SketchStore::Engine(const std::string& dataset) const {
@@ -469,24 +419,21 @@ const ExactEngine* SketchStore::Engine(const std::string& dataset) const {
 std::vector<SketchListing> SketchStore::List() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   std::vector<SketchListing> out;
-  for (const auto& [key, versions] : sketches_) {
-    for (auto vit = versions.rbegin(); vit != versions.rend(); ++vit) {
-      const NeuroSketch& sk = *vit->second.sketch;
-      SketchListing l;
-      l.key = key;
-      l.version = vit->first;
-      l.size_bytes = sk.SizeBytes();
-      l.resident_bytes = sk.ResidentBytes();
-      l.num_partitions = sk.num_partitions();
-      l.compiled = sk.compiled();
-      l.precision = sk.plan_precision();
-      out.push_back(std::move(l));
-    }
+  for (const auto& [key, entry] : sketches_) {
+    const NeuroSketch& sk = *entry.sketch;
+    SketchListing l;
+    l.key = key;
+    l.version = entry.version;
+    l.size_bytes = sk.SizeBytes();
+    l.resident_bytes = sk.ResidentBytes();
+    l.num_partitions = sk.num_partitions();
+    l.compiled = sk.compiled();
+    l.precision = sk.plan_precision();
+    out.push_back(std::move(l));
   }
   for (const auto& [key, pe] : paged_) {
-    // A registered version shadows the cold copy entirely.
-    auto it = sketches_.find(key);
-    if (it != sketches_.end() && !it->second.empty()) continue;
+    // A registered sketch shadows the cold copy entirely.
+    if (sketches_.count(key) > 0) continue;
     SketchListing l;
     l.key = key;
     l.version = 1;
@@ -507,9 +454,7 @@ std::vector<SketchListing> SketchStore::List() const {
 
 size_t SketchStore::num_sketches() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  size_t n = 0;
-  for (const auto& [key, versions] : sketches_) n += versions.size();
-  return n;
+  return sketches_.size();
 }
 
 size_t SketchStore::num_paged() const {

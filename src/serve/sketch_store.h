@@ -1,9 +1,10 @@
 // SketchStore: the serving-side registry of trained NeuroSketches. Where
 // core/SketchCatalog is the maintenance view (decide, train, rebuild), the
-// store is the read-mostly runtime view: named datasets, versioned sketches
+// store is the read-mostly runtime view: named datasets, the latest sketch
 // per query function, and the exact engine to fall back to. All methods are
 // thread-safe; lookups take a shared lock and hand out shared_ptrs so a
-// sketch stays alive for in-flight batches even if a newer version lands.
+// sketch stays alive for in-flight batches even after a newer one replaces
+// it. The store keeps no superseded sketch: the last reader frees it.
 #ifndef NEUROSKETCH_SERVE_SKETCH_STORE_H_
 #define NEUROSKETCH_SERVE_SKETCH_STORE_H_
 
@@ -59,20 +60,19 @@ inline std::string StoreLabel(const std::string& dataset,
   return dataset + "/" + spec.ToString();
 }
 
-/// \brief One registered sketch version, for listings. `size_bytes` is
-/// the serialized (on-disk) footprint; `resident_bytes` is what the
-/// version actually occupies in memory right now — 0 for a cold paged
-/// entry. The two were conflated before the paged catalog existed; they
-/// differ by design now (a warm sketch drops its trainer and inactive
-/// tiers, a cold one drops everything).
+/// \brief One registered sketch, for listings. `size_bytes` is the
+/// serialized (on-disk) footprint; `resident_bytes` is what the sketch
+/// occupies in memory right now — 0 for a cold paged entry (a warm
+/// sketch holds only its active tier's plans, a cold one nothing).
 struct SketchListing {
   ServeKey key;
+  /// How many times the key has been registered (paged entries read 1).
   uint64_t version = 0;
   size_t size_bytes = 0;      // serialized footprint (NeuroSketch::SizeBytes)
   size_t resident_bytes = 0;  // current in-memory footprint (0 when cold)
   size_t num_partitions = 0;
   bool compiled = false;  // serving from compiled inference plans
-  /// Precision tier this version serves from (per-store selection: each
+  /// Precision tier the sketch serves from (per-store selection: each
   /// registered sketch carries its own validated tier).
   PlanPrecision precision = PlanPrecision::kF64;
   /// True when the listing is a paged-catalog entry (cold listings report
@@ -82,15 +82,15 @@ struct SketchListing {
 };
 
 /// \brief What the serving path needs for one answer, resolved in one
-/// lookup: the latest sketch version, that version's per-leaf delta fold
-/// watermarks, and the dataset's delta buffer. The (sketch, leaf_folded)
+/// lookup: the key's sketch, its per-leaf delta fold watermarks, and the
+/// dataset's delta buffer. The (sketch, leaf_folded)
 /// pair is copied from one map slot under the store lock, so the two can
 /// never be observed mid-swap: a refresh registers them together and a
 /// reader sees either the old pair or the new pair.
 struct ServedView {
   std::shared_ptr<const NeuroSketch> sketch;
   /// Per-leaf fold watermark: delta rows below leaf_folded[leaf_id] are
-  /// already baked into this version's leaf model and must NOT be
+  /// already baked into this sketch's leaf model and must NOT be
   /// corrected again. nullptr = nothing folded (watermark 0 everywhere).
   std::shared_ptr<const std::vector<uint64_t>> leaf_folded;
   /// The dataset's streaming delta, nullptr when streaming is not
@@ -124,8 +124,8 @@ struct PagedCatalogOptions {
   size_t max_resident_bytes = 0;
 };
 
-/// \brief Thread-safe registry of (dataset, query function) -> versioned
-/// sketches plus per-dataset exact engines.
+/// \brief Thread-safe registry of (dataset, query function) -> one sketch
+/// plus per-dataset exact engines.
 class SketchStore {
  public:
   /// \brief Register the exact engine serving fallback traffic for a
@@ -133,32 +133,30 @@ class SketchStore {
   Status RegisterDataset(const std::string& dataset,
                          const ExactEngine* engine);
 
-  /// \brief Register a sketch under (dataset, spec) with an explicit
-  /// version; version 0 means "one past the current latest". Re-registering
-  /// an existing version replaces it. `leaf_folded` records how many delta
-  /// rows each leaf's model already reflects (see ServedView); it swaps in
-  /// atomically with the sketch. When `leaf_folded` is nullptr and the
+  /// \brief Register a sketch under (dataset, spec), replacing the key's
+  /// previous sketch (readers holding it keep it until they let go).
+  /// `leaf_folded` records how many delta rows each leaf's model already
+  /// reflects (see ServedView); it swaps in atomically with the sketch. When `leaf_folded` is nullptr and the
   /// dataset has a streaming table attached, the watermarks are filled
   /// with the table's current fold watermark — a sketch registered
   /// without watermarks is assumed trained on the CURRENT base table
   /// (train on a Pin() of it; registering a sketch trained on an older,
   /// since-compacted version needs explicit watermarks and is unsafe once
-  /// the rows it would re-correct have been trimmed). Returns the version
-  /// actually used.
+  /// the rows it would re-correct have been trimmed). Returns the key's
+  /// version: how many times it has been registered, this time included.
   Result<uint64_t> Register(
       const std::string& dataset, const QueryFunctionSpec& spec,
-      std::shared_ptr<const NeuroSketch> sketch, uint64_t version = 0,
+      std::shared_ptr<const NeuroSketch> sketch,
       std::shared_ptr<const std::vector<uint64_t>> leaf_folded = nullptr);
   Result<uint64_t> Register(const std::string& dataset,
                             const QueryFunctionSpec& spec,
-                            NeuroSketch sketch, uint64_t version = 0);
+                            NeuroSketch sketch);
 
   /// \brief Deserialize a sketch from `path` (NeuroSketch::Load) and
   /// register it.
   Result<uint64_t> RegisterFromFile(const std::string& dataset,
                                     const QueryFunctionSpec& spec,
-                                    const std::string& path,
-                                    uint64_t version = 0);
+                                    const std::string& path);
 
   /// \brief Adopt every sketch the catalog has built, sharing ownership.
   /// Returns the number of sketches imported.
@@ -167,9 +165,8 @@ class SketchStore {
 
   /// \brief Attach a paged catalog file (WritePagedCatalog format): every
   /// entry becomes a cold, disk-resident sketch under (dataset, key) that
-  /// faults in through the store's buffer pool on first Lookup. Paged
-  /// entries act as version 1; an explicit Register of the same key
-  /// shadows the cold copy (that shadowing — and the pool's own eviction
+  /// faults in through the store's buffer pool on first Lookup. An
+  /// explicit Register of the same key shadows the cold copy (that shadowing — and the pool's own eviction
   /// — is the "atomic swap to the cold handle": in-flight batches keep
   /// their pinned shared_ptr, new lookups see the new state). The first
   /// attach fixes the pool budget from `opts`. Returns the number of
@@ -178,17 +175,14 @@ class SketchStore {
                                     const std::string& path,
                                     PagedCatalogOptions opts = {});
 
-  /// \brief Latest version for the key, or nullptr when none registered.
-  /// For a paged entry this may fault the sketch in from disk (admission
-  /// may evict colder stores first); a fault-in failure serves as
-  /// "no sketch" so traffic falls back to the exact engine.
+  /// \brief The key's sketch, or nullptr when none registered. For a
+  /// paged entry this may fault the sketch in from disk (admission may
+  /// evict colder stores first); a fault-in failure (unreadable or
+  /// corrupt image, value over the whole budget) serves as "no sketch" so
+  /// traffic falls back to the exact engine.
   std::shared_ptr<const NeuroSketch> Lookup(const ServeKey& key) const;
-  /// \brief A specific version, or nullptr. Version 1 reaches the paged
-  /// entry when no registered version shadows it.
-  std::shared_ptr<const NeuroSketch> Lookup(const ServeKey& key,
-                                            uint64_t version) const;
 
-  /// \brief The streaming serving view: latest sketch + its fold
+  /// \brief The streaming serving view: the key's sketch + its fold
   /// watermarks + the dataset's delta buffer, read consistently under one
   /// shared lock (paged fault-in happens off-lock as in Lookup). The
   /// sketch is nullptr when none is registered; the delta is nullptr when
@@ -224,8 +218,8 @@ class SketchStore {
 
   /// \brief Fold trimmed-eligible delta rows into the dataset's streaming
   /// table and trim the delta. Computes the SAFE FOLD WATERMARK — the
-  /// minimum over every leaf watermark of every registered version of
-  /// every (dataset, fn) key sharing the dataset (a nullptr watermark
+  /// minimum over every leaf watermark of the registered sketch of every
+  /// (dataset, fn) key sharing the dataset (a nullptr watermark
   /// vector and an unshadowed paged entry count as 0; a dataset with no
   /// keys at all may fold everything) — because folding past any live
   /// watermark double-counts rows in one key's answers and drops them
@@ -239,13 +233,6 @@ class SketchStore {
   /// off, no table attached); "nothing to fold" is an OK outcome with
   /// compacted=false.
   Result<CompactionOutcome> Compact(const std::string& dataset);
-
-  /// \brief Keep only the newest `keep_latest` versions per key (enforced
-  /// at Register time; 0 = keep everything, the default). Old versions
-  /// pin the safe fold watermark — a store that compacts should retain a
-  /// small window. In-flight readers of a dropped version keep their
-  /// shared_ptr.
-  void SetVersionRetention(size_t keep_latest);
 
   /// \brief Per-dataset compaction counters, sorted by dataset name.
   std::vector<std::pair<std::string, CompactionCounters>> CompactionStats()
@@ -269,15 +256,18 @@ class SketchStore {
   /// paged catalog is attached. Stable address once attached.
   const metrics::LogHistogram* FaultinLatency() const;
 
-  /// \brief Drop all versions for a key. Returns how many were removed.
+  /// \brief Drop the key's registered sketch. Returns 1 when there was
+  /// one, else 0 (a paged entry stays attached).
   size_t Unregister(const ServeKey& key);
 
   /// \brief Fallback engine for a dataset, or nullptr when unknown.
   const ExactEngine* Engine(const std::string& dataset) const;
 
-  /// \brief Every registered (key, version), latest first per key.
+  /// \brief One listing per registered key, then one per unshadowed
+  /// paged entry.
   std::vector<SketchListing> List() const;
 
+  /// \brief Registered keys (at most one sketch each).
   size_t num_sketches() const;
   /// \brief Cold (paged) entries attached, independent of residency.
   size_t num_paged() const;
@@ -288,13 +278,21 @@ class SketchStore {
     std::shared_ptr<const PagedCatalogReader> reader;
   };
 
-  /// One registered version: the sketch plus the delta fold watermarks it
-  /// was registered with. Living in one map slot is what makes the
-  /// refresh swap atomic for readers.
+  /// A key's registered sketch plus the delta fold watermarks it was
+  /// registered with. Living in one map slot is what makes the refresh
+  /// swap atomic for readers.
   struct VersionEntry {
+    uint64_t version = 0;  // Register calls on the key so far
     std::shared_ptr<const NeuroSketch> sketch;
     std::shared_ptr<const std::vector<uint64_t>> leaf_folded;
   };
+
+  /// Replace the key's entry, bumping its version. Caller holds mu_
+  /// uniquely.
+  uint64_t RegisterLocked(const ServeKey& key,
+                          std::shared_ptr<const NeuroSketch> sketch,
+                          std::shared_ptr<const std::vector<uint64_t>>
+                              leaf_folded);
 
   std::shared_ptr<const NeuroSketch> FaultIn(const ServeKey& key,
                                              const PagedEntry& pe) const;
@@ -305,7 +303,7 @@ class SketchStore {
                                uint64_t delta_size) const;
 
   mutable std::shared_mutex mu_;
-  std::map<ServeKey, std::map<uint64_t, VersionEntry>> sketches_;
+  std::map<ServeKey, VersionEntry> sketches_;
   std::map<std::string, const ExactEngine*> engines_;
   /// Per-dataset streaming delta buffers (DeltaBuffer is internally
   /// thread-safe; the store lock only guards the map itself).
@@ -313,7 +311,6 @@ class SketchStore {
   /// Per-dataset swappable base tables (compaction folds into these).
   std::map<std::string, StreamingTable*> streaming_tables_;
   std::map<std::string, CompactionCounters> compaction_counters_;
-  size_t version_retention_ = 0;  // 0 = unlimited
   /// Serializes Compact passes (the fold copy is the expensive step;
   /// overlapping folds of one dataset would race the swap monotonicity).
   std::mutex compact_mu_;

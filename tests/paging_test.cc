@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +40,7 @@ namespace {
 using serve::PagedCatalogOptions;
 using serve::ServeEngine;
 using serve::ServeKey;
+using serve::ServeResult;
 using serve::SketchStore;
 
 // ---------------------------------------------------------------------------
@@ -419,37 +421,10 @@ std::string TempPath(const std::string& name) {
 }
 
 // ---------------------------------------------------------------------------
-// Lifecycle: ResidentBytes moves with Release/Ensure; Load comes up lean.
+// Lifecycle: a sketch holds its tree, scales, f64 plans and the active
+// tier's plans — nothing else, trained or loaded.
 
-TEST(ResidentBytesTest, ReleaseTrainerFreesExactlyTheDelta) {
-  Bench b = MakeBench(501);
-  auto sk = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-  ASSERT_TRUE(sk.ok()) << sk.status().ToString();
-  NeuroSketch& ns = sk.value();
-
-  const std::vector<double> before = ns.AnswerBatch(b.probes);
-  const double scalar_before = ns.AnswerScalar(b.probes.front());
-  ASSERT_TRUE(ns.trainer_resident());
-  const size_t full = ns.ResidentBytes();
-  const size_t disk = ns.SizeBytes();
-  const size_t freed = ns.ReleaseTrainer();
-  EXPECT_GT(freed, 0u);
-  EXPECT_FALSE(ns.trainer_resident());
-  EXPECT_EQ(ns.ResidentBytes(), full - freed);
-  // Serialized size is a property of the model, not of materialization.
-  EXPECT_EQ(ns.SizeBytes(), disk);
-  // Answers are served from compiled plans: bit-identical without the
-  // trainer, and the scalar path lazily rebuilds it on demand.
-  ExpectBitIdentical(before, ns.AnswerBatch(b.probes));
-  const double scalar = ns.AnswerScalar(b.probes.front());
-  EXPECT_TRUE(ns.trainer_resident());  // lazy rebuild happened
-  // The rebuilt trainer reproduces the pre-release scalar answer
-  // bit-exactly in every tier (scalar == compiled only holds for f64,
-  // where inference_plan_test already pins it).
-  EXPECT_EQ(std::memcmp(&scalar, &scalar_before, sizeof(double)), 0);
-}
-
-TEST(ResidentBytesTest, ReleaseAndEnsureTierRoundTrip) {
+TEST(ResidentBytesTest, SelectPrecisionFreesAndRebuildsF32) {
   Bench b = MakeBench(502);
   b.cfg.plan_precision = PlanPrecision::kF32;
   auto sk = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
@@ -457,23 +432,25 @@ TEST(ResidentBytesTest, ReleaseAndEnsureTierRoundTrip) {
   NeuroSketch& ns = sk.value();
   ASSERT_EQ(ns.plan_precision(), PlanPrecision::kF32);
   const std::vector<double> f32_answers = ns.AnswerBatch(b.probes);
+  const size_t f32_resident = ns.ResidentBytes();
+  const size_t f32_plan_bytes = ns.PlanBytes(PlanPrecision::kF32);
+  ASSERT_GT(f32_plan_bytes, 0u);
 
-  // The active tier is not releasable; the trainer and nothing else is
-  // droppable here, so Release of the ACTIVE tier must refuse.
-  EXPECT_EQ(ns.ReleaseTier(PlanPrecision::kF32), 0u);
-  EXPECT_TRUE(ns.TierResident(PlanPrecision::kF32));
-
-  // Switch to f64, drop f32, rebuild it on demand: the rebuilt tier is
-  // deterministic from the f64 params, so answers come back bit-equal.
+  // f32 -> f64 frees the f32 plans; the tier stays carried.
   ASSERT_TRUE(ns.SelectPrecision(PlanPrecision::kF64).ok());
-  const size_t resident = ns.ResidentBytes();
-  const size_t freed = ns.ReleaseTier(PlanPrecision::kF32);
-  EXPECT_GT(freed, 0u);
-  EXPECT_FALSE(ns.TierResident(PlanPrecision::kF32));
-  EXPECT_TRUE(ns.has_f32_plans());  // still carried, just not resident
-  EXPECT_EQ(ns.ResidentBytes(), resident - freed);
+  EXPECT_EQ(ns.PlanBytes(PlanPrecision::kF32), 0u);
+  EXPECT_TRUE(ns.has_f32_plans());
+  EXPECT_EQ(ns.ResidentBytes(), f32_resident - f32_plan_bytes);
+  for (const auto& q : b.probes) {
+    const double a = ns.Answer(q), ref = ns.AnswerScalar(q);
+    EXPECT_EQ(std::memcmp(&a, &ref, sizeof(double)), 0);
+  }
+
+  // f64 -> f32 narrows again: deterministic from the f64 parameters, so
+  // the plans and the answers come back bit-identical.
   ASSERT_TRUE(ns.SelectPrecision(PlanPrecision::kF32).ok());
-  EXPECT_TRUE(ns.TierResident(PlanPrecision::kF32));
+  EXPECT_EQ(ns.PlanBytes(PlanPrecision::kF32), f32_plan_bytes);
+  EXPECT_EQ(ns.ResidentBytes(), f32_resident);
   ExpectBitIdentical(f32_answers, ns.AnswerBatch(b.probes));
 }
 
@@ -481,18 +458,30 @@ TEST(ResidentBytesTest, LoadComesUpLean) {
   Bench b = MakeBench(503);
   auto sk = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
   ASSERT_TRUE(sk.ok()) << sk.status().ToString();
+  const NeuroSketch& trained = sk.value();
   const std::string path = TempPath("lean.sketch");
-  ASSERT_TRUE(sk.value().Save(path).ok());
+  ASSERT_TRUE(trained.Save(path).ok());
   auto loaded = NeuroSketch::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // Warm-and-lean: active tier resident, trainer cold, same answers.
-  EXPECT_FALSE(loaded.value().trainer_resident());
-  EXPECT_TRUE(loaded.value().TierResident(loaded.value().plan_precision()));
-  EXPECT_LT(loaded.value().ResidentBytes(), sk.value().ResidentBytes());
-  EXPECT_EQ(loaded.value().SizeBytes(), sk.value().SizeBytes());
-  ExpectBitIdentical(sk.value().AnswerBatch(b.probes),
-                     loaded.value().AnswerBatch(b.probes));
   std::remove(path.c_str());
+  // A trained sketch keeps no trainer: it holds exactly what its loaded
+  // copy holds.
+  EXPECT_EQ(trained.ResidentBytes(), loaded.value().ResidentBytes());
+  EXPECT_EQ(loaded.value().SizeBytes(), trained.SizeBytes());
+  ExpectBitIdentical(trained.AnswerBatch(b.probes),
+                     loaded.value().AnswerBatch(b.probes));
+  // The scalar reference rebuilds each routed leaf from its f64 plan: the
+  // same bits for both copies, and equal to Answer on the f64 tier.
+  for (const auto& q : b.probes) {
+    const double t = trained.AnswerScalar(q);
+    const double l = loaded.value().AnswerScalar(q);
+    EXPECT_EQ(std::memcmp(&t, &l, sizeof(double)), 0);
+    if (trained.plan_precision() == PlanPrecision::kF64) {
+      const double a = trained.Answer(q), la = loaded.value().Answer(q);
+      EXPECT_EQ(std::memcmp(&a, &t, sizeof(double)), 0);
+      EXPECT_EQ(std::memcmp(&la, &l, sizeof(double)), 0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -599,6 +588,66 @@ TEST(PagedCatalogTest, CorruptIndexFailsWithoutThrowingOrAllocating) {
   WriteCraftedCatalog(path, 1, IndexSlot(name.size(), name, index_end, 0));
   EXPECT_TRUE(PagedCatalogReader::Open(path).ok());
   std::remove(path.c_str());
+}
+
+// Byte offsets of a sketch image's length fields (see NeuroSketch::SaveTo):
+// qdim, rsize, routing, nmodels, per-leaf scales, then per model the nn
+// header (magic, version, in_dim, ...).
+struct ImageFields {
+  size_t rsize = 8;
+  size_t nmodels = 0;
+  size_t model_in_dim = 0;
+};
+
+uint64_t ReadU64At(const std::string& image, size_t off) {
+  uint64_t v = 0;
+  std::memcpy(&v, image.data() + off, sizeof(v));
+  return v;
+}
+
+ImageFields FieldsOf(const std::string& image) {
+  ImageFields f;
+  f.nmodels = 16 + 8 * ReadU64At(image, f.rsize);
+  f.model_in_dim = f.nmodels + 8 + 16 * ReadU64At(image, f.nmodels) + 8;
+  return f;
+}
+
+std::string WithU64At(std::string image, size_t off, uint64_t v) {
+  std::memcpy(&image[off], &v, sizeof(v));
+  return image;
+}
+
+// Length fields are untrusted: inflated far past the bytes the image
+// holds, each fails LoadFrom with a Status — no std::length_error, no
+// std::bad_alloc, no allocation the image does not back.
+TEST(UntrustedImageTest, InflatedCountsFailWithStatus) {
+  Bench b = MakeTinyBench(508);
+  auto sk = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
+  ASSERT_TRUE(sk.ok()) << sk.status().ToString();
+  std::ostringstream out;
+  ASSERT_TRUE(sk.value().SaveTo(&out).ok());
+  const std::string image = out.str();
+  const ImageFields f = FieldsOf(image);
+  ASSERT_LT(f.model_in_dim + 8, image.size());
+  {
+    std::istringstream in(image);
+    ASSERT_TRUE(NeuroSketch::LoadFrom(&in).ok());  // the offsets are right
+  }
+  const struct {
+    const char* what;
+    size_t off;
+  } fields[] = {{"rsize", f.rsize},
+                {"nmodels", f.nmodels},
+                {"model in_dim", f.model_in_dim}};
+  for (const auto& field : fields) {
+    for (uint64_t v : {uint64_t{1} << 40, uint64_t{1} << 61, ~uint64_t{0}}) {
+      SCOPED_TRACE(std::string(field.what) + " = " + std::to_string(v));
+      std::istringstream in(WithU64At(image, field.off, v));
+      Result<NeuroSketch> r = Status::Unknown("not loaded");
+      EXPECT_NO_THROW(r = NeuroSketch::LoadFrom(&in));
+      EXPECT_FALSE(r.ok());
+    }
+  }
 }
 
 // The reader holds the descriptor it opened, shared by its copies: it
@@ -797,6 +846,74 @@ TEST(PagedServeTest, RegisteredVersionShadowsColdEntry) {
   // catalog entry; the untouched key still faults in from disk.
   EXPECT_EQ(r.store->Lookup(r.Key(0)).get(), replacement.get());
   EXPECT_NE(r.store->Lookup(r.Key(1)), nullptr);
+}
+
+// A corrupt paged entry serves as "no sketch": its lookups return
+// nullptr without throwing on the loading thread, the serve path answers
+// its queries exactly, and intact entries keep faulting in.
+TEST(PagedServeTest, InflatedCountsInAnEntryServeExactAnswers) {
+  PagedServeRig r = PagedServeRig::Make(3, 1.0, "inflated.cat");
+  auto reader = PagedCatalogReader::Open(r.catalog_path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const PagedCatalogEntry& e0 = reader.value().entries()[0];
+  const PagedCatalogEntry& e1 = reader.value().entries()[1];
+  ASSERT_EQ(e0.key.measure_col, 0u);
+  ASSERT_EQ(e1.key.measure_col, 1u);
+  std::string image(e0.size_bytes, '\0');
+  {
+    std::FILE* f = std::fopen(r.catalog_path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(e0.offset), SEEK_SET), 0);
+    ASSERT_EQ(std::fread(&image[0], 1, image.size(), f), image.size());
+    std::fclose(f);
+  }
+  const ImageFields fields = FieldsOf(image);
+  // Rewrite one 8-byte field in place: rsize of entry 0, nmodels of
+  // entry 1 (all entries share one image). The store reads the file at
+  // fault-in time, so the attached catalog sees the corruption.
+  const uint64_t kHuge = uint64_t{1} << 40;
+  {
+    std::FILE* f = std::fopen(r.catalog_path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(e0.offset + fields.rsize),
+                         SEEK_SET),
+              0);
+    ASSERT_EQ(std::fwrite(&kHuge, sizeof(kHuge), 1, f), 1u);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(e1.offset + fields.nmodels),
+                         SEEK_SET),
+              0);
+    ASSERT_EQ(std::fwrite(&kHuge, sizeof(kHuge), 1, f), 1u);
+    std::fclose(f);
+  }
+
+  for (size_t i : {0u, 1u}) {
+    SCOPED_TRACE(i);
+    std::shared_ptr<const NeuroSketch> got;
+    EXPECT_NO_THROW(got = r.store->Lookup(r.Key(i)));
+    EXPECT_EQ(got, nullptr);
+  }
+  auto intact = r.store->Lookup(r.Key(2));
+  ASSERT_NE(intact, nullptr);
+  ExpectBitIdentical(r.reference, intact->AnswerBatch(r.probes));
+
+  ServeEngine serving(r.store.get());
+  for (size_t i : {0u, 1u}) {
+    SCOPED_TRACE(i);
+    QueryFunctionSpec spec;
+    spec.predicate = AxisRangePredicate::Make();
+    spec.agg = Aggregate::kCount;
+    spec.measure_col = i;
+    const std::vector<double> exact = r.engine->AnswerBatch(spec, r.probes);
+    const std::vector<ServeResult> served =
+        serving.SubmitMany("ds", spec, r.probes).get();
+    ASSERT_EQ(served.size(), exact.size());
+    std::vector<double> values;
+    for (const ServeResult& res : served) {
+      EXPECT_FALSE(res.used_sketch);
+      values.push_back(res.value);
+    }
+    ExpectBitIdentical(exact, values);
+  }
 }
 
 TEST(PagedServeTest, ExportMetricsCarriesPagedSeries) {

@@ -154,20 +154,20 @@ TEST(SketchStoreTest, VersioningAndLookup) {
   auto latest = store.Lookup(key);
   ASSERT_NE(latest, nullptr);
 
-  // Auto-versioning appends; Lookup returns the newest.
+  // Registering again bumps the version and replaces the sketch: the
+  // store keeps one entry per key.
   auto v2 = store.Register("gmm", f.spec, latest);
   ASSERT_TRUE(v2.ok());
   EXPECT_EQ(v2.value(), 2u);
-  EXPECT_EQ(store.num_sketches(), 2u);
-  EXPECT_NE(store.Lookup(key, 1), nullptr);
-  EXPECT_EQ(store.Lookup(key, 3), nullptr);
+  EXPECT_EQ(store.num_sketches(), 1u);
 
   auto listings = store.List();
-  ASSERT_EQ(listings.size(), 2u);
-  EXPECT_EQ(listings[0].version, 2u);  // latest first per key
+  ASSERT_EQ(listings.size(), 1u);
+  EXPECT_EQ(listings[0].version, 2u);
 
-  EXPECT_EQ(store.Unregister(key), 2u);
+  EXPECT_EQ(store.Unregister(key), 1u);
   EXPECT_EQ(store.Lookup(key), nullptr);
+  EXPECT_EQ(store.num_sketches(), 0u);
 }
 
 TEST(SketchStoreTest, ImportFromCatalogSharesSketches) {

@@ -862,41 +862,106 @@ TEST(RefreshTest, ThrowingRefreshLeavesOldVersionServingThenDemotes) {
 TEST(RefreshTest, OutOfBoundRetrainIsRejectedNotSwapped) {
   const DriftScenario* s = &DriftScenario::Shared();
   ASSERT_FALSE(s->drift_rows.empty());
+  // On f32 the retrained copy fails the probe gate on the f32 tier, so
+  // the controller first demotes it to f64 and re-checks; the f64
+  // reference is out of bound too, so the swap is still rejected.
+  for (PlanPrecision tier : {PlanPrecision::kF64, PlanPrecision::kF32}) {
+    SCOPED_TRACE(PlanPrecisionName(tier));
+    SketchStore store;
+    ASSERT_TRUE(store.RegisterDataset("gmm", s->engine.get()).ok());
+    ASSERT_TRUE(store.Register("gmm", s->spec, s->sketch).ok());
+    ASSERT_TRUE(store.EnableStreaming("gmm", s->base.num_columns()).ok());
+    ASSERT_TRUE(store.AppendRows("gmm", s->drift_rows).ok());
+
+    RefreshOptions ro;
+    ro.probe_threads = 0;  // hardware concurrency; batch results are thread-count invariant
+    RefreshController ctrl(&store, nullptr, ro);
+    RefreshTarget target = s->Target();
+    target.config.plan_precision = tier;
+    ctrl.AddTarget(std::move(target));
+    // The hook corrupts the retrained copy: every leaf re-fit against
+    // garbage targets, so the validation gate must reject the swap.
+    NeuroSketchConfig cfg = s->cfg;
+    cfg.plan_precision = tier;
+    const bool on_f32 = tier == PlanPrecision::kF32 || ForceF32PlansFromEnv();
+    ctrl.SetFaultHook([s, cfg, on_f32](NeuroSketch* sk) {
+      std::vector<int> all;
+      for (size_t i = 0; i < sk->num_partitions(); ++i) {
+        all.push_back(static_cast<int>(i));
+      }
+      std::vector<double> garbage(s->train_q.size(), 1e9);
+      const Status st = sk->RetrainLeaves(all, s->train_q, garbage, cfg);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(sk->plan_precision(),
+                on_f32 ? PlanPrecision::kF32 : PlanPrecision::kF64);
+    });
+
+    const ServeKey key = ServeKey::From("gmm", s->spec);
+    const auto old_sketch = store.Lookup(key);
+    auto res = ctrl.RefreshNow("gmm", s->spec);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_TRUE(res.value().retrained);
+    EXPECT_TRUE(res.value().failed);
+    EXPECT_FALSE(res.value().swapped);
+    EXPECT_GT(res.value().post_mae, s->policy.max_normalized_mae);
+    EXPECT_NE(res.value().message.find("out of bound"), std::string::npos)
+        << res.value().message;
+    const size_t fallbacks = on_f32 ? 1 : 0;
+    EXPECT_EQ(res.value().tier_fallbacks, fallbacks);
+    EXPECT_EQ(store.Lookup(key).get(), old_sketch.get());
+    EXPECT_EQ(ctrl.Stats().failures, 1u);
+    EXPECT_EQ(ctrl.Stats().swaps, 0u);
+    EXPECT_EQ(ctrl.Stats().tier_fallbacks, fallbacks);
+  }
+}
+
+// The store keeps one sketch per key: each refresh swap replaces the
+// previous sketch, which lives on only while a reader holds it.
+TEST(RefreshTest, RepeatedSwapsKeepOneSketchPerKey) {
+  const DriftScenario* s = &DriftScenario::Shared();
+  ASSERT_FALSE(s->drift_rows.empty());
   SketchStore store;
   ASSERT_TRUE(store.RegisterDataset("gmm", s->engine.get()).ok());
   ASSERT_TRUE(store.Register("gmm", s->spec, s->sketch).ok());
   ASSERT_TRUE(store.EnableStreaming("gmm", s->base.num_columns()).ok());
-  ASSERT_TRUE(store.AppendRows("gmm", s->drift_rows).ok());
 
   RefreshOptions ro;
   ro.probe_threads = 0;  // hardware concurrency; batch results are thread-count invariant
   RefreshController ctrl(&store, nullptr, ro);
   ctrl.AddTarget(s->Target());
-  // The hook corrupts the retrained copy: every leaf re-fit against
-  // garbage targets, so the validation gate must reject the swap.
-  ctrl.SetFaultHook([s](NeuroSketch* sk) {
-    std::vector<int> all;
-    for (size_t i = 0; i < sk->num_partitions(); ++i) {
-      all.push_back(static_cast<int>(i));
-    }
-    std::vector<double> garbage(s->train_q.size(), 1e9);
-    const Status st = sk->RetrainLeaves(all, s->train_q, garbage, s->cfg);
-    ASSERT_TRUE(st.ok()) << st.ToString();
-  });
 
   const ServeKey key = ServeKey::From("gmm", s->spec);
-  const auto old_sketch = store.Lookup(key);
-  auto res = ctrl.RefreshNow("gmm", s->spec);
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_TRUE(res.value().retrained);
-  EXPECT_TRUE(res.value().failed);
-  EXPECT_FALSE(res.value().swapped);
-  EXPECT_GT(res.value().post_mae, s->policy.max_normalized_mae);
-  EXPECT_NE(res.value().message.find("out of bound"), std::string::npos)
-      << res.value().message;
-  EXPECT_EQ(store.Lookup(key).get(), old_sketch.get());
-  EXPECT_EQ(ctrl.Stats().failures, 1u);
-  EXPECT_EQ(ctrl.Stats().swaps, 0u);
+  std::shared_ptr<const NeuroSketch> reader;
+  std::weak_ptr<const NeuroSketch> superseded;
+  constexpr int kSwaps = 3;
+  for (int round = 0; round < kSwaps; ++round) {
+    SCOPED_TRACE(round);
+    // Each round drifts the target leaf further than the last refresh
+    // absorbed: 1, 2, then 4 more copies of the drift rows.
+    for (int copy = 0; copy < (1 << round); ++copy) {
+      ASSERT_TRUE(store.AppendRows("gmm", s->drift_rows).ok());
+    }
+    auto res = ctrl.RefreshNow("gmm", s->spec);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    ASSERT_TRUE(res.value().swapped)
+        << res.value().message << " pre " << res.value().pre_mae << " post "
+        << res.value().post_mae << " probed " << res.value().probed;
+    EXPECT_EQ(store.num_sketches(), 1u);
+    if (round == 0) {
+      // The first refreshed sketch: held by the store and this reader.
+      reader = store.Lookup(key);
+      superseded = reader;
+    }
+  }
+  const auto listings = store.List();
+  ASSERT_EQ(listings.size(), 1u);
+  EXPECT_EQ(listings[0].version, static_cast<uint64_t>(kSwaps + 1));
+
+  // Superseded, but pinned by the reader; gone once the reader lets go.
+  ASSERT_FALSE(superseded.expired());
+  EXPECT_NE(store.Lookup(key).get(), reader.get());
+  reader.reset();
+  EXPECT_TRUE(superseded.expired());
 }
 
 // The f32 -> f64 validation fallback during retrain: an impossible f32
@@ -1323,10 +1388,11 @@ INSTANTIATE_TEST_SUITE_P(
 // The safe fold watermark: Compact may never fold past the minimum leaf
 // watermark of ANY registered version of ANY key sharing the dataset. A
 // nullptr watermark vector counts as 0 and pins compaction entirely;
-// version retention unpins it; Register's default fill adopts the table's
-// current fold watermark so a freshly trained sketch doesn't reset it.
+// registering a replacement unpins it (the store keeps no superseded
+// sketch); Register's default fill adopts the table's current fold
+// watermark so a freshly trained sketch doesn't reset it.
 
-TEST(CompactionTest, SafeWatermarkHonorsEveryRegisteredVersion) {
+TEST(CompactionTest, SafeWatermarkFollowsTheRegisteredSketch) {
   const DriftScenario* s = &DriftScenario::Shared();
   StreamingTable table(s->base);
   ExactEngine engine(&table);
@@ -1355,13 +1421,12 @@ TEST(CompactionTest, SafeWatermarkHonorsEveryRegisteredVersion) {
   EXPECT_EQ(r0.value().safe, 0u);
   EXPECT_EQ(table.folded(), 0u);
 
-  // Retention 1 + v2 with explicit watermarks (min 6): v1 is pruned, so
-  // the safe watermark is 6 — Compact folds [0,6) and trims the one whole
-  // chunk below it.
-  store.SetVersionRetention(1);
+  // v2 with explicit watermarks (min 6) replaces v1, so the safe
+  // watermark is 6 — Compact folds [0,6) and trims the one whole chunk
+  // below it.
   auto wm = std::make_shared<std::vector<uint64_t>>(parts, appended.size());
   (*wm)[0] = 6;
-  ASSERT_TRUE(store.Register("gmm", s->spec, s->sketch, 0, wm).ok());
+  ASSERT_TRUE(store.Register("gmm", s->spec, s->sketch, wm).ok());
   auto r1 = store.Compact("gmm");
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_TRUE(r1.value().compacted);
@@ -1390,9 +1455,9 @@ TEST(CompactionTest, SafeWatermarkHonorsEveryRegisteredVersion) {
   EXPECT_FALSE(r2.value().compacted);  // safe == folded: nothing new
   EXPECT_EQ(r2.value().safe, 6u);
 
-  // A version whose watermarks cover the whole delta releases the rest.
+  // A sketch whose watermarks cover the whole delta releases the rest.
   auto full = std::make_shared<std::vector<uint64_t>>(parts, appended.size());
-  ASSERT_TRUE(store.Register("gmm", s->spec, s->sketch, 0, full).ok());
+  ASSERT_TRUE(store.Register("gmm", s->spec, s->sketch, full).ok());
   auto r3 = store.Compact("gmm");
   ASSERT_TRUE(r3.ok());
   EXPECT_TRUE(r3.value().compacted);
