@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels behind the
 // paper's query-time numbers: NeuroSketch forward pass (the few-microsecond
 // claim), kd-tree routing, R-tree range queries, exact scans, the range
-// filter per ISA and GEMM.
+// filter per ISA, the lockstep accumulate step and GEMM.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -163,6 +163,52 @@ const bool kRangeSelectRegistered = [] {
     benchmark::RegisterBenchmark(
         (std::string("BM_RangeSelect/") + kernel.isa).c_str(), BM_RangeSelect,
         kernel);
+  }
+  return true;
+}();
+
+// The accumulate step under every exact scan: one 1024-row block's
+// matches fed to 10 queries' accumulators in one AddSelectedLanes call
+// (`stream` recomputes about 9.75 queries per batch), at selectivities
+// spread over 5-95%, one arm per aggregate. Reports ns_per_value, per
+// matched value.
+void BM_AccumulateLanes(benchmark::State& state, Aggregate agg) {
+  constexpr size_t kLanes = 10;
+  Rng rng(1606);
+  std::vector<double> values(BatchScan::kBlock);
+  for (auto& v : values) v = rng.Uniform();
+  std::vector<std::vector<uint32_t>> sels(kLanes);
+  const uint32_t* sel[kLanes];
+  size_t counts[kLanes];
+  size_t matched = 0;
+  for (size_t l = 0; l < kLanes; ++l) {
+    const double selectivity = 0.05 + 0.1 * static_cast<double>(l);
+    for (uint32_t r = 0; r < values.size(); ++r) {
+      if (rng.Uniform() < selectivity) sels[l].push_back(r);
+    }
+    sel[l] = sels[l].data();
+    counts[l] = sels[l].size();
+    matched += counts[l];
+  }
+  std::vector<AggregateAccumulator> accs(kLanes, AggregateAccumulator(agg));
+  for (auto _ : state) {
+    AggregateAccumulator::AddSelectedLanes(accs.data(), kLanes, values.data(),
+                                           sel, counts);
+    benchmark::DoNotOptimize(accs.data());
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(accs[0].Finalize());
+  state.counters["ns_per_value"] = benchmark::Counter(
+      static_cast<double>(matched),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+const bool kAccumulateLanesRegistered = [] {
+  for (Aggregate agg : {Aggregate::kAvg, Aggregate::kSum, Aggregate::kStd}) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_AccumulateLanes/") + AggregateName(agg)).c_str(),
+        BM_AccumulateLanes, agg);
   }
   return true;
 }();

@@ -607,6 +607,11 @@ Result<NeuroSketch> NeuroSketch::LoadFrom(std::istream* in_stream) {
   NS_ASSIGN_OR_RETURN(sketch.tree_,
                       QuerySpaceKdTree::DecodeRouting(routing, qdim));
   sketch.routing_doubles_ = routing.size();
+  for (const QuerySpaceKdTree::Node* leaf : sketch.tree_.Leaves()) {
+    if (static_cast<uint64_t>(leaf->leaf_id) >= nmodels) {
+      return Status::InvalidArgument("sketch routing names a missing model");
+    }
+  }
   if (!nn::ReadDoubles(&in, nmodels, &sketch.target_mean_) ||
       !nn::ReadDoubles(&in, nmodels, &sketch.target_scale_)) {
     return Status::IOError("truncated sketch scales");
@@ -618,6 +623,11 @@ Result<NeuroSketch> NeuroSketch::LoadFrom(std::istream* in_stream) {
     // Compile-on-load: the plan is the deserialization target (one
     // contiguous parameter read).
     NS_ASSIGN_OR_RETURN(nn::CompiledMlp plan, nn::LoadCompiledMlp(&in));
+    // Splits index the query by dimensions below qdim, so a qdim that
+    // is not the models' input width is corrupt too.
+    if (plan.in_dim() != qdim) {
+      return Status::InvalidArgument("sketch model width differs from qdim");
+    }
     sketch.plans_.push_back(std::move(plan));
   }
   sketch.stats_.num_partitions = nmodels;

@@ -1,7 +1,9 @@
 #include "index/kdtree.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
 
 #include "util/thread_pool.h"
 
@@ -12,6 +14,13 @@ namespace {
 /// parallel path is active: below it the split work is too small to cover
 /// a pool hand-off. The cutoff affects scheduling only, never the splits.
 constexpr size_t kSequentialBuildCutoff = 2048;
+
+/// True when `v` is an integer in [0, end) that an int holds, so casting
+/// it is defined. False for NaN.
+bool IsIntBelow(double v, double end) {
+  return v >= 0.0 && v < end && v <= std::numeric_limits<int>::max() &&
+         v == std::trunc(v);
+}
 }  // namespace
 
 QuerySpaceKdTree QuerySpaceKdTree::Build(
@@ -213,9 +222,18 @@ Result<QuerySpaceKdTree> QuerySpaceKdTree::DecodeRouting(
     const double tag = encoded[pos];
     const double val = encoded[pos + 1];
     pos += 2;
-    if (tag < 0.0) {
+    // Untrusted bytes: each tag and leaf id is checked before its cast,
+    // and a split dimension must index the query vector Route reads.
+    if (tag == -1.0) {
+      if (!IsIntBelow(val, std::numeric_limits<double>::infinity())) {
+        return nullptr;
+      }
       node->leaf_id = static_cast<int>(val);
       return node;
+    }
+    if (!IsIntBelow(tag, static_cast<double>(query_dim)) ||
+        !std::isfinite(val)) {
+      return nullptr;
     }
     node->split_dim = static_cast<int>(tag);
     node->split_val = val;

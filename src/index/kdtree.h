@@ -69,6 +69,9 @@ class QuerySpaceKdTree {
   /// leaf ids) for sketch serialization. Pre-order; leaves encoded with
   /// split_dim = -1 and split_val = leaf_id.
   std::vector<double> EncodeRouting() const;
+  /// \brief Inverse of EncodeRouting over untrusted doubles: fails unless
+  /// every tag is -1 or an integer in [0, query_dim), every split value
+  /// is finite and every leaf id is a non-negative int.
   static Result<QuerySpaceKdTree> DecodeRouting(
       const std::vector<double>& encoded, size_t query_dim);
 

@@ -18,7 +18,8 @@ void AggregateAccumulator::AddEach(size_t n, Get get) {
   switch (agg_) {
     case Aggregate::kCount:
       break;
-    case Aggregate::kSum: {
+    case Aggregate::kSum:
+    case Aggregate::kAvg: {  // AVG is SUM / COUNT, summed in row order
       double sum = sum_;
       for (size_t j = 0; j < n; ++j) sum += get(j);
       sum_ = sum;
@@ -27,16 +28,6 @@ void AggregateAccumulator::AddEach(size_t n, Get get) {
     // Welford divides by the running count. It is kept as a double:
     // exact below 2^53, so `c += 1.0` is the double of the incremented
     // integer count, without a conversion per value.
-    case Aggregate::kAvg: {  // Welford mean
-      double mean = mean_;
-      double c = static_cast<double>(count_);
-      for (size_t j = 0; j < n; ++j) {
-        const double v = get(j);
-        mean += (v - mean) / (c += 1.0);
-      }
-      mean_ = mean;
-      break;
-    }
     case Aggregate::kStd: {  // Welford mean and M2
       double mean = mean_, m2 = m2_;
       double c = static_cast<double>(count_);
@@ -89,23 +80,17 @@ struct AggregateAccumulator::Chain {
 };
 
 template <size_t... I>
-void AggregateAccumulator::WelfordLockstep(std::index_sequence<I...>,
-                                           Chain* chains,
-                                           const double* values,
-                                           size_t steps) {
+void AggregateAccumulator::Lockstep(std::index_sequence<I...>, Chain* chains,
+                                    const double* values, size_t steps) {
   // The next `steps` values of every chain, one value of each chain at a
   // time, with each chain's state in registers (the pack expansion
-  // unrolls the chain loop). The per-lane updates are AddEach's, count
-  // kept as a double included.
-  double mean[] = {chains[I].acc->mean_...};
-  double m2[] = {chains[I].acc->m2_...};
-  double n[] = {static_cast<double>(chains[I].acc->count_)...};
+  // unrolls the chain loop). The per-lane updates are AddEach's, STD's
+  // count kept as a double included.
   const uint32_t* sel[] = {chains[I].sel...};
-  if (chains[0].acc->agg_ == Aggregate::kAvg) {
-    for (size_t j = 0; j < steps; ++j) {
-      ((mean[I] += (values[sel[I][j]] - mean[I]) / (n[I] += 1.0)), ...);
-    }
-  } else {
+  if (chains[0].acc->agg_ == Aggregate::kStd) {
+    double mean[] = {chains[I].acc->mean_...};
+    double m2[] = {chains[I].acc->m2_...};
+    double n[] = {static_cast<double>(chains[I].acc->count_)...};
     auto update = [](double v, double* mean_l, double* m2_l, double* n_l) {
       const double delta = v - *mean_l;
       *mean_l += delta / (*n_l += 1.0);
@@ -114,9 +99,13 @@ void AggregateAccumulator::WelfordLockstep(std::index_sequence<I...>,
     for (size_t j = 0; j < steps; ++j) {
       (update(values[sel[I][j]], &mean[I], &m2[I], &n[I]), ...);
     }
+    ((chains[I].acc->mean_ = mean[I], chains[I].acc->m2_ = m2[I]), ...);
+  } else {  // SUM, AVG
+    double sum[] = {chains[I].acc->sum_...};
+    for (size_t j = 0; j < steps; ++j) ((sum[I] += values[sel[I][j]]), ...);
+    ((chains[I].acc->sum_ = sum[I]), ...);
   }
-  ((chains[I].acc->mean_ = mean[I], chains[I].acc->m2_ = m2[I],
-    chains[I].acc->count_ += steps, chains[I].sel += steps,
+  ((chains[I].acc->count_ += steps, chains[I].sel += steps,
     chains[I].left -= steps),
    ...);
 }
@@ -125,15 +114,18 @@ void AggregateAccumulator::AddSelectedLanes(AggregateAccumulator* accs,
                                             size_t lanes, const double* values,
                                             const uint32_t* const* sels,
                                             const size_t* counts) {
-  if (lanes < 2 ||
-      (accs[0].agg_ != Aggregate::kAvg && accs[0].agg_ != Aggregate::kStd)) {
+  const bool lockstep =
+      lanes >= 2 && (accs[0].agg_ == Aggregate::kSum ||
+                     accs[0].agg_ == Aggregate::kAvg ||
+                     accs[0].agg_ == Aggregate::kStd);
+  if (!lockstep) {
     for (size_t l = 0; l < lanes; ++l) {
       accs[l].AddSelected(values, sels[l], counts[l]);
     }
     return;
   }
   // Lanes longest first: the longest lane bounds the walk, so it starts
-  // at once. kWelfordChains lanes are in flight; all of them advance in
+  // at once. kLockstepChains lanes are in flight; all of them advance in
   // lockstep until the shortest runs out, whose chain then takes the
   // next waiting lane. Once no lane waits, the rest drain on fewer
   // chains, down to the last lane's final values alone.
@@ -145,11 +137,11 @@ void AggregateAccumulator::AddSelectedLanes(AggregateAccumulator* accs,
     }
     order[at] = static_cast<uint8_t>(l);
   }
-  static_assert(kWelfordChains == 4, "the switch below covers 1..4 chains");
-  Chain chains[kWelfordChains];
+  static_assert(kLockstepChains == 4, "the switch below covers 1..4 chains");
+  Chain chains[kLockstepChains];
   size_t active = 0;
   for (size_t next = 0;;) {
-    for (; active < kWelfordChains && next < lanes; ++next) {
+    for (; active < kLockstepChains && next < lanes; ++next) {
       const size_t l = order[next];
       if (counts[l] > 0) chains[active++] = Chain{&accs[l], sels[l], counts[l]};
     }
@@ -158,16 +150,16 @@ void AggregateAccumulator::AddSelectedLanes(AggregateAccumulator* accs,
     for (size_t c = 1; c < active; ++c) steps = std::min(steps, chains[c].left);
     switch (active) {
       case 4:
-        WelfordLockstep(std::make_index_sequence<4>(), chains, values, steps);
+        Lockstep(std::make_index_sequence<4>(), chains, values, steps);
         break;
       case 3:
-        WelfordLockstep(std::make_index_sequence<3>(), chains, values, steps);
+        Lockstep(std::make_index_sequence<3>(), chains, values, steps);
         break;
       case 2:
-        WelfordLockstep(std::make_index_sequence<2>(), chains, values, steps);
+        Lockstep(std::make_index_sequence<2>(), chains, values, steps);
         break;
       default:
-        WelfordLockstep(std::make_index_sequence<1>(), chains, values, steps);
+        Lockstep(std::make_index_sequence<1>(), chains, values, steps);
         break;
     }
     size_t kept = 0;
@@ -186,7 +178,7 @@ double AggregateAccumulator::Finalize() const {
       return sum_;
     case Aggregate::kAvg:
       if (count_ == 0) return std::numeric_limits<double>::quiet_NaN();
-      return mean_;
+      return sum_ / static_cast<double>(count_);
     case Aggregate::kStd:
       if (count_ == 0) return std::numeric_limits<double>::quiet_NaN();
       return std::sqrt(m2_ / static_cast<double>(count_));

@@ -1,6 +1,8 @@
 // Aggregate accumulators. Streaming where possible (COUNT/SUM/AVG/STD/
-// MIN/MAX); MEDIAN buffers matched values. AVG and STD use Welford's
-// method. Add updates only the state its aggregate's Finalize reads.
+// MIN/MAX); MEDIAN buffers matched values. AVG is SUM / COUNT, as in SQL:
+// the same row-order sum SUM keeps, divided once in Finalize. STD uses
+// Welford's method. Add updates only the state its aggregate's Finalize
+// reads.
 #ifndef NEUROSKETCH_QUERY_AGGREGATE_H_
 #define NEUROSKETCH_QUERY_AGGREGATE_H_
 
@@ -27,13 +29,13 @@ class AggregateAccumulator {
   void AddSelected(const double* values, const uint32_t* sel, size_t n);
   /// \brief Lanes of one shared scan: for l < lanes (at most
   /// kMaxLanes, all of one aggregate), the same state as
-  /// `accs[l].AddSelected(values, sels[l], counts[l])`. AVG and STD keep
-  /// the Welford updates of kWelfordChains lanes in flight at once, so
-  /// their division chains overlap; each lane's own sequence of
-  /// operations is unchanged, and its state is bit-identical to the
-  /// separate call.
+  /// `accs[l].AddSelected(values, sels[l], counts[l])`. SUM and AVG keep
+  /// the adds, and STD the Welford updates, of kLockstepChains lanes in
+  /// flight at once, so their dependency chains overlap; each lane's own
+  /// sequence of operations is unchanged, and its state is bit-identical
+  /// to the separate call.
   static constexpr size_t kMaxLanes = 16;
-  static constexpr size_t kWelfordChains = 4;
+  static constexpr size_t kLockstepChains = 4;
   static void AddSelectedLanes(AggregateAccumulator* accs, size_t lanes,
                                const double* values,
                                const uint32_t* const* sels,
@@ -49,13 +51,13 @@ class AggregateAccumulator {
   void AddEach(size_t n, Get get);
   struct Chain;
   template <size_t... I>
-  static void WelfordLockstep(std::index_sequence<I...>, Chain* chains,
-                              const double* values, size_t steps);
+  static void Lockstep(std::index_sequence<I...>, Chain* chains,
+                       const double* values, size_t steps);
 
   Aggregate agg_;
   size_t count_ = 0;
-  double sum_ = 0.0;
-  double mean_ = 0.0, m2_ = 0.0;  // Welford state: AVG (mean), STD
+  double sum_ = 0.0;              // SUM, AVG
+  double mean_ = 0.0, m2_ = 0.0;  // Welford state: STD
   double min_ = 0.0, max_ = 0.0;
   std::vector<double> buffer_;  // MEDIAN only
 };

@@ -26,7 +26,7 @@ namespace neurosketch {
 /// the block into its own selection vector — branch-free for an
 /// axis-range query (CompiledAxisRange::Select), a per-row Matches test
 /// for any other predicate — and feeds the matches' measures to its own
-/// accumulator in row order, AVG/STD lanes in lockstep
+/// accumulator in row order, SUM/AVG/STD lanes in lockstep
 /// (AggregateAccumulator::AddSelectedLanes). So after a walk every
 /// accumulator holds exactly what a scan of that query alone leaves.
 ///
@@ -149,7 +149,8 @@ class ExactEngine {
   /// accumulation over rows the table does not hold (the streaming delta
   /// buffer): base-then-delta accumulation is bit-identical to a single
   /// scan of the appended table for every aggregate, including the
-  /// order-dependent ones (Welford STD, MEDIAN's buffer).
+  /// order-dependent ones (the SUM/AVG row-order sum, Welford STD,
+  /// MEDIAN's buffer).
   void Accumulate(const QueryFunctionSpec& spec, const QueryInstance& q,
                   AggregateAccumulator* acc) const;
 
@@ -163,9 +164,10 @@ class ExactEngine {
   /// \brief AccumulateOver for `n` queries in one walk of the table
   /// (BatchScan): each 1024-row block is read once for all of them, and
   /// each accumulator `accs[i]` ends bit-identical to
-  /// `AccumulateOver(table, spec, *queries[i], &accs[i])`. AVG/STD
-  /// queries keep four Welford chains in flight. Allocation-free once
-  /// the calling thread is warm (MEDIAN's value buffers aside).
+  /// `AccumulateOver(table, spec, *queries[i], &accs[i])`. SUM/AVG/STD
+  /// queries keep four dependency chains (sums, Welford updates) in
+  /// flight. Allocation-free once the calling thread is warm (MEDIAN's
+  /// value buffers aside).
   static void AccumulateBatchOver(const Table& table,
                                   const QueryFunctionSpec& spec,
                                   const QueryInstance* const* queries,

@@ -143,12 +143,13 @@ DeltaMatch ScanDelta(const DeltaBuffer::Snapshot& snap, size_t from,
 /// accumulation per query, fed the pinned base table first, then every
 /// delta row the base does not already hold, in append order —
 /// bit-identical to a from-scratch scan of the appended table for every
-/// aggregate (including Welford STD and MEDIAN's order-sensitive
-/// buffer). Both parts are shared walks (BatchScan): the base through
-/// ExactEngine::AccumulateBatchOver, the delta run by run, skipping for
-/// each query the chunks its zone map rules out. The delta walk starts
-/// at the pinned version's fold watermark: rows below it were compacted
-/// into the base and counting them from the delta too would double them.
+/// aggregate (including the SUM/AVG row-order sum, Welford STD and
+/// MEDIAN's order-sensitive buffer). Both parts are shared walks
+/// (BatchScan): the base through ExactEngine::AccumulateBatchOver, the
+/// delta run by run, skipping for each query the chunks its zone map
+/// rules out. The delta walk starts at the pinned version's fold
+/// watermark: rows below it were compacted into the base and counting
+/// them from the delta too would double them.
 /// The caller took the snapshot BEFORE pinning, so snap.begin() <=
 /// base.folded always holds and the pair covers the logical history
 /// exactly once. Writes answer j to out[idx[j]].

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "index/kdtree.h"
@@ -126,6 +127,24 @@ TEST(KdTreeTest, DecodeRejectsMalformed) {
   EXPECT_FALSE(QuerySpaceKdTree::DecodeRouting({0.0}, 2).ok());
   // Internal node with missing children.
   EXPECT_FALSE(QuerySpaceKdTree::DecodeRouting({1.0, 0.5}, 2).ok());
+  // A split of dimension 0 over leaves 0 and 1 decodes; each rewrite of
+  // one of its values below does not.
+  const std::vector<double> good = {0.0, 0.5, -1.0, 0.0, -1.0, 1.0};
+  ASSERT_TRUE(QuerySpaceKdTree::DecodeRouting(good, 2).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    size_t at;
+    double v;
+  } bad[] = {{0, 2.0},  {0, 100000.0}, {0, nan}, {0, -inf}, {0, 0.5},
+             {0, -2.0}, {1, nan},      {1, inf}, {3, -1.0}, {3, nan},
+             {3, 0.5},  {5, 1e300}};
+  for (const auto& b : bad) {
+    std::vector<double> enc = good;
+    enc[b.at] = b.v;
+    EXPECT_FALSE(QuerySpaceKdTree::DecodeRouting(enc, 2).ok())
+        << "value " << b.v << " at " << b.at;
+  }
 }
 
 TEST(BoundingBoxTest, ExpandMergeIntersect) {

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -617,6 +618,22 @@ std::string WithU64At(std::string image, size_t off, uint64_t v) {
   return image;
 }
 
+double ReadDoubleAt(const std::string& image, size_t off) {
+  double v = 0.0;
+  std::memcpy(&v, image.data() + off, sizeof(v));
+  return v;
+}
+
+std::string WithDoubleAt(std::string image, size_t off, double v) {
+  std::memcpy(&image[off], &v, sizeof(v));
+  return image;
+}
+
+// The routing block follows qdim and rsize: pre-order (tag, value)
+// pairs, tag -1 for a leaf (value = its model id), else the split
+// dimension (value = the split).
+constexpr size_t kRoutingAt = 16;
+
 // Length fields are untrusted: inflated far past the bytes the image
 // holds, each fails LoadFrom with a Status — no std::length_error, no
 // std::bad_alloc, no allocation the image does not back.
@@ -648,6 +665,64 @@ TEST(UntrustedImageTest, InflatedCountsFailWithStatus) {
       EXPECT_FALSE(r.ok());
     }
   }
+}
+
+// The routing tree is untrusted too. A split dimension outside the
+// query, a tag that is neither -1 nor an integer, a non-finite split or
+// a leaf id without a model each fail LoadFrom with a Status; loaded,
+// they would send Route or the model lookup out of bounds (and a NaN or
+// huge tag makes the int cast undefined).
+TEST(UntrustedImageTest, CorruptRoutingFailsWithStatus) {
+  Bench b = MakeBench(509);
+  auto sk = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
+  ASSERT_TRUE(sk.ok()) << sk.status().ToString();
+  std::ostringstream out;
+  ASSERT_TRUE(sk.value().SaveTo(&out).ok());
+  const std::string image = out.str();
+  const uint64_t qdim = ReadU64At(image, 0);
+  const uint64_t rsize = ReadU64At(image, 8);
+  const uint64_t nmodels = ReadU64At(image, kRoutingAt + 8 * rsize);
+  ASSERT_NE(ReadDoubleAt(image, kRoutingAt), -1.0) << "the root must split";
+  size_t leaf_at = 0;  // the first leaf's id
+  for (size_t p = 0; p < rsize && leaf_at == 0; p += 2) {
+    if (ReadDoubleAt(image, kRoutingAt + 8 * p) == -1.0) {
+      leaf_at = kRoutingAt + 8 * (p + 1);
+    }
+  }
+  ASSERT_NE(leaf_at, 0u);
+  {
+    std::istringstream in(image);
+    ASSERT_TRUE(NeuroSketch::LoadFrom(&in).ok());  // the offsets are right
+  }
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* what;
+    size_t off;
+    double v;
+  } cases[] = {{"root tag 100000", kRoutingAt, 100000.0},
+               {"root tag qdim", kRoutingAt, static_cast<double>(qdim)},
+               {"root tag NaN", kRoutingAt, kNaN},
+               {"root tag 1e300", kRoutingAt, 1e300},
+               {"root tag 0.5", kRoutingAt, 0.5},
+               {"root tag -2", kRoutingAt, -2.0},
+               {"root split NaN", kRoutingAt + 8, kNaN},
+               {"root split inf", kRoutingAt + 8, kInf},
+               {"leaf id nmodels", leaf_at, static_cast<double>(nmodels)},
+               {"leaf id -1", leaf_at, -1.0},
+               {"leaf id NaN", leaf_at, kNaN},
+               {"leaf id 1e300", leaf_at, 1e300},
+               {"leaf id 0.5", leaf_at, 0.5}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::istringstream in(WithDoubleAt(image, c.off, c.v));
+    Result<NeuroSketch> r = Status::Unknown("not loaded");
+    EXPECT_NO_THROW(r = NeuroSketch::LoadFrom(&in));
+    EXPECT_FALSE(r.ok());
+  }
+  // A header qdim that is not the models' input width is corrupt as well.
+  std::istringstream in(WithU64At(image, 0, 100000));
+  EXPECT_FALSE(NeuroSketch::LoadFrom(&in).ok());
 }
 
 // The reader holds the descriptor it opened, shared by its copies: it
@@ -709,14 +784,17 @@ struct PagedServeRig {
 
   // Packs `num_keys` copies of one tiny trained sketch under distinct
   // keys and attaches them cold under `budget_fraction` of the
-  // fully-resident footprint.
+  // fully-resident footprint. `split` keeps two leaves, so the routing
+  // root is a split.
   static PagedServeRig Make(size_t num_keys, double budget_fraction,
                             const std::string& name,
-                            PlanPrecision precision = PlanPrecision::kF64) {
+                            PlanPrecision precision = PlanPrecision::kF64,
+                            bool split = false) {
     PagedServeRig r;
     r.num_keys = num_keys;
     Bench b = MakeTinyBench(505);
     b.cfg.plan_precision = precision;
+    if (split) b.cfg.target_partitions = 2;
     auto sk = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
     EXPECT_TRUE(sk.ok()) << sk.status().ToString();
     auto shared = std::make_shared<const NeuroSketch>(std::move(sk).value());
@@ -848,44 +926,36 @@ TEST(PagedServeTest, RegisteredVersionShadowsColdEntry) {
   EXPECT_NE(r.store->Lookup(r.Key(1)), nullptr);
 }
 
+// An entry's image as the catalog file holds it.
+std::string ReadEntryImage(const std::string& path,
+                           const PagedCatalogEntry& e) {
+  std::string image(e.size_bytes, '\0');
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return image;
+  EXPECT_EQ(std::fseek(f, static_cast<long>(e.offset), SEEK_SET), 0);
+  EXPECT_EQ(std::fread(&image[0], 1, image.size(), f), image.size());
+  std::fclose(f);
+  return image;
+}
+
+// Rewrites 8 bytes of the catalog file in place at `offset`. The store
+// reads the file at fault-in time, so an attached catalog sees it.
+template <typename T>
+void OverwriteAt(const std::string& path, size_t offset, T v) {
+  static_assert(sizeof(T) == 8, "one 8-byte image field");
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&v, sizeof(v), 1, f), 1u);
+  std::fclose(f);
+}
+
 // A corrupt paged entry serves as "no sketch": its lookups return
 // nullptr without throwing on the loading thread, the serve path answers
-// its queries exactly, and intact entries keep faulting in.
-TEST(PagedServeTest, InflatedCountsInAnEntryServeExactAnswers) {
-  PagedServeRig r = PagedServeRig::Make(3, 1.0, "inflated.cat");
-  auto reader = PagedCatalogReader::Open(r.catalog_path);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  const PagedCatalogEntry& e0 = reader.value().entries()[0];
-  const PagedCatalogEntry& e1 = reader.value().entries()[1];
-  ASSERT_EQ(e0.key.measure_col, 0u);
-  ASSERT_EQ(e1.key.measure_col, 1u);
-  std::string image(e0.size_bytes, '\0');
-  {
-    std::FILE* f = std::fopen(r.catalog_path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, static_cast<long>(e0.offset), SEEK_SET), 0);
-    ASSERT_EQ(std::fread(&image[0], 1, image.size(), f), image.size());
-    std::fclose(f);
-  }
-  const ImageFields fields = FieldsOf(image);
-  // Rewrite one 8-byte field in place: rsize of entry 0, nmodels of
-  // entry 1 (all entries share one image). The store reads the file at
-  // fault-in time, so the attached catalog sees the corruption.
-  const uint64_t kHuge = uint64_t{1} << 40;
-  {
-    std::FILE* f = std::fopen(r.catalog_path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, static_cast<long>(e0.offset + fields.rsize),
-                         SEEK_SET),
-              0);
-    ASSERT_EQ(std::fwrite(&kHuge, sizeof(kHuge), 1, f), 1u);
-    ASSERT_EQ(std::fseek(f, static_cast<long>(e1.offset + fields.nmodels),
-                         SEEK_SET),
-              0);
-    ASSERT_EQ(std::fwrite(&kHuge, sizeof(kHuge), 1, f), 1u);
-    std::fclose(f);
-  }
-
+// its queries exactly, and intact entries keep faulting in. Entries 0
+// and 1 of `r` are the corrupt ones, entry 2 is intact.
+void ExpectCorruptEntriesServeExact(const PagedServeRig& r) {
   for (size_t i : {0u, 1u}) {
     SCOPED_TRACE(i);
     std::shared_ptr<const NeuroSketch> got;
@@ -914,6 +984,41 @@ TEST(PagedServeTest, InflatedCountsInAnEntryServeExactAnswers) {
     }
     ExpectBitIdentical(exact, values);
   }
+}
+
+TEST(PagedServeTest, InflatedCountsInAnEntryServeExactAnswers) {
+  PagedServeRig r = PagedServeRig::Make(3, 1.0, "inflated.cat");
+  auto reader = PagedCatalogReader::Open(r.catalog_path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const PagedCatalogEntry& e0 = reader.value().entries()[0];
+  const PagedCatalogEntry& e1 = reader.value().entries()[1];
+  ASSERT_EQ(e0.key.measure_col, 0u);
+  ASSERT_EQ(e1.key.measure_col, 1u);
+  const ImageFields fields = FieldsOf(ReadEntryImage(r.catalog_path, e0));
+  // rsize of entry 0, nmodels of entry 1 (all entries share one image).
+  const uint64_t kHuge = uint64_t{1} << 40;
+  OverwriteAt(r.catalog_path, e0.offset + fields.rsize, kHuge);
+  OverwriteAt(r.catalog_path, e1.offset + fields.nmodels, kHuge);
+  ExpectCorruptEntriesServeExact(r);
+}
+
+// The first crash a corrupt routing tree caused: a root split dimension
+// of 100000 loaded, and Route then read the query out of bounds on the
+// dispatcher thread. A NaN tag made the cast itself undefined.
+TEST(PagedServeTest, CorruptRoutingInAnEntryServesExactAnswers) {
+  PagedServeRig r = PagedServeRig::Make(3, 1.0, "routing.cat",
+                                        PlanPrecision::kF64, /*split=*/true);
+  auto reader = PagedCatalogReader::Open(r.catalog_path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const PagedCatalogEntry& e0 = reader.value().entries()[0];
+  const PagedCatalogEntry& e1 = reader.value().entries()[1];
+  ASSERT_NE(ReadDoubleAt(ReadEntryImage(r.catalog_path, e0), kRoutingAt),
+            -1.0)
+      << "the root must split";
+  OverwriteAt(r.catalog_path, e0.offset + kRoutingAt, 100000.0);
+  OverwriteAt(r.catalog_path, e1.offset + kRoutingAt,
+              std::numeric_limits<double>::quiet_NaN());
+  ExpectCorruptEntriesServeExact(r);
 }
 
 TEST(PagedServeTest, ExportMetricsCarriesPagedSeries) {

@@ -1,7 +1,11 @@
 // Tests for the query model: predicates, aggregates, workload generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "data/generators.h"
 #include "query/aggregate.h"
@@ -194,6 +198,177 @@ TEST(AggregateTest, EmptySemantics) {
   EXPECT_TRUE(
       std::isnan(AggregateAccumulator::Evaluate(Aggregate::kMedian, {})));
   EXPECT_TRUE(std::isnan(AggregateAccumulator::Evaluate(Aggregate::kMin, {})));
+}
+
+// AVG is SUM / COUNT: one row-order sum, divided once. The accumulator
+// tests below compare doubles by their bits.
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// Values with the cases an IEEE sum treats specially, each rare enough
+// (one in a thousand) that most lanes stay finite: NaN, +inf, -inf and
+// -0.0.
+std::vector<double> SpecialValues(size_t n, Rng* rng) {
+  std::vector<double> v(n);
+  for (double& x : v) {
+    const size_t pick = rng->Index(1000);
+    x = pick == 0   ? std::numeric_limits<double>::quiet_NaN()
+        : pick == 1 ? std::numeric_limits<double>::infinity()
+        : pick == 2 ? -std::numeric_limits<double>::infinity()
+        : pick == 3 ? -0.0
+                    : rng->Uniform(-1e3, 1e3);
+  }
+  return v;
+}
+
+// Selection vectors over `values`, one per lane, of random lengths in
+// [0, max_len] (a quarter of them empty) and random rows.
+std::vector<std::vector<uint32_t>> RandomLanes(size_t lanes, size_t rows,
+                                               size_t max_len, Rng* rng) {
+  std::vector<std::vector<uint32_t>> sels(lanes);
+  for (auto& sel : sels) {
+    if (rng->Bernoulli(0.25)) continue;
+    sel.resize(rng->Index(max_len + 1));
+    for (uint32_t& r : sel) r = static_cast<uint32_t>(rng->Index(rows));
+  }
+  return sels;
+}
+
+// Feeds `accs[l]` the values `sels[l]` selects through AddSelectedLanes.
+void AddLanes(std::vector<AggregateAccumulator>* accs, const double* values,
+              const std::vector<std::vector<uint32_t>>& sels) {
+  std::vector<const uint32_t*> ptrs;
+  std::vector<size_t> counts;
+  for (const auto& sel : sels) {
+    ptrs.push_back(sel.data());
+    counts.push_back(sel.size());
+  }
+  AggregateAccumulator::AddSelectedLanes(accs->data(), sels.size(), values,
+                                         ptrs.data(), counts.data());
+}
+
+TEST(AggregateTest, AvgIsSumOverCountBitForBit) {
+  Rng rng(27);
+  std::vector<double> values(4096);
+  for (double& v : values) v = rng.Uniform(-1e3, 1e3);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE(trial);
+    // Add: one value at a time.
+    const size_t n = rng.Index(300);
+    AggregateAccumulator sum(Aggregate::kSum), avg(Aggregate::kAvg);
+    for (size_t i = 0; i < n; ++i) {
+      sum.Add(values[i]);
+      avg.Add(values[i]);
+    }
+    if (n > 0) {
+      EXPECT_EQ(Bits(avg.Finalize()),
+                Bits(sum.Finalize() / static_cast<double>(n)));
+    }
+
+    // AddSelected over random groupings of one selection: every grouping
+    // leaves the bits of a single row-order pass.
+    const auto lane = RandomLanes(1, values.size(), 2000, &rng)[0];
+    AggregateAccumulator whole(Aggregate::kAvg);
+    whole.AddSelected(values.data(), lane.data(), lane.size());
+    AggregateAccumulator pieces_sum(Aggregate::kSum);
+    AggregateAccumulator pieces_avg(Aggregate::kAvg);
+    for (size_t at = 0; at < lane.size();) {
+      const size_t len = std::min(lane.size() - at, rng.Index(64) + 1);
+      pieces_sum.AddSelected(values.data(), lane.data() + at, len);
+      pieces_avg.AddSelected(values.data(), lane.data() + at, len);
+      at += len;
+    }
+    if (lane.empty()) {
+      EXPECT_TRUE(std::isnan(whole.Finalize()));
+      EXPECT_TRUE(std::isnan(pieces_avg.Finalize()));
+    } else {
+      const double want =
+          pieces_sum.Finalize() / static_cast<double>(lane.size());
+      EXPECT_EQ(Bits(pieces_avg.Finalize()), Bits(want));
+      EXPECT_EQ(Bits(whole.Finalize()), Bits(want));
+    }
+
+    // AddSelectedLanes, continuing accumulations that already hold rows.
+    const size_t lanes = 1 + rng.Index(AggregateAccumulator::kMaxLanes);
+    const auto sels = RandomLanes(lanes, values.size(), 700, &rng);
+    std::vector<AggregateAccumulator> sums(
+        lanes, AggregateAccumulator(Aggregate::kSum));
+    std::vector<AggregateAccumulator> avgs(
+        lanes, AggregateAccumulator(Aggregate::kAvg));
+    for (size_t l = 0; l < lanes; ++l) {
+      for (size_t i = 0; i < l % 3; ++i) {
+        sums[l].Add(values[i]);
+        avgs[l].Add(values[i]);
+      }
+    }
+    AddLanes(&sums, values.data(), sels);
+    AddLanes(&avgs, values.data(), sels);
+    for (size_t l = 0; l < lanes; ++l) {
+      SCOPED_TRACE(l);
+      const size_t count = avgs[l].count();
+      ASSERT_EQ(count, l % 3 + sels[l].size());
+      if (count == 0) {
+        EXPECT_TRUE(std::isnan(avgs[l].Finalize()));
+      } else {
+        EXPECT_EQ(Bits(avgs[l].Finalize()),
+                  Bits(sums[l].Finalize() / static_cast<double>(count)));
+      }
+    }
+  }
+}
+
+// The lockstep walk keeps up to four lanes in flight; each lane must end
+// with exactly the state its own AddSelected leaves.
+TEST(AggregateTest, LanesEqualSeparateCallsBitForBit) {
+  Rng rng(2027);
+  const std::vector<double> values = SpecialValues(2048, &rng);
+  for (Aggregate agg : {Aggregate::kSum, Aggregate::kAvg, Aggregate::kStd,
+                        Aggregate::kCount, Aggregate::kMin,
+                        Aggregate::kMax}) {
+    for (size_t lanes = 1; lanes <= AggregateAccumulator::kMaxLanes;
+         ++lanes) {
+      for (int trial = 0; trial < 4; ++trial) {
+        SCOPED_TRACE(std::string(AggregateName(agg)) + " lanes " +
+                     std::to_string(lanes) + " trial " +
+                     std::to_string(trial));
+        const auto sels = RandomLanes(lanes, values.size(), 300, &rng);
+        std::vector<AggregateAccumulator> together(
+            lanes, AggregateAccumulator(agg));
+        std::vector<AggregateAccumulator> apart(lanes,
+                                                AggregateAccumulator(agg));
+        for (size_t l = 0; l < lanes; ++l) {  // some lanes continue
+          for (size_t i = 0; i < l % 2; ++i) {
+            together[l].Add(values[100 + l]);
+            apart[l].Add(values[100 + l]);
+          }
+        }
+        AddLanes(&together, values.data(), sels);
+        for (size_t l = 0; l < lanes; ++l) {
+          apart[l].AddSelected(values.data(), sels[l].data(), sels[l].size());
+          EXPECT_EQ(together[l].count(), apart[l].count()) << "lane " << l;
+          EXPECT_EQ(Bits(together[l].Finalize()), Bits(apart[l].Finalize()))
+              << "lane " << l;
+        }
+      }
+    }
+  }
+}
+
+TEST(AggregateTest, ZeroRowAvgIsNaN) {
+  const double values[] = {1.0};
+  const uint32_t* sels[] = {nullptr, nullptr};
+  const size_t counts[] = {0, 0};
+  std::vector<AggregateAccumulator> accs(
+      2, AggregateAccumulator(Aggregate::kAvg));
+  accs[0].AddSelected(values, nullptr, 0);
+  AggregateAccumulator::AddSelectedLanes(accs.data(), 2, values, sels, counts);
+  for (const AggregateAccumulator& acc : accs) {
+    EXPECT_EQ(acc.count(), 0u);
+    EXPECT_TRUE(std::isnan(acc.Finalize()));
+  }
 }
 
 TEST(WorkloadTest, ActiveAttributeCount) {

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -299,21 +300,44 @@ TEST(ServeEngineTest, UnknownDatasetAnswersNan) {
   EXPECT_EQ(serve.Snapshot().failed_answers, 1u);
 }
 
-/// Write a loadable sketch file whose routing is a single leaf but which
-/// carries zero models: every Answer is NaN, exercising the error budget.
-std::string WriteBrokenSketchFile(size_t qdim) {
-  const std::string path = testing::TempDir() + "/ns_broken.sketch";
+/// Write a loadable sketch file with the given pre-order `routing` and
+/// one small untrained (finite) model per entry of `scales`, each leaf's
+/// answer being its model's output times its scale. A NaN scale makes
+/// every answer of that leaf NaN: a leaf that cannot answer.
+std::string WriteSketchFile(const std::string& name, size_t qdim,
+                            const std::vector<double>& routing,
+                            const std::vector<double>& scales) {
+  const std::string path = testing::TempDir() + "/" + name;
   std::ofstream out(path, std::ios::binary);
   const uint64_t dim = qdim;
   out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
-  const std::vector<double> routing = {-1.0, 0.0};  // single leaf, id 0
   const uint64_t rsize = routing.size();
   out.write(reinterpret_cast<const char*>(&rsize), sizeof(rsize));
   out.write(reinterpret_cast<const char*>(routing.data()),
             static_cast<std::streamsize>(rsize * sizeof(double)));
-  const uint64_t nmodels = 0;  // leaf id 0 has no model -> NaN answers
+  const uint64_t nmodels = scales.size();
   out.write(reinterpret_cast<const char*>(&nmodels), sizeof(nmodels));
+  const std::vector<double> means(scales.size(), 0.0);
+  out.write(reinterpret_cast<const char*>(means.data()),
+            static_cast<std::streamsize>(nmodels * sizeof(double)));
+  out.write(reinterpret_cast<const char*>(scales.data()),
+            static_cast<std::streamsize>(nmodels * sizeof(double)));
+  nn::MlpConfig cfg;
+  cfg.in_dim = qdim;
+  cfg.hidden = {4};
+  const nn::Mlp model(cfg, /*seed=*/321);
+  for (size_t i = 0; i < scales.size(); ++i) {
+    EXPECT_TRUE(
+        nn::SaveCompiledMlp(nn::CompiledMlp::FromMlp(model), &out).ok());
+  }
   return path;
+}
+
+/// A loadable sketch whose routing is a single leaf that answers NaN:
+/// every Answer is NaN, exercising the error budget.
+std::string WriteBrokenSketchFile(size_t qdim) {
+  return WriteSketchFile("ns_broken.sketch", qdim, {-1.0, 0.0},
+                         {std::numeric_limits<double>::quiet_NaN()});
 }
 
 // Error budget: a sketch that cannot answer anything gets demoted after
@@ -352,33 +376,15 @@ TEST(ServeEngineTest, ErrorBudgetDemotesFailingSketch) {
   EXPECT_EQ(stats.budget_trips, 1u);  // demoted exactly once
 }
 
-/// Write a loadable sketch whose routing splits dimension 0 at 0.5: the
-/// left leaf has a real (untrained but finite) model, the right leaf id is
-/// out of range, so a deterministic fraction of the workload NaNs — a NaN
-/// storm that exercises the error-budget math with mixed traffic.
+/// A loadable sketch whose routing splits dimension 0 at 0.5: the left
+/// leaf has a real (untrained but finite) model, the right leaf answers
+/// NaN, so a deterministic fraction of the workload NaNs — a NaN storm
+/// that exercises the error-budget math with mixed traffic.
 std::string WriteHalfBrokenSketchFile(size_t qdim) {
-  const std::string path = testing::TempDir() + "/ns_half_broken.sketch";
-  std::ofstream out(path, std::ios::binary);
-  const uint64_t dim = qdim;
-  out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
   // Pre-order: internal (dim 0, split 0.5), leaf 0, leaf 1.
-  const std::vector<double> routing = {0.0, 0.5, -1.0, 0.0, -1.0, 1.0};
-  const uint64_t rsize = routing.size();
-  out.write(reinterpret_cast<const char*>(&rsize), sizeof(rsize));
-  out.write(reinterpret_cast<const char*>(routing.data()),
-            static_cast<std::streamsize>(rsize * sizeof(double)));
-  const uint64_t nmodels = 1;  // leaf 1 has no model -> NaN answers
-  out.write(reinterpret_cast<const char*>(&nmodels), sizeof(nmodels));
-  const double mean = 0.0, scale = 1.0;
-  out.write(reinterpret_cast<const char*>(&mean), sizeof(mean));
-  out.write(reinterpret_cast<const char*>(&scale), sizeof(scale));
-  nn::MlpConfig cfg;
-  cfg.in_dim = qdim;
-  cfg.hidden = {4};
-  nn::Mlp model(cfg, /*seed=*/321);
-  EXPECT_TRUE(
-      nn::SaveCompiledMlp(nn::CompiledMlp::FromMlp(model), &out).ok());
-  return path;
+  return WriteSketchFile("ns_half_broken.sketch", qdim,
+                         {0.0, 0.5, -1.0, 0.0, -1.0, 1.0},
+                         {1.0, std::numeric_limits<double>::quiet_NaN()});
 }
 
 // Corrected error-budget math: repaired (NaN) queries must not count as

@@ -981,7 +981,9 @@ TEST(GroupPublishTest, DestructorResolvesEveryHeldAnswer) {
 TEST(GroupPublishTest, CheapAnswerIsNotHeldBehindSlowBatch) {
   ShardFixture f = ShardFixture::Make(256);
   ExactEngine small_engine(&f.table);
-  Dataset big = MakeGmmDataset(100000, 3, 3, /*seed=*/5);
+  // Big enough that B's exact batch stays well above the 20 ms floor
+  // below (about 55 ms on a 4-vCPU Xeon host).
+  Dataset big = MakeGmmDataset(500000, 3, 3, /*seed=*/5);
   const Table big_table = Normalizer::Fit(big.table).Transform(big.table);
   ExactEngine big_engine(&big_table);
 
