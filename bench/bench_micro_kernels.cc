@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "serve/delta_buffer.h"
 
 using namespace neurosketch;
 using namespace neurosketch::bench;
@@ -166,6 +167,41 @@ const bool kRangeSelectRegistered = [] {
   }
   return true;
 }();
+
+// The streaming delta's filter (DeltaBuffer::Snapshot::ScanMatches, as
+// ScanDelta runs it): one active attribute over a 4096-row delta of four
+// 1024-row chunks at 50% selectivity. Reports ns_per_row.
+void BM_DeltaScanMatches(benchmark::State& state) {
+  constexpr size_t kColumns = 4, kChunkRows = 1024, kRows = 4 * kChunkRows;
+  serve::DeltaBuffer delta(kColumns, kChunkRows);
+  Rng rng(1607);
+  std::vector<double> row(kColumns);
+  for (size_t i = 0; i < kRows; ++i) {
+    for (double& v : row) v = rng.Uniform();
+    delta.Append(row);
+  }
+  const serve::DeltaBuffer::Snapshot snap = delta.Snap();
+  CompiledAxisRange range;
+  range.Compile(AxisRangePredicate(),
+                QueryInstance::AxisRange({0.25, 0.0, 0.0, 0.0},
+                                         {0.5, 1.0, 1.0, 1.0}),
+                kColumns);
+  for (auto _ : state) {
+    double sum = 0.0;
+    snap.ScanMatches(0, range, kColumns - 1,
+                     [&](size_t, const double* measure, const uint32_t* sel,
+                         size_t k) {
+                       for (size_t i = 0; i < k; ++i) sum += measure[sel[i]];
+                       return true;
+                     });
+    benchmark::DoNotOptimize(sum);
+  }
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(kRows),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DeltaScanMatches);
 
 // The accumulate step under every exact scan: one 1024-row block's
 // matches fed to 10 queries' accumulators in one AddSelectedLanes call

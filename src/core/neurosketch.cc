@@ -604,14 +604,10 @@ Result<NeuroSketch> NeuroSketch::LoadFrom(std::istream* in_stream) {
   if (!in.good()) return Status::IOError("truncated sketch routing");
 
   NeuroSketch sketch;
+  // Every model is routed to by exactly one leaf.
   NS_ASSIGN_OR_RETURN(sketch.tree_,
-                      QuerySpaceKdTree::DecodeRouting(routing, qdim));
+                      QuerySpaceKdTree::DecodeRouting(routing, qdim, nmodels));
   sketch.routing_doubles_ = routing.size();
-  for (const QuerySpaceKdTree::Node* leaf : sketch.tree_.Leaves()) {
-    if (static_cast<uint64_t>(leaf->leaf_id) >= nmodels) {
-      return Status::InvalidArgument("sketch routing names a missing model");
-    }
-  }
   if (!nn::ReadDoubles(&in, nmodels, &sketch.target_mean_) ||
       !nn::ReadDoubles(&in, nmodels, &sketch.target_scale_)) {
     return Status::IOError("truncated sketch scales");

@@ -210,46 +210,61 @@ std::vector<double> QuerySpaceKdTree::EncodeRouting() const {
 }
 
 Result<QuerySpaceKdTree> QuerySpaceKdTree::DecodeRouting(
-    const std::vector<double>& encoded, size_t query_dim) {
-  if (encoded.size() % 2 != 0 || encoded.empty()) {
+    const std::vector<double>& encoded, size_t query_dim, size_t num_leaves) {
+  // A tree of L leaves has 2L - 1 nodes of two doubles each. Checked
+  // first, so the leaf-id table below is no larger than the encoding.
+  const size_t nodes = encoded.size() / 2;
+  if (encoded.size() % 2 != 0 || nodes % 2 != 1 ||
+      (nodes + 1) / 2 != num_leaves) {
     return Status::InvalidArgument("bad routing encoding length");
   }
+  const Status malformed =
+      Status::InvalidArgument("malformed routing encoding");
+  QuerySpaceKdTree tree;
+  tree.query_dim_ = query_dim;
+  std::vector<bool> seen(num_leaves, false);
+  // Pre-order with an explicit stack of the child slots still to fill, so
+  // no untrusted depth reaches the call stack.
+  struct Slot {
+    std::unique_ptr<Node>* dst;
+    Node* parent;
+    size_t depth;
+  };
+  std::vector<Slot> todo = {{&tree.root_, nullptr, 0}};
   size_t pos = 0;
-  std::function<std::unique_ptr<Node>()> parse =
-      [&]() -> std::unique_ptr<Node> {
-    if (pos + 1 >= encoded.size() + 1) return nullptr;
-    auto node = std::make_unique<Node>();
+  while (!todo.empty()) {
+    const Slot slot = todo.back();
+    todo.pop_back();
+    if (pos == encoded.size()) return malformed;
     const double tag = encoded[pos];
     const double val = encoded[pos + 1];
     pos += 2;
+    auto node = std::make_unique<Node>();
+    node->parent = slot.parent;
     // Untrusted bytes: each tag and leaf id is checked before its cast,
-    // and a split dimension must index the query vector Route reads.
+    // a split dimension must index the query vector Route reads, and
+    // every model slot is named by exactly one leaf.
     if (tag == -1.0) {
-      if (!IsIntBelow(val, std::numeric_limits<double>::infinity())) {
-        return nullptr;
+      if (!IsIntBelow(val, static_cast<double>(num_leaves)) ||
+          seen[static_cast<size_t>(val)]) {
+        return malformed;
       }
+      seen[static_cast<size_t>(val)] = true;
       node->leaf_id = static_cast<int>(val);
-      return node;
+    } else {
+      if (!IsIntBelow(tag, static_cast<double>(query_dim)) ||
+          !std::isfinite(val) || slot.depth >= kMaxDepth) {
+        return malformed;
+      }
+      node->split_dim = static_cast<int>(tag);
+      node->split_val = val;
+      // Right first, so the left subtree is decoded next.
+      todo.push_back({&node->right, node.get(), slot.depth + 1});
+      todo.push_back({&node->left, node.get(), slot.depth + 1});
     }
-    if (!IsIntBelow(tag, static_cast<double>(query_dim)) ||
-        !std::isfinite(val)) {
-      return nullptr;
-    }
-    node->split_dim = static_cast<int>(tag);
-    node->split_val = val;
-    node->left = parse();
-    node->right = parse();
-    if (!node->left || !node->right) return nullptr;
-    node->left->parent = node.get();
-    node->right->parent = node.get();
-    return node;
-  };
-  QuerySpaceKdTree tree;
-  tree.query_dim_ = query_dim;
-  tree.root_ = parse();
-  if (tree.root_ == nullptr || pos != encoded.size()) {
-    return Status::InvalidArgument("malformed routing encoding");
+    *slot.dst = std::move(node);
   }
+  if (pos != encoded.size()) return malformed;
   return tree;
 }
 

@@ -71,9 +71,16 @@ class QuerySpaceKdTree {
   std::vector<double> EncodeRouting() const;
   /// \brief Inverse of EncodeRouting over untrusted doubles: fails unless
   /// every tag is -1 or an integer in [0, query_dim), every split value
-  /// is finite and every leaf id is a non-negative int.
+  /// is finite, no leaf lies deeper than kMaxDepth, and the leaf ids are
+  /// [0, num_leaves), each exactly once. Decodes without recursion.
   static Result<QuerySpaceKdTree> DecodeRouting(
-      const std::vector<double>& encoded, size_t query_dim);
+      const std::vector<double>& encoded, size_t query_dim,
+      size_t num_leaves);
+
+  /// Deepest leaf DecodeRouting accepts. A build never goes deeper than
+  /// its height, and a tree this deep would need 2^64 leaves to be
+  /// balanced.
+  static constexpr size_t kMaxDepth = 64;
 
  private:
   /// Split one node at `depth` (median along the cycled dimension); leaves

@@ -78,7 +78,7 @@ void ExactEngine::AccumulateBatchOver(const Table& table,
     const size_t m = std::min(BatchScan::kMaxQueries, n - first);
     scan.Prepare(spec, queries + first, m, table.num_columns());
     for (size_t begin = 0; begin < rows; begin += BatchScan::kBlock) {
-      scan.Feed([&](size_t c) { return table.column(c).data() + begin; }, 1,
+      scan.Feed([&](size_t c) { return table.column(c).data() + begin; },
                 std::min(BatchScan::kBlock, rows - begin), measure + begin,
                 accs + first, [](size_t) { return false; });
     }

@@ -31,10 +31,9 @@ namespace neurosketch {
 /// accumulator holds exactly what a scan of that query alone leaves.
 ///
 /// A block is any `len <= kBlock` rows whose attribute c of row j sits
-/// at `column_at(c)[j * stride]`: a column block of a Table (stride 1)
-/// and a row-major run of the streaming delta (stride = row width) both
-/// qualify. Each thread reuses one instance (ThreadLocal), so a warm walk
-/// allocates nothing.
+/// at `column_at(c)[j]`: a column block of a Table and a run of a
+/// column-major streaming delta chunk both qualify. Each thread reuses
+/// one instance (ThreadLocal), so a warm walk allocates nothing.
 class BatchScan {
  public:
   static constexpr size_t kBlock = 1024;
@@ -54,12 +53,12 @@ class BatchScan {
   }
 
   /// \brief Feeds one block to every prepared query: query i's matches
-  /// go to accs[i]; the measure of row j is `measure[j * stride]`.
+  /// go to accs[i]; the measure of row j is `measure[j]`.
   /// `skip(i)` returning true says query i has no match in the block
   /// (the caller knows it from a zone map), and its filter does not run.
   template <typename ColumnAt, typename Skip>
-  void Feed(ColumnAt column_at, size_t stride, size_t len,
-            const double* measure, AggregateAccumulator* accs, Skip skip);
+  void Feed(ColumnAt column_at, size_t len, const double* measure,
+            AggregateAccumulator* accs, Skip skip);
 
  private:
   BatchScan();
@@ -78,9 +77,8 @@ class BatchScan {
 };
 
 template <typename ColumnAt, typename Skip>
-void BatchScan::Feed(ColumnAt column_at, size_t stride, size_t len,
-                     const double* measure, AggregateAccumulator* accs,
-                     Skip skip) {
+void BatchScan::Feed(ColumnAt column_at, size_t len, const double* measure,
+                     AggregateAccumulator* accs, Skip skip) {
   const uint32_t* sel[kMaxQueries];
   size_t counts[kMaxQueries];
   for (size_t i = 0; i < n_; ++i) {
@@ -90,12 +88,12 @@ void BatchScan::Feed(ColumnAt column_at, size_t stride, size_t len,
     if (skip(i)) {
       counts[i] = 0;
     } else if (query.compiled) {
-      counts[i] = query.range.Select(column_at, stride, len, out);
+      counts[i] = query.range.Select(column_at, len, out);
     } else {
       size_t k = 0;
       for (size_t j = 0; j < len; ++j) {
-        for (size_t c = 0; c < dim_; ++c) row_[c] = column_at(c)[j * stride];
-        out[k] = static_cast<uint32_t>(j * stride);
+        for (size_t c = 0; c < dim_; ++c) row_[c] = column_at(c)[j];
+        out[k] = static_cast<uint32_t>(j);
         k += spec_->predicate->Matches(*query.q, row_.data(), dim_);
       }
       counts[i] = k;

@@ -61,7 +61,7 @@ namespace {
 
 size_t SelectInRangeBaseline(const double* x, size_t len, double lo,
                              double hi, uint32_t* sel) {
-  return CompiledAxisRange::SelectRows(x, 1, 0, len, lo, hi, sel, 0);
+  return CompiledAxisRange::SelectRows(x, 0, len, lo, hi, sel, 0);
 }
 
 #if NS_SIMD_DISPATCH
@@ -87,7 +87,7 @@ __attribute__((target("avx512f"))) size_t SelectInRangeAvx512(
     k += static_cast<size_t>(__builtin_popcount(in));
     rows = _mm512_add_epi32(rows, step);
   }
-  return CompiledAxisRange::SelectRows(x, 1, j, len, lo, hi, sel, k);
+  return CompiledAxisRange::SelectRows(x, j, len, lo, hi, sel, k);
 }
 
 // kLanes[m] lists the set bits of the 4-bit mask m in ascending order.
@@ -113,7 +113,7 @@ __attribute__((target("avx2"))) size_t SelectInRangeAvx2(
         _mm_add_epi32(lanes, _mm_set1_epi32(static_cast<int>(j))));
     k += static_cast<size_t>(__builtin_popcount(in));
   }
-  return CompiledAxisRange::SelectRows(x, 1, j, len, lo, hi, sel, k);
+  return CompiledAxisRange::SelectRows(x, j, len, lo, hi, sel, k);
 }
 
 __attribute__((target("avx512f"))) size_t SelectInRangeIsa(

@@ -126,31 +126,24 @@ class CompiledAxisRange {
 
   /// \brief Filters `len` rows into the selection vector `sel`, in row
   /// order, and returns the number of matches. Attribute c of row j is
-  /// `column_at(c)[j * stride]`, so one call serves a column block
-  /// (stride 1) and a row-major block (stride = row width) alike. `sel`
-  /// receives the offsets `j * stride` of the matching rows: with
-  /// `values = column_at(c)`, `values[sel[i]]` is attribute c of the i-th
-  /// match; `sel` must hold `len` entries, and slots past the returned
-  /// count hold no defined value. The first active attribute fills `sel`:
-  /// over a column block through SelectInRange, the ISA-dispatched
-  /// mask-and-compact kernel, and over a row-major block through the
-  /// scalar SelectRows. Each further attribute narrows `sel` with the
-  /// scalar loop. Every step writes its slot and advances by the test
-  /// result, so no loop has a data-dependent branch. A query with no
-  /// active attribute selects every row.
+  /// `column_at(c)[j]`: a block is unit-stride columns, a Table's column
+  /// block or a run of a streaming delta chunk alike. `sel` receives the
+  /// offsets j of the matching rows: with `values = column_at(c)`,
+  /// `values[sel[i]]` is attribute c of the i-th match; `sel` must hold
+  /// `len` entries, and slots past the returned count hold no defined
+  /// value. The first active attribute fills `sel` through
+  /// SelectInRange, the ISA-dispatched mask-and-compact kernel. Each
+  /// further attribute narrows `sel` with the scalar loop. Every step
+  /// writes its slot and advances by the test result, so no loop has a
+  /// data-dependent branch. A query with no active attribute selects
+  /// every row.
   template <typename ColumnAt>
-  size_t Select(ColumnAt column_at, size_t stride, size_t len,
-                uint32_t* sel) const {
+  size_t Select(ColumnAt column_at, size_t len, uint32_t* sel) const {
     if (num_active_ == 0) {
-      for (size_t j = 0; j < len; ++j) {
-        sel[j] = static_cast<uint32_t>(j * stride);
-      }
+      for (size_t j = 0; j < len; ++j) sel[j] = static_cast<uint32_t>(j);
       return len;
     }
-    const double* x = column_at(column_[0]);
-    size_t k = stride == 1
-                   ? SelectInRange(x, len, lo_[0], hi_[0], sel)
-                   : SelectRows(x, stride, 0, len, lo_[0], hi_[0], sel, 0);
+    size_t k = SelectInRange(column_at(column_[0]), len, lo_[0], hi_[0], sel);
     for (size_t a = 1; a < num_active_; ++a) {
       const double* y = column_at(column_[a]);
       const double lo_a = lo_[a], hi_a = hi_[a];
@@ -165,16 +158,15 @@ class CompiledAxisRange {
     return k;
   }
 
-  /// \brief The scalar filter over rows [from, len): writes `j * stride`
-  /// to sel[k] and advances k by InRange(x[j * stride], lo, hi) for each
-  /// row j, then returns k. Select's path for row-major blocks, and the
-  /// baseline and tail of the unit-stride kernels.
-  static size_t SelectRows(const double* x, size_t stride, size_t from,
-                           size_t len, double lo, double hi, uint32_t* sel,
-                           size_t k) {
+  /// \brief The scalar filter over rows [from, len): writes j to sel[k]
+  /// and advances k by InRange(x[j], lo, hi) for each row j, then
+  /// returns k. The baseline SelectInRange kernel, and the tail of the
+  /// vector ones.
+  static size_t SelectRows(const double* x, size_t from, size_t len,
+                           double lo, double hi, uint32_t* sel, size_t k) {
     for (size_t j = from; j < len; ++j) {
-      sel[k] = static_cast<uint32_t>(j * stride);
-      k += InRange(x[j * stride], lo, hi);
+      sel[k] = static_cast<uint32_t>(j);
+      k += InRange(x[j], lo, hi);
     }
     return k;
   }

@@ -17,10 +17,12 @@ void DeltaBuffer::WriteRowLocked(size_t n,
     open_zone_.assign(num_columns_, ColumnZone{});
   }
   Chunk& chunk = *chunks_[slot / chunk_rows_];
-  double* dst = chunk.data.data() + (slot % chunk_rows_) * num_columns_;
+  // Column-major: the row's cell of column c is slot c * chunk_rows_ on.
+  double* dst = chunk.data.data() + slot % chunk_rows_;
   for (size_t c = 0; c < num_columns_; ++c) {
-    dst[c] = c < row.size() ? row[c] : 0.0;
-    open_zone_[c].Add(dst[c]);
+    const double v = c < row.size() ? row[c] : 0.0;
+    dst[c * chunk_rows_] = v;
+    open_zone_[c].Add(v);
   }
   // The chunk's last slot: seal its zone map. Readers that saw the chunk
   // open keep their own copy and never read this field.

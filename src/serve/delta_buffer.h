@@ -14,8 +14,14 @@
 //   access: size() is one acquire load, and Snap() copies a few chunk
 //   shared_ptrs under a short lock. Rows below the published size are
 //   write-once and fully visible (release/acquire on the size), so a
-//   snapshot iterates raw row pointers lock-free; chunks are shared_ptr
-//   owned, so a Trim cannot pull storage out from under a reader.
+//   snapshot reads chunk storage lock-free; chunks are shared_ptr owned,
+//   so a Trim cannot pull storage out from under a reader.
+//
+// Layout: each chunk is column-major, the way Table stores its columns.
+// Column c of a chunk is the run data[c * chunk_rows, (c + 1) *
+// chunk_rows), open and sealed chunks alike, so every delta scan filters
+// unit-stride columns with the same SelectInRange kernel the base walk
+// runs (Boncz et al., "MonetDB/X100", CIDR 2005).
 #ifndef NEUROSKETCH_SERVE_DELTA_BUFFER_H_
 #define NEUROSKETCH_SERVE_DELTA_BUFFER_H_
 
@@ -65,7 +71,9 @@ struct ColumnZone {
 /// \brief Append-only, chunked row buffer for one streaming dataset.
 class DeltaBuffer {
   struct Chunk {
-    std::vector<double> data;  // chunk_rows_ * num_columns_, write-once
+    // num_columns_ columns of chunk_rows_ slots each, column-major;
+    // every slot is written once.
+    std::vector<double> data;
     // Per-column zone map, written once under mu_ when the chunk fills
     // (seals) and never changed after; empty while the chunk is open.
     std::vector<ColumnZone> zone;
@@ -109,24 +117,38 @@ class DeltaBuffer {
     size_t end() const { return end_; }
     bool empty() const { return begin_ >= end_; }
     size_t num_columns() const { return num_columns_; }
+    /// Doubles between one column of a run and the next (ForEachRun).
+    size_t chunk_rows() const { return chunk_rows_; }
 
     /// \brief Visit logical rows [from, to) in order; `fn(row)` gets a
-    /// pointer to num_columns() doubles. The range is clamped to
-    /// [begin, end).
+    /// pointer to num_columns() doubles, the row gathered out of its
+    /// chunk's columns into a buffer that the next row overwrites. The
+    /// range is clamped to [begin, end).
     template <typename Fn>
     void ForEachRow(size_t from, size_t to, Fn&& fn) const {
-      ForEachRun(from, to, [&](size_t, const double* rows, size_t len) {
-        for (size_t j = 0; j < len; ++j) fn(rows + j * num_columns_);
+      std::vector<double> row(num_columns_);
+      ForEachRun(from, to, [&](size_t, size_t, const double* run,
+                               size_t len) {
+        for (size_t j = 0; j < len; ++j) {
+          Gather(run + j, row.data());
+          fn(row.data());
+        }
         return true;
       });
     }
 
-    /// \brief Calls `fn(chunk, rows, len)` for logical rows [from, to),
-    /// clamped to [begin, end), in append order, one run of at most kRun
-    /// rows of one chunk at a time: `rows` points at the run's first row
-    /// (row-major, num_columns() doubles per row), and `chunk` identifies
-    /// the chunk for Disjoint. `fn` returns false to stop the walk. One
-    /// division finds the first row; the rest is pointer strides.
+    /// \brief Copies the row whose column-0 cell is `cell` (a run
+    /// pointer plus the row's offset in the run) to row[0, num_columns()).
+    void Gather(const double* cell, double* row) const {
+      for (size_t c = 0; c < num_columns_; ++c) row[c] = cell[c * chunk_rows_];
+    }
+
+    /// \brief Calls `fn(chunk, first, run, len)` for logical rows
+    /// [from, to), clamped to [begin, end), in append order, one run of
+    /// at most kRun rows of one chunk at a time. `first` is the logical
+    /// index of the run's first row and `chunk` identifies its chunk for
+    /// Disjoint. The run is column-major: column c of the run's row j is
+    /// `run[c * chunk_rows() + j]`. `fn` returns false to stop the walk.
     template <typename Fn>
     void ForEachRun(size_t from, size_t to, Fn&& fn) const {
       if (from < begin_) from = begin_;
@@ -137,11 +159,12 @@ class DeltaBuffer {
       for (size_t left = to - from; left > 0; ++ci, off = 0) {
         const size_t len = std::min(left, chunk_rows_ - off);
         left -= len;
-        const double* rows = chunks_[ci]->data.data() + off * num_columns_;
+        const double* cells = chunks_[ci]->data.data() + off;
         for (size_t done = 0; done < len;) {
           const size_t run = std::min(kRun, len - done);
-          if (!fn(ci, rows + done * num_columns_, run)) return;
+          if (!fn(ci, from, cells + done, run)) return;
           done += run;
+          from += run;
         }
       }
     }
@@ -165,26 +188,35 @@ class DeltaBuffer {
       return false;
     }
 
-    /// \brief Calls `fn(rows, sel, k)` for the rows in [from, end()) that
-    /// match `range`, in append order, one run at a time: `rows + sel[i]`
-    /// points at the i-th match of the run. Chunks that Disjoint rules
-    /// out are not read; the rest are filtered branch-free
-    /// (CompiledAxisRange::Select, row width as stride). `fn` returns
-    /// false to stop the walk. Returns the number of rows filtered.
+    /// \brief Calls `fn(first, measure, sel, k)` for the rows in
+    /// [from, end()) that match `range`, in append order, one run at a
+    /// time: the i-th match of the run is logical row `first + sel[i]`,
+    /// and its value in column `measure_col` is `measure[sel[i]]`. Chunks
+    /// that Disjoint rules out are not read; the rest are filtered
+    /// branch-free over unit-stride columns (CompiledAxisRange::Select).
+    /// `fn` returns false to stop the walk. Returns the number of rows
+    /// filtered.
     template <typename Fn>
     size_t ScanMatches(size_t from, const CompiledAxisRange& range,
-                       Fn&& fn) const {
+                       size_t measure_col, Fn&& fn) const {
       size_t scanned = 0;
       uint32_t sel[kRun];
-      ForEachRun(from, end_, [&](size_t chunk, const double* rows,
-                                 size_t len) {
+      ForEachRun(from, end_, [&](size_t chunk, size_t first,
+                                 const double* run, size_t len) {
         if (Disjoint(chunk, range)) return true;
         scanned += len;
-        const size_t k = range.Select(
-            [rows](size_t c) { return rows + c; }, num_columns_, len, sel);
-        return k == 0 || fn(rows, static_cast<const uint32_t*>(sel), k);
+        const size_t k = range.Select(Columns(run), len, sel);
+        return k == 0 || fn(first, run + measure_col * chunk_rows_,
+                            static_cast<const uint32_t*>(sel), k);
       });
       return scanned;
+    }
+
+    /// \brief The `column_at` of a run for CompiledAxisRange::Select and
+    /// BatchScan::Feed: column c of the run starts at the returned
+    /// pointer.
+    auto Columns(const double* run) const {
+      return [run, pitch = chunk_rows_](size_t c) { return run + c * pitch; };
     }
 
    private:

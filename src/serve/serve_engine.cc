@@ -55,29 +55,35 @@ struct DeltaMatch {
   double max = 0.0;
 };
 
-/// Calls `fn(rows, sel, k)` for the delta rows in [from, snap.end())
-/// that match q, in append order: `rows + sel[i]` is the i-th match of
-/// the call. An axis-range query is compiled once and runs the snapshot's
-/// branch-free, zone-map-skipping scan; any other predicate keeps the
-/// per-row Matches test and reports each match alone. `fn` returns false
-/// to stop.
+/// Calls `fn(measure, sel, k)` for the delta rows in [from, snap.end())
+/// that match q, in append order: `measure[sel[i]]` is the measure of the
+/// i-th match of the call. An axis-range query is compiled once and runs
+/// the snapshot's branch-free, zone-map-skipping scan; any other
+/// predicate gathers each row for the per-row Matches test and reports
+/// each match alone. `fn` returns false to stop.
 template <typename Fn>
 void ForEachDeltaMatch(const DeltaBuffer::Snapshot& snap, size_t from,
                        const QueryFunctionSpec& spec, const QueryInstance& q,
                        Fn&& fn) {
   const size_t dim = snap.num_columns();
+  const size_t mc = spec.measure_col;
   CompiledAxisRange range;
   if (range.Compile(*spec.predicate, q, dim)) {
-    snap.ScanMatches(from, range, fn);
+    snap.ScanMatches(from, range, mc,
+                     [&](size_t, const double* measure, const uint32_t* sel,
+                         size_t k) { return fn(measure, sel, k); });
     return;
   }
   static constexpr uint32_t kFirst = 0;
-  snap.ForEachRun(from, snap.end(), [&](size_t, const double* rows,
+  thread_local std::vector<double> row;
+  row.resize(dim);
+  snap.ForEachRun(from, snap.end(), [&](size_t, size_t, const double* run,
                                         size_t len) {
+    const double* measure = run + mc * snap.chunk_rows();
     for (size_t j = 0; j < len; ++j) {
-      const double* row = rows + j * dim;
-      if (spec.predicate->Matches(q, row, dim) &&
-          !fn(row, &kFirst, size_t{1})) {
+      snap.Gather(run + j, row.data());
+      if (spec.predicate->Matches(q, row.data(), dim) &&
+          !fn(measure + j, &kFirst, size_t{1})) {
         return false;
       }
     }
@@ -116,15 +122,14 @@ DeltaMatch ScanDelta(const DeltaBuffer::Snapshot& snap, size_t from,
                      const QueryFunctionSpec& spec, const QueryInstance& q) {
   DeltaMatch m;
   const bool first_only = !Decomposable(spec.agg);
-  const size_t mc = spec.measure_col;
   ForEachDeltaMatch(snap, from, spec, q,
-                    [&](const double* rows, const uint32_t* sel, size_t k) {
+                    [&](const double* measure, const uint32_t* sel, size_t k) {
                       if (first_only) {
                         m.matched = 1;
                         return false;
                       }
                       for (size_t i = 0; i < k; ++i) {
-                        const double v = rows[sel[i] + mc];
+                        const double v = measure[sel[i]];
                         if (m.matched + i == 0) {
                           m.min = m.max = v;
                         } else {
@@ -175,14 +180,14 @@ void ExactWithDelta(const ExactEngine::PinnedBase& base,
                 "a delta run must fit one BatchScan block");
   if (from < snap.end()) {
     BatchScan& scan = BatchScan::ThreadLocal();
-    const size_t stride = snap.num_columns();
     for (size_t first = 0; first < qs.size(); first += BatchScan::kMaxQueries) {
       const size_t m = std::min(BatchScan::kMaxQueries, qs.size() - first);
-      scan.Prepare(spec, qs.data() + first, m, stride);
-      snap.ForEachRun(from, snap.end(), [&](size_t chunk, const double* rows,
-                                            size_t len) {
-        scan.Feed([rows](size_t c) { return rows + c; }, stride, len,
-                  rows + spec.measure_col, accs.data() + first,
+      scan.Prepare(spec, qs.data() + first, m, snap.num_columns());
+      snap.ForEachRun(from, snap.end(), [&](size_t chunk, size_t,
+                                            const double* run, size_t len) {
+        scan.Feed(snap.Columns(run), len,
+                  run + spec.measure_col * snap.chunk_rows(),
+                  accs.data() + first,
                   [&](size_t i) {
                     const CompiledAxisRange* range = scan.compiled(i);
                     return range != nullptr && snap.Disjoint(chunk, *range);

@@ -578,12 +578,12 @@ TEST(EngineScanTest, FilterCostDoesNotDependOnSelectivity) {
 
 /// The first-attribute filter as the scalar Select loop runs it: the
 /// selection vector every kernel must write.
-size_t ScalarSelect(const double* x, size_t stride, size_t len, double lo,
-                    double hi, uint32_t* sel) {
+size_t ScalarSelect(const double* x, size_t len, double lo, double hi,
+                    uint32_t* sel) {
   size_t k = 0;
   for (size_t j = 0; j < len; ++j) {
-    sel[k] = static_cast<uint32_t>(j * stride);
-    k += !(x[j * stride] < lo) & !(x[j * stride] >= hi);
+    sel[k] = static_cast<uint32_t>(j);
+    k += !(x[j] < lo) & !(x[j] >= hi);
   }
   return k;
 }
@@ -591,13 +591,13 @@ size_t ScalarSelect(const double* x, size_t stride, size_t len, double lo,
 /// The whole scalar Select: the first attribute fills `sel`, each further
 /// one narrows it.
 size_t ScalarSelectAll(const CompiledAxisRange& range,
-                       const double* const* columns, size_t stride,
-                       size_t len, uint32_t* sel) {
+                       const double* const* columns, size_t len,
+                       uint32_t* sel) {
   if (range.num_active() == 0) {
-    for (size_t j = 0; j < len; ++j) sel[j] = static_cast<uint32_t>(j * stride);
+    for (size_t j = 0; j < len; ++j) sel[j] = static_cast<uint32_t>(j);
     return len;
   }
-  size_t k = ScalarSelect(columns[range.column(0)], stride, len, range.lo(0),
+  size_t k = ScalarSelect(columns[range.column(0)], len, range.lo(0),
                           range.hi(0), sel);
   for (size_t a = 1; a < range.num_active(); ++a) {
     const double* y = columns[range.column(a)];
@@ -668,7 +668,7 @@ TEST(EngineScanTest, RangeSelectKernelsMatchScalarLoopAtEveryLength) {
       const double lo = bounds[0], hi = bounds[1];
       for (size_t len = 0; len <= kMaxLen; ++len) {
         const double* x = cells.data() + kMaxLen - len;
-        const size_t n = ScalarSelect(x, 1, len, lo, hi, want.data());
+        const size_t n = ScalarSelect(x, len, lo, hi, want.data());
         std::fill(got.begin(), got.end(), kPoison);
         ASSERT_EQ(kernel.select(x, len, lo, hi, got.data()), n)
             << kernel.isa << " len " << len << " [" << lo << ", " << hi << ")";
@@ -689,43 +689,36 @@ TEST(EngineScanTest, RangeSelectKernelsMatchScalarLoopAtEveryLength) {
                           std::size(kEdgeBounds) * (kMaxLen + 1));
 }
 
-TEST(EngineScanTest, SelectMatchesScalarLoopOnEveryStride) {
-  // Stride 1: separate columns (the dispatched kernel, then narrowing).
-  // Strides 2..20: row-major blocks of that many attributes (the scalar
-  // path). Queries draw 0..3 active attributes with edge bounds.
+TEST(EngineScanTest, SelectMatchesScalarLoopOverSeparateColumns) {
+  // Blocks of 1..20 separate columns (the dispatched kernel fills `sel`,
+  // then each further attribute narrows it). Queries draw 0..3 active
+  // attributes with edge bounds.
   Rng rng(3131);
   std::vector<uint32_t> want(BatchScan::kBlock), got(BatchScan::kBlock);
-  for (size_t stride = 1; stride <= 20; ++stride) {
-    for (int trial = 0; trial < 40; ++trial) {
-      const size_t dim = stride == 1 ? 1 + rng.Index(4) : stride;
-      const size_t len = trial < 2 ? static_cast<size_t>(trial)
-                                   : rng.Index(BatchScan::kBlock + 1);
-      const std::vector<double> cells = EdgeCells(len * dim, &rng);
-      const double* columns[20];
-      for (size_t c = 0; c < dim; ++c) {
-        columns[c] = stride == 1 ? cells.data() + c * len : cells.data() + c;
-      }
-      std::vector<double> lo(dim, 0.0), width(dim, 1.0);
-      const size_t active = rng.Index(std::min<size_t>(dim, 3) + 1);
-      for (size_t a : rng.SampleWithoutReplacement(dim, active)) {
-        const auto& bounds = kEdgeBounds[rng.Index(std::size(kEdgeBounds))];
-        lo[a] = bounds[0];
-        width[a] = bounds[1] - bounds[0];
-        if (lo[a] == 0.0 && width[a] >= 1.0) width[a] = 0.5;  // stay active
-      }
-      CompiledAxisRange range;
-      ASSERT_TRUE(range.Compile(AxisRangePredicate(),
-                                QueryInstance::AxisRange(lo, width), dim));
-      const size_t n =
-          ScalarSelectAll(range, columns, stride, len, want.data());
-      const size_t k = range.Select(
-          [&columns](size_t c) { return columns[c]; }, stride, len,
-          got.data());
-      ASSERT_EQ(k, n) << "stride " << stride << " trial " << trial;
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got[i], want[i])
-            << "stride " << stride << " trial " << trial << " slot " << i;
-      }
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t dim = 1 + rng.Index(20);
+    const size_t len = trial < 2 ? static_cast<size_t>(trial)
+                                 : rng.Index(BatchScan::kBlock + 1);
+    const std::vector<double> cells = EdgeCells(len * dim, &rng);
+    const double* columns[20];
+    for (size_t c = 0; c < dim; ++c) columns[c] = cells.data() + c * len;
+    std::vector<double> lo(dim, 0.0), width(dim, 1.0);
+    const size_t active = rng.Index(std::min<size_t>(dim, 3) + 1);
+    for (size_t a : rng.SampleWithoutReplacement(dim, active)) {
+      const auto& bounds = kEdgeBounds[rng.Index(std::size(kEdgeBounds))];
+      lo[a] = bounds[0];
+      width[a] = bounds[1] - bounds[0];
+      if (lo[a] == 0.0 && width[a] >= 1.0) width[a] = 0.5;  // stay active
+    }
+    CompiledAxisRange range;
+    ASSERT_TRUE(range.Compile(AxisRangePredicate(),
+                              QueryInstance::AxisRange(lo, width), dim));
+    const size_t n = ScalarSelectAll(range, columns, len, want.data());
+    const size_t k = range.Select(
+        [&columns](size_t c) { return columns[c]; }, len, got.data());
+    ASSERT_EQ(k, n) << "trial " << trial;
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i], want[i]) << "trial " << trial << " slot " << i;
     }
   }
 }

@@ -114,7 +114,7 @@ TEST(KdTreeTest, EncodeDecodeRoutesIdentically) {
   auto queries = RandomQueries(200, 4, 8);
   auto tree = QuerySpaceKdTree::Build(queries, 3);
   auto encoded = tree.EncodeRouting();
-  auto decoded = QuerySpaceKdTree::DecodeRouting(encoded, 4);
+  auto decoded = QuerySpaceKdTree::DecodeRouting(encoded, 4, tree.NumLeaves());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   auto probes = RandomQueries(100, 4, 9);
   for (const auto& q : probes) {
@@ -123,14 +123,14 @@ TEST(KdTreeTest, EncodeDecodeRoutesIdentically) {
 }
 
 TEST(KdTreeTest, DecodeRejectsMalformed) {
-  EXPECT_FALSE(QuerySpaceKdTree::DecodeRouting({}, 2).ok());
-  EXPECT_FALSE(QuerySpaceKdTree::DecodeRouting({0.0}, 2).ok());
+  EXPECT_FALSE(QuerySpaceKdTree::DecodeRouting({}, 2, 1).ok());
+  EXPECT_FALSE(QuerySpaceKdTree::DecodeRouting({0.0}, 2, 1).ok());
   // Internal node with missing children.
-  EXPECT_FALSE(QuerySpaceKdTree::DecodeRouting({1.0, 0.5}, 2).ok());
+  EXPECT_FALSE(QuerySpaceKdTree::DecodeRouting({1.0, 0.5}, 2, 1).ok());
   // A split of dimension 0 over leaves 0 and 1 decodes; each rewrite of
   // one of its values below does not.
   const std::vector<double> good = {0.0, 0.5, -1.0, 0.0, -1.0, 1.0};
-  ASSERT_TRUE(QuerySpaceKdTree::DecodeRouting(good, 2).ok());
+  ASSERT_TRUE(QuerySpaceKdTree::DecodeRouting(good, 2, 2).ok());
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const struct {
@@ -142,7 +142,7 @@ TEST(KdTreeTest, DecodeRejectsMalformed) {
   for (const auto& b : bad) {
     std::vector<double> enc = good;
     enc[b.at] = b.v;
-    EXPECT_FALSE(QuerySpaceKdTree::DecodeRouting(enc, 2).ok())
+    EXPECT_FALSE(QuerySpaceKdTree::DecodeRouting(enc, 2, 2).ok())
         << "value " << b.v << " at " << b.at;
   }
 }

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <limits>
 #include <map>
@@ -548,12 +549,12 @@ void AppendRaw(std::string* out, T v) {
 
 // One index slot: name_len, name, agg, measure, offset, size.
 std::string IndexSlot(uint64_t name_len, const std::string& name,
-                      uint64_t offset, uint64_t size) {
+                      uint64_t offset, uint64_t size, uint64_t measure = 0) {
   std::string slot;
   AppendRaw(&slot, name_len);
   slot += name;
   AppendRaw(&slot, static_cast<uint32_t>(Aggregate::kCount));
-  AppendRaw(&slot, uint64_t{0});
+  AppendRaw(&slot, measure);
   AppendRaw(&slot, offset);
   AppendRaw(&slot, size);
   return slot;
@@ -725,6 +726,119 @@ TEST(UntrustedImageTest, CorruptRoutingFailsWithStatus) {
   EXPECT_FALSE(NeuroSketch::LoadFrom(&in).ok());
 }
 
+// Pre-order routing of a chain of `depth` splits on dimension 0: each
+// split's left child is the next split and its right child a leaf. The
+// leaves, in pre-order, are numbered 0..depth modulo `nmodels`.
+std::vector<double> ChainRouting(size_t depth, uint64_t nmodels) {
+  std::vector<double> routing;
+  for (size_t i = 0; i < depth; ++i) routing.insert(routing.end(), {0.0, 0.5});
+  for (size_t i = 0; i <= depth; ++i) {
+    routing.insert(routing.end(), {-1.0, static_cast<double>(i % nmodels)});
+  }
+  return routing;
+}
+
+// `image` with its routing block replaced by `routing`.
+std::string WithRouting(const std::string& image,
+                        const std::vector<double>& routing) {
+  std::string out = image.substr(0, 8);
+  AppendRaw(&out, static_cast<uint64_t>(routing.size()));
+  for (double v : routing) AppendRaw(&out, v);
+  return out + image.substr(kRoutingAt + 8 * ReadU64At(image, 8));
+}
+
+// `image` (whose tree has at least two leaves) with its second leaf
+// naming the first leaf's model: one model is named twice, another never.
+std::string WithDuplicateLeafId(const std::string& image) {
+  std::vector<size_t> leaf_ids;  // byte offsets of the leaf ids
+  for (size_t p = 0; p < ReadU64At(image, 8); p += 2) {
+    if (ReadDoubleAt(image, kRoutingAt + 8 * p) == -1.0) {
+      leaf_ids.push_back(kRoutingAt + 8 * (p + 1));
+    }
+  }
+  EXPECT_GE(leaf_ids.size(), 2u);
+  if (leaf_ids.size() < 2) return image;
+  return WithDoubleAt(image, leaf_ids[1], ReadDoubleAt(image, leaf_ids[0]));
+}
+
+// The routing tree's shape is untrusted too. DecodeRouting walks it with
+// an explicit stack and accepts no leaf deeper than kMaxDepth: 100,000
+// nested splits (3.2 MB, which LoadFrom's byte bound admits) once
+// overflowed an 8 MiB stack in the recursive decoder.
+TEST(UntrustedImageTest, RoutingDepthIsCapped) {
+  const size_t kMax = QuerySpaceKdTree::kMaxDepth;
+  for (size_t depth : {size_t{1}, kMax}) {
+    SCOPED_TRACE(depth);
+    Result<QuerySpaceKdTree> tree =
+        QuerySpaceKdTree::DecodeRouting(ChainRouting(depth, depth + 1), 2,
+                                        depth + 1);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    EXPECT_EQ(tree.value().NumLeaves(), depth + 1);
+    EXPECT_EQ(tree.value().Route(QueryInstance({0.25, 0.0}))->leaf_id, 0);
+    EXPECT_EQ(tree.value().Route(QueryInstance({0.75, 0.0}))->leaf_id,
+              static_cast<int>(depth));
+  }
+  for (size_t depth : {kMax + 1, size_t{100000}}) {
+    SCOPED_TRACE(depth);
+    EXPECT_FALSE(QuerySpaceKdTree::DecodeRouting(ChainRouting(depth, depth + 1),
+                                                 2, depth + 1)
+                     .ok());
+  }
+}
+
+TEST(UntrustedImageTest, DeepRoutingImageFailsWithStatus) {
+  Bench b = MakeBench(510);
+  auto sk = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
+  ASSERT_TRUE(sk.ok()) << sk.status().ToString();
+  std::ostringstream out;
+  ASSERT_TRUE(sk.value().SaveTo(&out).ok());
+  const std::string image = out.str();
+  const uint64_t nmodels =
+      ReadU64At(image, kRoutingAt + 8 * ReadU64At(image, 8));
+  const std::string deep = WithRouting(image, ChainRouting(100000, nmodels));
+  ASSERT_GT(deep.size(), size_t{3200000});
+  std::istringstream in(deep);
+  Result<NeuroSketch> r = Status::Unknown("not loaded");
+  EXPECT_NO_THROW(r = NeuroSketch::LoadFrom(&in));
+  EXPECT_FALSE(r.ok());
+}
+
+// Every model slot must be named by exactly one leaf: a duplicate id
+// leaves another model unreachable, and so does a tree with fewer leaves
+// than models.
+TEST(UntrustedImageTest, RoutingLeafIdsNameEveryModelOnce) {
+  using Tree = QuerySpaceKdTree;
+  EXPECT_TRUE(Tree::DecodeRouting({0, 0.5, -1, 0, -1, 1}, 2, 2).ok());
+  EXPECT_TRUE(Tree::DecodeRouting({0, 0.5, -1, 1, -1, 0}, 2, 2).ok());
+  EXPECT_FALSE(Tree::DecodeRouting({0, 0.5, -1, 1, -1, 1}, 2, 2).ok());
+  EXPECT_FALSE(Tree::DecodeRouting({0, 0.5, -1, 0, -1, 1}, 2, 3).ok());
+  EXPECT_FALSE(Tree::DecodeRouting({-1, 0}, 2, 2).ok());
+  EXPECT_FALSE(Tree::DecodeRouting({-1, 0}, 2, uint64_t{1} << 62).ok());
+
+  Bench b = MakeBench(511);
+  auto sk = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
+  ASSERT_TRUE(sk.ok()) << sk.status().ToString();
+  std::ostringstream out;
+  ASSERT_TRUE(sk.value().SaveTo(&out).ok());
+  const std::string image = out.str();
+  {
+    std::istringstream in(image);
+    ASSERT_TRUE(NeuroSketch::LoadFrom(&in).ok());
+  }
+  const struct {
+    const char* what;
+    std::string image;
+  } cases[] = {{"duplicate leaf id", WithDuplicateLeafId(image)},
+               {"missing leaf id", WithRouting(image, {-1.0, 0.0})}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::istringstream in(c.image);
+    Result<NeuroSketch> r = Status::Unknown("not loaded");
+    EXPECT_NO_THROW(r = NeuroSketch::LoadFrom(&in));
+    EXPECT_FALSE(r.ok());
+  }
+}
+
 // The reader holds the descriptor it opened, shared by its copies: it
 // keeps serving the attached file after the path is unlinked, and a copy
 // keeps working after the original is gone.
@@ -786,10 +900,12 @@ struct PagedServeRig {
   // keys and attaches them cold under `budget_fraction` of the
   // fully-resident footprint. `split` keeps two leaves, so the routing
   // root is a split.
-  static PagedServeRig Make(size_t num_keys, double budget_fraction,
-                            const std::string& name,
-                            PlanPrecision precision = PlanPrecision::kF64,
-                            bool split = false) {
+  // `rewrite`, when set, may rewrite the catalog file before it is
+  // attached.
+  static PagedServeRig Make(
+      size_t num_keys, double budget_fraction, const std::string& name,
+      PlanPrecision precision = PlanPrecision::kF64, bool split = false,
+      const std::function<void(const std::string&)>& rewrite = {}) {
     PagedServeRig r;
     r.num_keys = num_keys;
     Bench b = MakeTinyBench(505);
@@ -829,6 +945,7 @@ struct PagedServeRig {
         probe_reader.value().entries().front());
     EXPECT_TRUE(probe.ok());
     r.resident_one = probe.value().ResidentBytes();
+    if (rewrite) rewrite(r.catalog_path);
     PagedCatalogOptions opts;
     opts.max_resident_bytes = static_cast<size_t>(
         budget_fraction * static_cast<double>(r.resident_one * num_keys));
@@ -1018,6 +1135,45 @@ TEST(PagedServeTest, CorruptRoutingInAnEntryServesExactAnswers) {
   OverwriteAt(r.catalog_path, e0.offset + kRoutingAt, 100000.0);
   OverwriteAt(r.catalog_path, e1.offset + kRoutingAt,
               std::numeric_limits<double>::quiet_NaN());
+  ExpectCorruptEntriesServeExact(r);
+}
+
+// Rewrites the catalog at `path` to hold `images`, entry i under
+// KeyFor(i), with the index offsets recomputed.
+void WriteCatalogImages(const std::string& path,
+                        const std::vector<std::string>& images) {
+  const std::string name = AxisRangePredicate::Make()->name();
+  uint64_t offset =
+      16 + images.size() * IndexSlot(name.size(), name, 0, 0).size();
+  std::string index, blobs;
+  for (size_t i = 0; i < images.size(); ++i) {
+    index += IndexSlot(name.size(), name, offset, images[i].size(), i);
+    offset += images[i].size();
+    blobs += images[i];
+  }
+  WriteCraftedCatalog(path, images.size(), index + blobs);
+}
+
+// The routing tree's shape, at fault-in on the dispatcher thread: entry
+// 0 nests 100,000 splits (the stack overflow a recursive decoder hit),
+// entry 1 names one model twice and the other never.
+TEST(PagedServeTest, DeepOrDuplicateRoutingInAnEntryServesExactAnswers) {
+  PagedServeRig r = PagedServeRig::Make(
+      3, 1.0, "shape.cat", PlanPrecision::kF64, /*split=*/true,
+      [](const std::string& path) {
+        auto reader = PagedCatalogReader::Open(path);
+        ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+        std::vector<std::string> images;
+        for (const PagedCatalogEntry& e : reader.value().entries()) {
+          images.push_back(ReadEntryImage(path, e));
+        }
+        ASSERT_EQ(images.size(), 3u);
+        const uint64_t nmodels =
+            ReadU64At(images[0], kRoutingAt + 8 * ReadU64At(images[0], 8));
+        images[0] = WithRouting(images[0], ChainRouting(100000, nmodels));
+        images[1] = WithDuplicateLeafId(images[1]);
+        WriteCatalogImages(path, images);
+      });
   ExpectCorruptEntriesServeExact(r);
 }
 

@@ -135,7 +135,8 @@ TEST_P(KdTreeSweep, StructuralInvariants) {
   }
   EXPECT_EQ(total, queries.size());
   // Round-trip through the routing encoding.
-  auto decoded = QuerySpaceKdTree::DecodeRouting(tree.EncodeRouting(), dim);
+  auto decoded = QuerySpaceKdTree::DecodeRouting(tree.EncodeRouting(), dim,
+                                                 tree.NumLeaves());
   ASSERT_TRUE(decoded.ok());
   for (int i = 0; i < 50; ++i) {
     std::vector<double> v(dim);

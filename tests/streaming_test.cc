@@ -1649,10 +1649,10 @@ TEST(CompactionRaceTest, AppendServeCompactRefreshStayExact) {
 // Delta zone maps: a chunk is skipped only when an active column holds
 // no NaN and its [min, max] lies outside the query's [lo, hi).
 
-/// Row pointers the zone-map scan reports for q from logical row `from`,
-/// and the number of rows it filtered.
+/// Logical indices of the rows the zone-map scan reports for q from
+/// logical row `from`, and the number of rows it filtered.
 struct ZoneScan {
-  std::vector<const double*> rows;
+  std::vector<size_t> rows;
   size_t scanned = 0;
 };
 ZoneScan ScanWithZoneMaps(const DeltaBuffer::Snapshot& snap, size_t from,
@@ -1661,20 +1661,24 @@ ZoneScan ScanWithZoneMaps(const DeltaBuffer::Snapshot& snap, size_t from,
   EXPECT_TRUE(range.Compile(AxisRangePredicate(), q, snap.num_columns()));
   ZoneScan out;
   out.scanned = snap.ScanMatches(
-      from, range, [&](const double* rows, const uint32_t* sel, size_t k) {
-        for (size_t i = 0; i < k; ++i) out.rows.push_back(rows + sel[i]);
+      from, range, 0,
+      [&](size_t first, const double*, const uint32_t* sel, size_t k) {
+        for (size_t i = 0; i < k; ++i) out.rows.push_back(first + sel[i]);
         return true;
       });
   return out;
 }
 
-/// The per-row reference: every row of [from, end) Matches accepts.
-std::vector<const double*> MatchingRows(const DeltaBuffer::Snapshot& snap,
-                                        size_t from, const QueryInstance& q) {
-  std::vector<const double*> rows;
+/// The per-row reference: the logical index of every row of [from, end)
+/// that Matches accepts.
+std::vector<size_t> MatchingRows(const DeltaBuffer::Snapshot& snap,
+                                 size_t from, const QueryInstance& q) {
+  std::vector<size_t> rows;
   const AxisRangePredicate pred;
+  size_t i = std::max(from, snap.begin());
   snap.ForEachRow(from, snap.end(), [&](const double* row) {
-    if (pred.Matches(q, row, snap.num_columns())) rows.push_back(row);
+    if (pred.Matches(q, row, snap.num_columns())) rows.push_back(i);
+    ++i;
   });
   return rows;
 }
@@ -1814,6 +1818,299 @@ TEST(DeltaZoneMapTest, ZoneMapScanMatchesPerRowReference) {
       EXPECT_GT(skipped_somewhere, 0u) << "trial " << trial;
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Column-major chunks: column c of a chunk is data[c * chunk_rows,
+// (c + 1) * chunk_rows). On every chunk size, with a scan start inside a
+// chunk, a trimmed prefix, an open, partly filled last chunk and NaN
+// cells, delta matches and served answers equal a per-row Matches
+// reference bit for bit.
+
+constexpr size_t kLayoutChunkRows[] = {1, 3, 4, 1000, 1024};
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, 8) == 0; }
+
+/// `n` rows of `dim` uniform values in [0, 1). About one cell in 60 is
+/// NaN, and one in 400 of column `measure`.
+std::vector<std::vector<double>> LayoutRows(size_t n, size_t dim,
+                                            size_t measure, Rng* rng) {
+  std::vector<std::vector<double>> rows(n, std::vector<double>(dim));
+  for (auto& row : rows) {
+    for (size_t c = 0; c < dim; ++c) {
+      const double p = c == measure ? 1.0 / 400 : 1.0 / 60;
+      row[c] = rng->Uniform() < p ? kNaN : rng->Uniform();
+    }
+  }
+  return rows;
+}
+
+/// Appends `rows` to `append` in single rows and batches of up to 40.
+template <typename AppendOne, typename AppendMany>
+void AppendMixed(const std::vector<std::vector<double>>& rows, Rng* rng,
+                 AppendOne append, AppendMany append_rows) {
+  for (size_t i = 0; i < rows.size();) {
+    const size_t k = std::min<size_t>(rows.size() - i, 1 + rng->Index(40));
+    if (k == 1) {
+      append(rows[i]);
+    } else {
+      append_rows({rows.begin() + i, rows.begin() + i + k});
+    }
+    i += k;
+  }
+}
+
+TEST(DeltaColumnLayoutTest, ScanMatchesEqualsPerRowReferenceOnEveryChunkSize) {
+  constexpr size_t kDim = 3, kMeasure = 2;
+  Rng rng(61);
+  for (size_t chunk_rows : kLayoutChunkRows) {
+    SCOPED_TRACE(chunk_rows);
+    DeltaBuffer buf(kDim, chunk_rows);
+    const auto rows =
+        LayoutRows(2 * chunk_rows + chunk_rows / 2 + 37, kDim, kMeasure, &rng);
+    AppendMixed(
+        rows, &rng, [&](const std::vector<double>& r) { buf.Append(r); },
+        [&](const std::vector<std::vector<double>>& r) { buf.AppendRows(r); });
+    ASSERT_GT(buf.Trim(chunk_rows + 1), 0u);
+    const DeltaBuffer::Snapshot snap = buf.Snap();
+    const size_t begin = snap.begin(), end = snap.end();
+    ASSERT_EQ(end, rows.size());
+    if (chunk_rows > 1) {
+      ASSERT_NE(end % chunk_rows, 0u) << "last chunk open";
+    }
+
+    // Gathered rows: every cell of every held row, from every start.
+    for (size_t from : {size_t{0}, begin + chunk_rows / 2, end - 1}) {
+      size_t i = std::max(from, begin);
+      snap.ForEachRow(from, end, [&](const double* row) {
+        for (size_t c = 0; c < kDim; ++c) {
+          ASSERT_TRUE(SameBits(row[c], rows[i][c])) << "row " << i;
+        }
+        ++i;
+      });
+      EXPECT_EQ(i, end);
+    }
+
+    std::vector<QueryInstance> queries = {
+        QueryInstance::AxisRange({0.0, 0.0, 0.0}, {1.0, 1.0, 1.0})};
+    for (int qi = 0; qi < 12; ++qi) {
+      std::vector<double> c(kDim, 0.0), r(kDim, 1.0);
+      for (size_t a = 0; a < kDim; ++a) {
+        const double u = rng.Uniform();
+        if (u < 0.3) continue;  // inactive
+        c[a] = u < 0.35 ? kNaN : rng.Uniform(0.0, 0.7);
+        r[a] = rng.Uniform(0.1, 0.6);
+      }
+      queries.push_back(QueryInstance::AxisRange(c, r));
+    }
+    const size_t froms[] = {0,
+                            begin,
+                            begin + 1,
+                            begin + chunk_rows / 2,
+                            begin + chunk_rows + chunk_rows / 2,
+                            end - 1,
+                            end};
+    size_t matched = 0;
+    for (const QueryInstance& q : queries) {
+      CompiledAxisRange range;
+      ASSERT_TRUE(range.Compile(AxisRangePredicate(), q, kDim));
+      for (size_t from : froms) {
+        std::vector<std::pair<size_t, double>> got, want;
+        snap.ScanMatches(from, range, kMeasure,
+                         [&](size_t first, const double* measure,
+                             const uint32_t* sel, size_t k) {
+                           for (size_t i = 0; i < k; ++i) {
+                             got.emplace_back(first + sel[i], measure[sel[i]]);
+                           }
+                           return true;
+                         });
+        for (size_t i = std::max(from, begin); i < end; ++i) {
+          if (AxisRangePredicate().Matches(q, rows[i].data(), kDim)) {
+            want.emplace_back(i, rows[i][kMeasure]);
+          }
+        }
+        ASSERT_EQ(got.size(), want.size()) << "from " << from;
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].first, want[i].first) << "from " << from;
+          ASSERT_TRUE(SameBits(got[i].second, want[i].second))
+              << "from " << from << " row " << want[i].first;
+        }
+        matched += got.size();
+      }
+    }
+    EXPECT_GT(matched, 0u);
+  }
+}
+
+TEST(DeltaColumnLayoutTest, ServedAnswersEqualPerRowReferenceOnEveryChunkSize) {
+  // Two sketches, one per predicate family: the axis range (compiled,
+  // unit-stride filter) and the rotated rectangle (rows gathered for
+  // Matches). Each serves every aggregate; its answers only need to be
+  // finite enough to take the correction, not accurate.
+  Dataset ds = MakeGmmDataset(600, 3, 3, /*seed=*/62);
+  const Table base = Normalizer::Fit(ds.table).Transform(ds.table);
+  const size_t d = base.num_columns();
+  const size_t mc = ds.measure_col;
+  ExactEngine base_engine(&base);
+  struct Family {
+    QueryFunctionSpec spec;  // agg set per answer below
+    std::vector<QueryInstance> probes;
+    std::shared_ptr<const NeuroSketch> sketch;
+  };
+  std::vector<Family> families(2);
+  families[0].spec = AxisSpec(Aggregate::kCount, mc);
+  families[1].spec = families[0].spec;
+  families[1].spec.predicate = RotatedRectPredicate::Make();
+  for (size_t f = 0; f < families.size(); ++f) {
+    Family& fam = families[f];
+    WorkloadConfig wc;
+    wc.num_active = 2;
+    wc.seed = 63 + f;
+    WorkloadGenerator gen(d, wc);
+    auto make = [&](size_t n) {
+      return f == 0 ? gen.GenerateMany(n, &base_engine, &fam.spec)
+                    : gen.GenerateRotatedRects(n, &base_engine, &fam.spec);
+    };
+    const std::vector<QueryInstance> train_q = make(200);
+    fam.probes = make(24);
+    NeuroSketchConfig cfg = SmallConfig();
+    cfg.train.epochs = 5;
+    auto sk = NeuroSketch::Train(
+        train_q, base_engine.AnswerBatch(fam.spec, train_q), cfg);
+    ASSERT_TRUE(sk.ok()) << sk.status().ToString();
+    fam.sketch = std::make_shared<const NeuroSketch>(std::move(sk).value());
+  }
+  const Aggregate aggs[] = {Aggregate::kCount, Aggregate::kSum,
+                            Aggregate::kAvg,   Aggregate::kStd,
+                            Aggregate::kMedian, Aggregate::kMin,
+                            Aggregate::kMax};
+
+  Rng rng(64);
+  size_t corrected = 0, recomputed = 0;
+  for (size_t chunk_rows : kLayoutChunkRows) {
+    SCOPED_TRACE(chunk_rows);
+    StreamingTable table(base);
+    ExactEngine engine(&table);
+    SketchStore store;
+    ASSERT_TRUE(store.RegisterDataset("ds", &engine).ok());
+    ASSERT_TRUE(store.EnableStreaming("ds", d, chunk_rows).ok());
+    ASSERT_TRUE(store.AttachStreamingTable("ds", &table).ok());
+    // Every leaf has folded the rows below `w`, a watermark inside the
+    // second chunk: compaction folds them into the base and trims the
+    // whole chunks below it, and both delta scans start at `w`.
+    const size_t w = chunk_rows + chunk_rows / 2 + 1;
+    const auto rows = LayoutRows(w + 2 * chunk_rows + 30, d, mc, &rng);
+    const std::vector<std::vector<double>> first(rows.begin(),
+                                                 rows.begin() + w + 5);
+    const std::vector<std::vector<double>> second(rows.begin() + w + 5,
+                                                  rows.end());
+    auto append = [&](const std::vector<std::vector<double>>& part) {
+      AppendMixed(
+          part, &rng,
+          [&](const std::vector<double>& r) {
+            ASSERT_TRUE(store.Append("ds", r).ok());
+          },
+          [&](const std::vector<std::vector<double>>& r) {
+            ASSERT_TRUE(store.AppendRows("ds", r).ok());
+          });
+    };
+    append(first);
+    for (const Family& fam : families) {
+      for (Aggregate agg : aggs) {
+        QueryFunctionSpec spec = fam.spec;
+        spec.agg = agg;
+        ASSERT_TRUE(store
+                        .Register("ds", spec, fam.sketch,
+                                  std::make_shared<std::vector<uint64_t>>(
+                                      fam.sketch->num_partitions(), w))
+                        .ok());
+      }
+    }
+    auto compacted = store.Compact("ds");
+    ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+    ASSERT_EQ(compacted.value().safe, w);
+    ASSERT_GT(compacted.value().trimmed_rows, 0u);
+    append(second);
+    const DeltaBuffer::Snapshot snap = store.Delta("ds")->Snap();
+    ASSERT_LE(snap.begin(), w);
+    ASSERT_EQ(snap.end(), rows.size());
+    if (chunk_rows > 1) {
+      ASSERT_NE(snap.begin(), w) << "scans start mid-chunk";
+      ASSERT_NE(snap.end() % chunk_rows, 0u) << "last chunk open";
+    }
+
+    ServeOptions so;
+    so.num_shards = 1;
+    so.batch_window_us = 0.0;
+    ServeEngine serve(&store, so);
+    for (const Family& fam : families) {
+      const std::vector<double> sketch_answers =
+          fam.sketch->AnswerBatch(fam.probes);
+      for (Aggregate agg : aggs) {
+        SCOPED_TRACE(AggregateName(agg));
+        QueryFunctionSpec spec = fam.spec;
+        spec.agg = agg;
+        const std::vector<ServeResult> served =
+            serve.SubmitMany("ds", spec, fam.probes).get();
+        ASSERT_EQ(served.size(), fam.probes.size());
+        for (size_t i = 0; i < fam.probes.size(); ++i) {
+          const QueryInstance& q = fam.probes[i];
+          // The unfolded rows' matches, in append order, as ScanDelta
+          // composes them.
+          size_t matched = 0;
+          double sum = 0.0, lo = 0.0, hi = 0.0;
+          for (size_t r = w; r < rows.size(); ++r) {
+            if (!spec.predicate->Matches(q, rows[r].data(), d)) continue;
+            const double v = rows[r][mc];
+            if (matched++ == 0) {
+              lo = hi = v;
+            } else {
+              if (v < lo) lo = v;
+              if (v > hi) hi = v;
+            }
+            sum += v;
+          }
+          // The exact answer: the base, then every appended row in order.
+          AggregateAccumulator acc(agg);
+          ExactEngine::AccumulateOver(base, spec, q, &acc);
+          for (const auto& row : rows) {
+            if (spec.predicate->Matches(q, row.data(), d)) acc.Add(row[mc]);
+          }
+          const double s = sketch_answers[i];
+          double want = s;
+          if (std::isnan(s)) {
+            want = acc.Finalize();
+          } else if (matched > 0) {
+            switch (agg) {
+              case Aggregate::kCount:
+                want = s + static_cast<double>(matched);
+                break;
+              case Aggregate::kSum:
+                want = s + sum;
+                break;
+              case Aggregate::kMin:
+                want = std::min(s, lo);
+                break;
+              case Aggregate::kMax:
+                want = std::max(s, hi);
+                break;
+              default:
+                want = acc.Finalize();
+                ++recomputed;
+                break;
+            }
+            corrected += agg == Aggregate::kCount;
+          }
+          ASSERT_TRUE(SameBits(served[i].value, want) ||
+                      (std::isnan(served[i].value) && std::isnan(want)))
+              << "probe " << i << ": served " << served[i].value
+              << ", want " << want;
+        }
+      }
+    }
+  }
+  EXPECT_GT(corrected, 0u);
+  EXPECT_GT(recomputed, 0u);
 }
 
 TEST(ZoneMapRaceTest, ComposedAnswersStayExactWhileWriterAppends) {
