@@ -473,29 +473,41 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
   const bool tracing = options_.stage_tracing;
   const QueryFunctionSpec& spec = st->spec;
   // Acquisition order matters for compaction safety: the delta SNAPSHOT
-  // comes first, then the (sketch, watermarks) view, then the pinned base
-  // version. Watermarks and the base fold watermark only ever advance, so
-  // anything observed after the snapshot is >= the snapshot's begin —
+  // comes first, then the epoch check that confirms the key's (sketch,
+  // watermarks) view, then the pins (a paged sketch, the base version).
+  // Watermarks and the base fold watermark only ever advance, so
+  // anything current after the snapshot is >= the snapshot's begin —
   // rows can never fall between the snapshot and the base. Pinning first
   // would race a concurrent compact (swap + trim) into dropping rows from
   // both views. The snapshot is taken once per batch: every query
   // composes against the same appended-row prefix.
-  std::shared_ptr<const DeltaBuffer> delta = store_->Delta(key.dataset);
-  DeltaBuffer::Snapshot dsnap;
-  bool has_delta = false;
-  if (delta != nullptr) {
-    dsnap = delta->Snap();
-    has_delta = !dsnap.empty();
-  }
-  // One consistent read of (sketch, fold watermarks): the refresh path
-  // swaps sketch + watermarks atomically in the store, so a batch either
+  //
+  // The view is the key's cached slot. A store write that happens before
+  // a trim the snapshot sees also happens before the epoch load below,
+  // so an unchanged epoch proves the slot is still the store's state
+  // after the snapshot; a warm batch thus takes no store lock. The slot's
+  // (sketch, watermarks) pair was read from one store slot, so a batch
   // corrects against the old version's watermarks or the new version's —
-  // never a mix. A demoted key skips the sketch but still needs the delta
-  // for exact composition.
-  ServedView view;
-  if (allow_sketch) view = store_->LookupServed(key);
-  const std::shared_ptr<const NeuroSketch>& sketch = view.sketch;
-  const ExactEngine* engine = store_->Engine(key.dataset);
+  // never a mix.
+  const ResolvedSlot& slot = st->slot;
+  DeltaBuffer::Snapshot dsnap;
+  if (slot.delta != nullptr) dsnap = slot.delta->Snap();
+  if (__builtin_expect(slot.epoch != store_->epoch(), 0)) {
+    Reresolve(st, key, &dsnap);
+  }
+  const bool has_delta = !dsnap.empty();
+  // A demoted key skips the sketch but still needs the delta for exact
+  // composition. A paged sketch is pinned through the pool per batch.
+  std::shared_ptr<const NeuroSketch> paged_pin;
+  const NeuroSketch* sketch = nullptr;
+  if (allow_sketch) {
+    sketch = slot.sketch.get();
+    if (__builtin_expect(slot.paged != nullptr, 0)) {
+      paged_pin = slot.PinPaged(key);
+      sketch = paged_pin.get();
+    }
+  }
+  const ExactEngine* engine = slot.engine;
   // Pinned AFTER the snapshot: one base version for the whole batch, kept
   // alive across any concurrent compaction swap.
   const ExactEngine::PinnedBase pinned =
@@ -555,7 +567,7 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
     thread_local std::vector<uint32_t> exact_idx;
     modes.assign(answers.size(), kSketchAnswer);
     exact_idx.clear();
-    const std::vector<uint64_t>* folded = view.leaf_folded.get();
+    const std::vector<uint64_t>* folded = slot.leaf_folded.get();
     for (size_t i = 0; i < answers.size(); ++i) {
       if (std::isnan(answers[i])) {
         if (engine != nullptr) {
@@ -636,11 +648,11 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
         st->counters.Add(Counter::kBudgetTrips);
       }
     }
-    // Eviction-policy signals for the paged catalog (no-ops for fully
-    // resident stores): genuine answers are this store's heat; a budget
-    // trip zeroes it, so a demoted sketch — whose traffic now bypasses it
-    // anyway — is the first thing the pool reclaims under pressure.
-    if (genuine > 0) store_->NoteServed(key, genuine);
+    // Eviction-policy signals for the paged catalog (resident keys have
+    // none): genuine answers are this store's heat; a budget trip zeroes
+    // it, so a demoted sketch — whose traffic now bypasses it anyway — is
+    // the first thing the pool reclaims under pressure.
+    if (slot.paged != nullptr && genuine > 0) slot.TouchPaged(key, genuine);
     if (tripped) store_->NotePenalized(key);
 
     for (size_t i = 0; i < answers.size(); ++i) {
@@ -705,6 +717,18 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
         HeldBatch{collected, infer_start, answered, queries.size()});
   }
   return answered;
+}
+
+void ServeEngine::Reresolve(KeyState* st, const ServeKey& key,
+                            DeltaBuffer::Snapshot* dsnap) const {
+  // The snapshot must come before the view it is composed with, so a
+  // slot resolved after the snapshot is only trusted once the epoch
+  // check after a fresh snapshot confirms it.
+  do {
+    *dsnap = DeltaBuffer::Snapshot();
+    st->slot = store_->Resolve(key);
+    if (st->slot.delta != nullptr) *dsnap = st->slot.delta->Snap();
+  } while (st->slot.epoch != store_->epoch());
 }
 
 void ServeEngine::DemoteStore(const std::string& dataset,

@@ -295,6 +295,10 @@ class ServeEngine {
     /// Collection -> answers computed, of this key's previous batch: the
     /// prediction for its next one. No batch yet counts as too long.
     Clock::duration last_batch = kMaxHold;
+    /// The key's store slot as of its last resolve, kept while the store
+    /// epoch stands still. Dispatcher-owned: only ExecuteBatch reads or
+    /// writes it, without the shard lock.
+    ResolvedSlot slot;
   };
 
   /// A completion whose last query was just answered, waiting for its
@@ -385,6 +389,12 @@ class ServeEngine {
   Clock::time_point ExecuteBatch(Shard* shard, KeyState* st,
                                  const ServeKey& key, bool allow_sketch,
                                  Clock::time_point collected);
+  /// The key's slot went stale (a store write since it was read): drops
+  /// `dsnap`, resolves the slot again and retakes the snapshot until no
+  /// write lands between a resolve and the epoch check after it. Out of
+  /// line to keep the warm resident path short.
+  [[gnu::noinline]] void Reresolve(KeyState* st, const ServeKey& key,
+                                   DeltaBuffer::Snapshot* dsnap) const;
   /// Writes the batch's i-th answer into shard scratch and tallies its
   /// counters.
   void Fulfill(Shard* shard, size_t i, double value, bool used_sketch);
@@ -403,7 +413,9 @@ class ServeEngine {
       Shard* shard, const ServeKey& key, const QueryFunctionSpec& spec);
 
   size_t ShardIndexOf(const ServeKey& key) const {
-    return router_.ShardOf(key.Hash());
+    // One shard needs no hash: FNV over the key's strings is a visible
+    // share of a single Submit.
+    return router_.num_shards() == 1 ? 0 : router_.ShardOf(key.Hash());
   }
 
   const SketchStore* store_;

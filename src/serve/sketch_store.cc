@@ -16,12 +16,18 @@ uint64_t ServeKey::Hash() const {
   return h;
 }
 
+std::unique_lock<std::shared_mutex> SketchStore::WriteLock() {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  epoch_.fetch_add(1, std::memory_order_relaxed);
+  return lock;
+}
+
 Status SketchStore::RegisterDataset(const std::string& dataset,
                                     const ExactEngine* engine) {
   if (engine == nullptr) {
     return Status::InvalidArgument("null engine for dataset " + dataset);
   }
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto lock = WriteLock();
   engines_[dataset] = engine;
   return Status::OK();
 }
@@ -41,7 +47,7 @@ Result<uint64_t> SketchStore::Register(
     return Status::InvalidArgument("leaf_folded size != num_partitions");
   }
   const ServeKey key = ServeKey::From(dataset, spec);
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto lock = WriteLock();
   if (leaf_folded == nullptr) {
     // No watermarks means "trained on the current base table": fill with
     // its fold watermark so already-folded rows are not corrected again.
@@ -87,7 +93,7 @@ Result<uint64_t> SketchStore::RegisterFromFile(const std::string& dataset,
 size_t SketchStore::ImportFromCatalog(const std::string& dataset,
                                       const SketchCatalog& catalog) {
   size_t imported = 0;
-  std::unique_lock<std::shared_mutex> lock(mu_);  // one atomic import
+  auto lock = WriteLock();  // one atomic import
   uint64_t folded = 0;
   auto tit = streaming_tables_.find(dataset);
   if (tit != streaming_tables_.end()) folded = tit->second->folded();
@@ -110,24 +116,25 @@ Result<size_t> SketchStore::AttachPagedCatalog(const std::string& dataset,
   NS_ASSIGN_OR_RETURN(PagedCatalogReader opened, PagedCatalogReader::Open(path));
   auto reader =
       std::make_shared<const PagedCatalogReader>(std::move(opened));
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto lock = WriteLock();
   if (pool_ == nullptr) {
     pool_ = std::make_unique<BufferPool<ServeKey, NeuroSketch>>(
         opts.max_resident_bytes);
   }
   size_t attached = 0;
   for (const PagedCatalogEntry& entry : reader->entries()) {
-    paged_[ServeKey{dataset, entry.key}] = PagedEntry{entry, reader};
+    paged_[ServeKey{dataset, entry.key}] = PagedEntry{&entry, reader};
     ++attached;
   }
   return attached;
 }
 
-std::shared_ptr<const NeuroSketch> SketchStore::FaultIn(
-    const ServeKey& key, const PagedEntry& pe) const {
-  Result<BufferPool<ServeKey, NeuroSketch>::Handle> pinned = pool_->Pin(
-      key, [&pe]() -> Result<BufferPoolLoaded<NeuroSketch>> {
-        NS_ASSIGN_OR_RETURN(NeuroSketch sketch, pe.reader->LoadEntry(pe.entry));
+std::shared_ptr<const NeuroSketch> ResolvedSlot::PinPaged(
+    const ServeKey& key) const {
+  if (paged == nullptr) return nullptr;
+  Result<BufferPool<ServeKey, NeuroSketch>::Handle> pinned = pool->Pin(
+      key, [this]() -> Result<BufferPoolLoaded<NeuroSketch>> {
+        NS_ASSIGN_OR_RETURN(NeuroSketch sketch, reader->LoadEntry(*paged));
         BufferPoolLoaded<NeuroSketch> out;
         out.value = std::make_shared<const NeuroSketch>(std::move(sketch));
         // Charge what the warm sketch actually occupies (active tier
@@ -141,46 +148,52 @@ std::shared_ptr<const NeuroSketch> SketchStore::FaultIn(
   return std::move(pinned).value();
 }
 
+void ResolvedSlot::TouchPaged(const ServeKey& key, size_t answers) const {
+  if (paged != nullptr) pool->Touch(key, static_cast<double>(answers));
+}
+
+ResolvedSlot SketchStore::Resolve(const ServeKey& key) const {
+  ResolvedSlot slot;
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  slot.epoch = epoch_.load(std::memory_order_relaxed);
+  auto dit = deltas_.find(key.dataset);
+  if (dit != deltas_.end()) slot.delta = dit->second;
+  auto eit = engines_.find(key.dataset);
+  if (eit != engines_.end()) slot.engine = eit->second;
+  auto it = sketches_.find(key);
+  if (it != sketches_.end()) {
+    // One slot read: the (sketch, leaf_folded) pair can never be
+    // observed mid-swap.
+    slot.sketch = it->second.sketch;
+    slot.leaf_folded = it->second.leaf_folded;
+    return slot;
+  }
+  auto pit = paged_.find(key);
+  if (pit != paged_.end()) {
+    slot.paged = pit->second.entry;
+    slot.reader = pit->second.reader;
+    slot.pool = pool_.get();
+  }
+  return slot;
+}
+
 std::shared_ptr<const NeuroSketch> SketchStore::Lookup(
     const ServeKey& key) const {
-  PagedEntry pe;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = sketches_.find(key);
-    if (it != sketches_.end()) return it->second.sketch;
-    auto pit = paged_.find(key);
-    if (pit == paged_.end()) return nullptr;
-    pe = pit->second;
-  }
-  // Fault in without the store lock: disk I/O (and any admission wait)
-  // must not block registrations or unrelated lookups.
-  return FaultIn(key, pe);
+  return LookupServed(key).sketch;
 }
 
 ServedView SketchStore::LookupServed(const ServeKey& key) const {
+  ResolvedSlot slot = Resolve(key);
   ServedView view;
-  PagedEntry pe;
-  bool paged = false;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto dit = deltas_.find(key.dataset);
-    if (dit != deltas_.end()) view.delta = dit->second;
-    auto it = sketches_.find(key);
-    if (it != sketches_.end()) {
-      // One slot read: the (sketch, leaf_folded) pair can never be
-      // observed mid-swap.
-      const VersionEntry& entry = it->second;
-      view.sketch = entry.sketch;
-      view.leaf_folded = entry.leaf_folded;
-      return view;
-    }
-    auto pit = paged_.find(key);
-    if (pit != paged_.end()) {
-      pe = pit->second;
-      paged = true;
-    }
+  view.delta = std::move(slot.delta);
+  if (slot.paged != nullptr) {
+    // Fault in without the store lock: disk I/O (and any admission wait)
+    // must not block registrations or unrelated lookups.
+    view.sketch = slot.PinPaged(key);
+  } else {
+    view.sketch = std::move(slot.sketch);
+    view.leaf_folded = std::move(slot.leaf_folded);
   }
-  if (paged) view.sketch = FaultIn(key, pe);
   return view;
 }
 
@@ -189,7 +202,7 @@ Status SketchStore::EnableStreaming(const std::string& dataset,
   if (num_columns == 0) {
     return Status::InvalidArgument("streaming needs at least one column");
   }
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto lock = WriteLock();
   auto it = deltas_.find(dataset);
   if (it != deltas_.end()) {
     if (it->second->num_columns() != num_columns) {
@@ -256,7 +269,7 @@ Status SketchStore::AttachStreamingTable(const std::string& dataset,
   if (table == nullptr) {
     return Status::InvalidArgument("null streaming table for " + dataset);
   }
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto lock = WriteLock();
   auto dit = deltas_.find(dataset);
   if (dit == deltas_.end()) {
     return Status::FailedPrecondition("streaming not enabled for " + dataset);
@@ -358,7 +371,7 @@ Result<CompactionOutcome> SketchStore::Compact(const std::string& dataset) {
   // what every currently registered watermark allows.
   uint64_t trim_to = safe;
   {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    auto lock = WriteLock();
     const Status swapped = table->Swap(std::move(next), safe);
     if (!swapped.ok()) return swapped;
     trim_to = std::min<uint64_t>(safe, SafeWatermarkLocked(dataset, safe));
@@ -406,7 +419,7 @@ const metrics::LogHistogram* SketchStore::FaultinLatency() const {
 }
 
 size_t SketchStore::Unregister(const ServeKey& key) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto lock = WriteLock();
   return sketches_.erase(key);
 }
 
@@ -437,7 +450,7 @@ std::vector<SketchListing> SketchStore::List() const {
     SketchListing l;
     l.key = key;
     l.version = 1;
-    l.size_bytes = pe.entry.size_bytes;
+    l.size_bytes = pe.entry->size_bytes;
     l.paged = true;
     // Peek (no pin, no fault-in): a resident entry reports its live
     // structure; a cold one reports only its on-disk size.

@@ -8,6 +8,7 @@
 #ifndef NEUROSKETCH_SERVE_SKETCH_STORE_H_
 #define NEUROSKETCH_SERVE_SKETCH_STORE_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -98,6 +99,41 @@ struct ServedView {
   std::shared_ptr<const DeltaBuffer> delta;
 };
 
+/// \brief One key's serving slot, read under one shared store lock by
+/// SketchStore::Resolve: the dataset's delta and exact engine, and either
+/// the key's registered (sketch, leaf_folded) pair or else its cold paged
+/// catalog entry. Every store write bumps the store's epoch, so the slot
+/// stays exactly what Resolve would return for as long as
+/// SketchStore::epoch() still reads `epoch`: a serving loop keeps it
+/// across batches and revalidates it with one load.
+struct ResolvedSlot {
+  /// The store epoch the slot was read at. No store has epoch 0, so a
+  /// default slot is always stale.
+  uint64_t epoch = 0;
+  /// The dataset's streaming delta (nullptr when streaming is off) and
+  /// exact engine (nullptr when the dataset is unknown).
+  std::shared_ptr<const DeltaBuffer> delta;
+  const ExactEngine* engine = nullptr;
+  /// The registered sketch and its fold watermarks (see ServedView);
+  /// nullptr when no sketch is registered.
+  std::shared_ptr<const NeuroSketch> sketch;
+  std::shared_ptr<const std::vector<uint64_t>> leaf_folded;
+  /// The key's cold catalog entry when no sketch shadows it (nullptr
+  /// otherwise), the reader that owns it, and the store's buffer pool.
+  const PagedCatalogEntry* paged = nullptr;
+  std::shared_ptr<const PagedCatalogReader> reader;
+  BufferPool<ServeKey, NeuroSketch>* pool = nullptr;
+
+  /// The paged entry pinned through the pool, faulting it in when cold
+  /// (admission may evict colder entries first). nullptr when the slot
+  /// has no paged entry or the fault-in fails (unreadable or corrupt
+  /// image, value over the whole budget): callers fall back to exact.
+  std::shared_ptr<const NeuroSketch> PinPaged(const ServeKey& key) const;
+  /// Serving heat for the pool's eviction policy: credit `answers`
+  /// delivered from the paged entry. No-op for a slot without one.
+  void TouchPaged(const ServeKey& key, size_t answers) const;
+};
+
 /// \brief What one SketchStore::Compact call did.
 struct CompactionOutcome {
   bool compacted = false;  ///< rows were folded and a new table version swapped
@@ -175,18 +211,25 @@ class SketchStore {
                                     const std::string& path,
                                     PagedCatalogOptions opts = {});
 
-  /// \brief The key's sketch, or nullptr when none registered. For a
-  /// paged entry this may fault the sketch in from disk (admission may
-  /// evict colder stores first); a fault-in failure (unreadable or
-  /// corrupt image, value over the whole budget) serves as "no sketch" so
-  /// traffic falls back to the exact engine.
+  /// \brief The key's serving slot (see ResolvedSlot), read under one
+  /// shared lock, with the epoch it is valid for.
+  ResolvedSlot Resolve(const ServeKey& key) const;
+
+  /// \brief The store's write epoch: every call that writes the store
+  /// bumps it under the store lock. One relaxed load; a slot whose epoch
+  /// still matches is current.
+  uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
+
+  /// \brief The key's sketch, or nullptr when none registered:
+  /// LookupServed(key).sketch.
   std::shared_ptr<const NeuroSketch> Lookup(const ServeKey& key) const;
 
-  /// \brief The streaming serving view: the key's sketch + its fold
-  /// watermarks + the dataset's delta buffer, read consistently under one
-  /// shared lock (paged fault-in happens off-lock as in Lookup). The
-  /// sketch is nullptr when none is registered; the delta is nullptr when
-  /// streaming is not enabled for the dataset.
+  /// \brief The streaming serving view: Resolve, then the sketch fetch.
+  /// The key's sketch + its fold watermarks + the dataset's delta buffer
+  /// are read consistently under one shared lock; a paged entry is pinned
+  /// off-lock (ResolvedSlot::PinPaged), so a fault-in failure serves as
+  /// "no sketch". The sketch is nullptr when none is registered; the
+  /// delta is nullptr when streaming is not enabled for the dataset.
   ServedView LookupServed(const ServeKey& key) const;
 
   /// \brief Turn on streaming ingest for a dataset: creates its (empty)
@@ -273,8 +316,10 @@ class SketchStore {
   size_t num_paged() const;
 
  private:
+  /// A cold catalog entry: `entry` points into `reader->entries()`,
+  /// which never change, so a slot holding the reader may keep it.
   struct PagedEntry {
-    PagedCatalogEntry entry;
+    const PagedCatalogEntry* entry = nullptr;
     std::shared_ptr<const PagedCatalogReader> reader;
   };
 
@@ -294,8 +339,9 @@ class SketchStore {
                           std::shared_ptr<const std::vector<uint64_t>>
                               leaf_folded);
 
-  std::shared_ptr<const NeuroSketch> FaultIn(const ServeKey& key,
-                                             const PagedEntry& pe) const;
+  /// Takes mu_ uniquely and bumps epoch_. Every store write goes
+  /// through here, so no write can leave a cached ResolvedSlot current.
+  std::unique_lock<std::shared_mutex> WriteLock();
 
   /// Safe fold watermark for a dataset whose delta currently publishes
   /// `delta_size` rows. Caller holds mu_ (shared or unique).
@@ -303,6 +349,8 @@ class SketchStore {
                                uint64_t delta_size) const;
 
   mutable std::shared_mutex mu_;
+  /// Bumped by WriteLock under mu_; starts at 1 (see ResolvedSlot).
+  std::atomic<uint64_t> epoch_{1};
   std::map<ServeKey, VersionEntry> sketches_;
   std::map<std::string, const ExactEngine*> engines_;
   /// Per-dataset streaming delta buffers (DeltaBuffer is internally
@@ -316,9 +364,9 @@ class SketchStore {
   std::mutex compact_mu_;
   std::map<ServeKey, PagedEntry> paged_;
   // Created by the first AttachPagedCatalog, never destroyed after —
-  // Lookup reads the raw pointer under mu_ then faults in without it.
-  // mutable: faulting in is logically const (read-side of the store).
-  mutable std::unique_ptr<BufferPool<ServeKey, NeuroSketch>> pool_;
+  // Resolve copies the raw pointer under mu_ and slots fault in through
+  // it without the lock.
+  std::unique_ptr<BufferPool<ServeKey, NeuroSketch>> pool_;
 };
 
 }  // namespace serve

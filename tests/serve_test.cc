@@ -8,9 +8,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -54,7 +56,7 @@ struct ServeFixture {
   std::vector<QueryInstance> queries;
   NeuroSketch sketch;
 
-  static ServeFixture Make(size_t n_queries = 256) {
+  static ServeFixture Make(size_t n_queries = 256, uint64_t train_seed = 7) {
     ServeFixture f;
     Dataset ds = MakeGmmDataset(2000, 3, 3, /*seed=*/5);
     f.table = Normalizer::Fit(ds.table).Transform(ds.table);
@@ -66,7 +68,7 @@ struct ServeFixture {
     f.queries = gen.GenerateMany(n_queries, &engine, &f.spec);
 
     WorkloadConfig train_wc;
-    train_wc.seed = 7;
+    train_wc.seed = train_seed;
     WorkloadGenerator train_gen(f.table.num_columns(), train_wc);
     auto train_q = train_gen.GenerateMany(400, &engine, &f.spec);
     auto train_a = engine.AnswerBatch(f.spec, train_q);
@@ -824,6 +826,92 @@ TEST(ServeEngineTest, StoreLabelsTellPredicateFamiliesApart) {
                       std::to_string(circular_q.size()) + "\n"),
             std::string::npos)
       << text;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, 8) == 0; }
+
+// The engine keeps each key's resolved store slot across batches and
+// revalidates it by the store's write epoch. One engine serves one key
+// while the store changes between requests, one write at a time: the
+// next answer after every write must bit-equal the new state's reference.
+TEST(ServeEngineTest, CachedSlotFollowsEveryStoreWrite) {
+  ServeFixture f = ServeFixture::Make(4);
+  auto a = std::make_shared<const NeuroSketch>(std::move(f.sketch));
+  auto b = std::make_shared<const NeuroSketch>(
+      std::move(ServeFixture::Make(4, /*train_seed=*/8).sketch));
+  const std::vector<QueryInstance>& qs = f.queries;
+  const ServeKey key = ServeKey::From("gmm", f.spec);
+  ExactEngine engine(&f.table);
+  SketchStore store;
+  ServeOptions opts;
+  opts.num_shards = 1;
+  opts.batch_window_us = 0.0;
+  ServeEngine serve(&store, opts);
+
+  int step = 0;
+  std::vector<double> last;
+  // Answers every query through the engine, one Submit each, and checks
+  // them against `want` bit for bit — and that the step changed them.
+  auto expect_served = [&](const std::vector<double>& want,
+                           bool used_sketch) {
+    ++step;
+    ASSERT_EQ(want.size(), qs.size());
+    for (size_t i = 0; i < qs.size(); ++i) {
+      const ServeResult r = serve.Answer("gmm", f.spec, qs[i]);
+      EXPECT_TRUE(SameBits(r.value, want[i]))
+          << "step " << step << " query " << i << ": " << r.value
+          << " != " << want[i];
+      EXPECT_EQ(r.used_sketch, used_sketch) << "step " << step;
+      if (!last.empty()) {
+        EXPECT_FALSE(SameBits(want[i], last[i]))
+            << "step " << step << " does not change query " << i;
+      }
+    }
+    last = want;
+  };
+
+  // The first Submit: neither an exact engine nor a sketch.
+  for (const QueryInstance& q : qs) {
+    EXPECT_TRUE(std::isnan(serve.Answer("gmm", f.spec, q).value));
+  }
+  const std::vector<double> exact = engine.AnswerBatch(f.spec, qs);
+  ASSERT_TRUE(store.RegisterDataset("gmm", &engine).ok());
+  expect_served(exact, false);
+  ASSERT_TRUE(store.Register("gmm", f.spec, a).ok());
+  expect_served(a->AnswerBatch(qs), true);
+  ASSERT_TRUE(store.Register("gmm", f.spec, b).ok());
+  expect_served(b->AnswerBatch(qs), true);
+  ASSERT_EQ(store.Unregister(key), 1u);
+  expect_served(exact, false);
+
+  // A paged catalog holding `a` for the key; a registration shadows the
+  // cold entry, and dropping it reveals the entry again.
+  const std::string path = testing::TempDir() + "/ns_slot_epoch.cat";
+  ASSERT_TRUE(WritePagedCatalog(path, {{key.fn, a}}).ok());
+  auto attached = store.AttachPagedCatalog("gmm", path);
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  expect_served(a->AnswerBatch(qs), true);
+  ASSERT_TRUE(store.Register("gmm", f.spec, b).ok());
+  expect_served(b->AnswerBatch(qs), true);
+  ASSERT_EQ(store.Unregister(key), 1u);
+  expect_served(a->AnswerBatch(qs), true);
+
+  // Streaming turned on after the key's first batches: one appended row
+  // at the centre of each query's box, so every (AVG) answer composes
+  // the delta and is recomputed exactly over base + appended rows.
+  const size_t d = f.table.num_columns();
+  std::vector<std::vector<double>> rows;
+  for (const QueryInstance& q : qs) {
+    std::vector<double> row(d);
+    for (size_t c = 0; c < d; ++c) row[c] = q[c] + 0.5 * q[d + c];
+    rows.push_back(std::move(row));
+  }
+  Table merged = f.table;
+  for (const auto& row : rows) ASSERT_TRUE(merged.AppendRow(row).ok());
+  ASSERT_TRUE(store.EnableStreaming("gmm", d).ok());
+  ASSERT_TRUE(store.AppendRows("gmm", rows).ok());
+  expect_served(ExactEngine(&merged).AnswerBatch(f.spec, qs), false);
+  std::remove(path.c_str());
 }
 
 TEST(LatencyHistogramTest, PercentilesLandInBucketTolerance) {

@@ -21,6 +21,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -34,6 +35,9 @@
 #include "query/workload.h"
 #include "data/streaming_table.h"
 #include "data/table.h"
+#include "nn/inference_plan.h"
+#include "nn/mlp.h"
+#include "nn/serialize.h"
 #include "serve/delta_buffer.h"
 #include "serve/refresh.h"
 #include "serve/serve_engine.h"
@@ -1519,12 +1523,43 @@ TEST(CompactionTest, RefreshControllerSweepsAndCompactsByThreshold) {
   ctrl.ExportMetrics(&registry);  // new counters export without crashing
 }
 
+/// A loadable one-leaf sketch whose every answer is NaN (a NaN target
+/// scale over a small finite model), so the serve path repairs each of
+/// its answers exactly over base + delta.
+std::shared_ptr<const NeuroSketch> NaNSketch(size_t qdim) {
+  std::stringstream buf;
+  const uint64_t dim = qdim;
+  const double routing[2] = {-1.0, 0.0};  // one leaf, model 0
+  const uint64_t rsize = 2, nmodels = 1;
+  const double mean = 0.0, scale = std::numeric_limits<double>::quiet_NaN();
+  buf.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
+  buf.write(reinterpret_cast<const char*>(&rsize), sizeof(rsize));
+  buf.write(reinterpret_cast<const char*>(routing), sizeof(routing));
+  buf.write(reinterpret_cast<const char*>(&nmodels), sizeof(nmodels));
+  buf.write(reinterpret_cast<const char*>(&mean), sizeof(mean));
+  buf.write(reinterpret_cast<const char*>(&scale), sizeof(scale));
+  nn::MlpConfig cfg;
+  cfg.in_dim = qdim;
+  cfg.hidden = {4};
+  EXPECT_TRUE(nn::SaveCompiledMlp(
+                  nn::CompiledMlp::FromMlp(nn::Mlp(cfg, /*seed=*/5)), &buf)
+                  .ok());
+  auto loaded = NeuroSketch::LoadFrom(&buf);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  return std::make_shared<const NeuroSketch>(std::move(loaded).value());
+}
+
 // ---------------------------------------------------------------------
 // The compaction race: appenders, exact servers, a dedicated compactor,
 // and the controller's threshold sweep all running together. During the
 // race the full-domain COUNT must be monotone (a lost row across a table
 // swap would break it); after quiescing, every aggregate must be
 // bit-identical to a from-scratch scan of the full logical history.
+// A SUM key is served through the same engine while a refresher swaps
+// its sketch in and out, so the engine's cached store slot goes stale
+// under traffic (every swap and every compaction is a store write); each
+// of its answers must bit-equal the from-scratch SUM of some prefix of
+// the append history, and the prefixes must never shrink.
 
 TEST(CompactionRaceTest, AppendServeCompactRefreshStayExact) {
   Dataset ds = MakeGmmDataset(800, 3, 3, /*seed=*/47);
@@ -1540,6 +1575,9 @@ TEST(CompactionRaceTest, AppendServeCompactRefreshStayExact) {
   ServeOptions so;
   so.num_shards = 2;
   so.batch_window_us = 20.0;
+  // The SUM key's NaN sketch is never demoted: it keeps taking the
+  // sketch path.
+  so.budget_min_samples = std::numeric_limits<size_t>::max();
   ServeEngine serve(&store, so);
 
   RefreshOptions ro;
@@ -1549,8 +1587,10 @@ TEST(CompactionRaceTest, AppendServeCompactRefreshStayExact) {
   ctrl.Start();
 
   const QueryFunctionSpec count = AxisSpec(Aggregate::kCount, ds.measure_col);
+  const QueryFunctionSpec sum = AxisSpec(Aggregate::kSum, ds.measure_col);
   const QueryInstance everything =
       QueryInstance::AxisRange({0.0, 0.0, 0.0}, {1.0, 1.0, 1.0});
+  const std::shared_ptr<const NeuroSketch> nan_sketch = NaNSketch(2 * d);
   constexpr int kRowsPerAppender = 300;
   constexpr int kAppenders = 2;
 
@@ -1559,11 +1599,19 @@ TEST(CompactionRaceTest, AppendServeCompactRefreshStayExact) {
   std::mutex order_mu;
   std::vector<std::vector<double>> mirror;
   std::atomic<bool> done{false};
+  // Appenders keep pace with the SUM key's traffic (one answer per 8 of
+  // an appender's rows), so its answers spread over the whole append
+  // history and the swaps and compactions that run alongside it.
+  std::atomic<size_t> sums_served{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kAppenders; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(700 + t);
       for (int i = 0; i < kRowsPerAppender; ++i) {
+        while (sums_served.load(std::memory_order_acquire) <
+               static_cast<size_t>(i / 8)) {
+          std::this_thread::yield();
+        }
         std::vector<double> row(d);
         for (auto& v : row) v = rng.Uniform();
         std::lock_guard<std::mutex> lock(order_mu);
@@ -1596,6 +1644,26 @@ TEST(CompactionRaceTest, AppendServeCompactRefreshStayExact) {
       std::this_thread::yield();
     }
   });
+  // Refresh swaps of the SUM key: the sketch claims every row appended so
+  // far (so compaction keeps folding), then goes away again. It ends
+  // unregistered, so the final fold is not held back.
+  threads.emplace_back([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      auto watermark = std::make_shared<const std::vector<uint64_t>>(
+          1, store.Delta("gmm")->size());
+      ASSERT_TRUE(store.Register("gmm", sum, nan_sketch, watermark).ok());
+      std::this_thread::yield();
+      ASSERT_EQ(store.Unregister(ServeKey::From("gmm", sum)), 1u);
+      std::this_thread::yield();
+    }
+  });
+  std::vector<ServeResult> sums;
+  threads.emplace_back([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      sums.push_back(serve.Answer("gmm", sum, everything));
+      sums_served.fetch_add(1, std::memory_order_release);
+    }
+  });
 
   for (int t = 0; t < kAppenders; ++t) threads[t].join();
   done.store(true, std::memory_order_release);
@@ -1611,6 +1679,30 @@ TEST(CompactionRaceTest, AppendServeCompactRefreshStayExact) {
   ASSERT_EQ(cstats.size(), 1u);
   EXPECT_GE(cstats[0].second.compactions, 1u);
   EXPECT_EQ(cstats[0].second.folded_rows, mirror.size());
+
+  // prefix_sum[k]: the from-scratch SUM over the base plus the first k
+  // appended rows. Every served SUM is one of them, in growing k.
+  std::vector<double> prefix_sum;
+  {
+    Table prefix = base;
+    prefix_sum.push_back(ExactEngine(&prefix).Answer(sum, everything));
+    for (const auto& r : mirror) {
+      ASSERT_TRUE(prefix.AppendRow(r).ok());
+      prefix_sum.push_back(ExactEngine(&prefix).Answer(sum, everything));
+    }
+  }
+  ASSERT_FALSE(sums.empty());
+  size_t k = 0;
+  for (size_t i = 0; i < sums.size(); ++i) {
+    EXPECT_FALSE(sums[i].used_sketch);  // every NaN answer repaired
+    while (k < prefix_sum.size() &&
+           std::memcmp(&prefix_sum[k], &sums[i].value, sizeof(double)) != 0) {
+      ++k;
+    }
+    ASSERT_LT(k, prefix_sum.size())
+        << "served SUM " << i << " (" << sums[i].value
+        << ") is no later prefix's from-scratch SUM";
+  }
   const auto dstats = store.DeltaStats();
   ASSERT_EQ(dstats.size(), 1u);
   EXPECT_GT(dstats[0].second.trimmed_rows, 0u);
