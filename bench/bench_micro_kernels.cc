@@ -168,9 +168,10 @@ const bool kRangeSelectRegistered = [] {
   return true;
 }();
 
-// The streaming delta's filter (DeltaBuffer::Snapshot::ScanMatches, as
-// ScanDelta runs it): one active attribute over a 4096-row delta of four
-// 1024-row chunks at 50% selectivity. Reports ns_per_row.
+// The streaming delta's walk (DeltaBuffer::Snapshot::Accumulate, as
+// every delta scan runs it) for one SUM query: one active attribute over
+// a 4096-row delta of four 1024-row chunks at 50% selectivity. Reports
+// ns_per_row.
 void BM_DeltaScanMatches(benchmark::State& state) {
   constexpr size_t kColumns = 4, kChunkRows = 1024, kRows = 4 * kChunkRows;
   serve::DeltaBuffer delta(kColumns, kChunkRows);
@@ -181,19 +182,16 @@ void BM_DeltaScanMatches(benchmark::State& state) {
     delta.Append(row);
   }
   const serve::DeltaBuffer::Snapshot snap = delta.Snap();
-  CompiledAxisRange range;
-  range.Compile(AxisRangePredicate(),
-                QueryInstance::AxisRange({0.25, 0.0, 0.0, 0.0},
-                                         {0.5, 1.0, 1.0, 1.0}),
-                kColumns);
+  QueryFunctionSpec spec;
+  spec.predicate = AxisRangePredicate::Make();
+  spec.agg = Aggregate::kSum;
+  spec.measure_col = kColumns - 1;
+  const QueryInstance q =
+      QueryInstance::AxisRange({0.25, 0.0, 0.0, 0.0}, {0.5, 1.0, 1.0, 1.0});
+  const QueryInstance* queries[] = {&q};
   for (auto _ : state) {
-    double sum = 0.0;
-    snap.ScanMatches(0, range, kColumns - 1,
-                     [&](size_t, const double* measure, const uint32_t* sel,
-                         size_t k) {
-                       for (size_t i = 0; i < k; ++i) sum += measure[sel[i]];
-                       return true;
-                     });
+    AggregateAccumulator sum(Aggregate::kSum);
+    snap.Accumulate(0, spec, queries, 1, &sum);
     benchmark::DoNotOptimize(sum);
   }
   state.counters["ns_per_row"] = benchmark::Counter(

@@ -601,7 +601,6 @@ StreamingReport RunStreaming() {
     if (!st.EnableStreaming("stream", base.num_columns()).ok()) return rep;
     RefreshOptions ro;
     ro.interval_ms = 25;
-    ro.probe_threads = 0;  // hardware concurrency
     ro.max_failures_before_demote = 0;
     RefreshController ctrl(&st, nullptr, ro);
     std::vector<QueryInstance> retrain_q = train_q;

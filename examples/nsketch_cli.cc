@@ -495,7 +495,6 @@ int CmdStream(int argc, char** argv) {
   // of the same random workload; the policy bound is the knob.
   serve::RefreshOptions ropts;
   ropts.interval_ms = refresh_interval_ms > 0 ? refresh_interval_ms : 100;
-  ropts.probe_threads = 0;  // hardware concurrency
   ropts.compact_min_rows = compact_min_rows;
   serve::RefreshController refresher(&store, &serving, ropts);
   if (version.ok() && refresh_interval_ms > 0) {

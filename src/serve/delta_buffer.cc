@@ -97,6 +97,73 @@ DeltaBuffer::Snapshot DeltaBuffer::Snap() const {
   return snap;
 }
 
+bool DeltaBuffer::Snapshot::Disjoint(size_t chunk,
+                                     const CompiledAxisRange& range) const {
+  const std::vector<ColumnZone>& zone =
+      chunk == open_chunk_ ? open_zone_ : chunks_[chunk]->zone;
+  for (size_t k = 0; k < range.num_active(); ++k) {
+    const ColumnZone& z = zone[range.column(k)];
+    if (!z.nan && (z.max < range.lo(k) || z.min >= range.hi(k))) return true;
+  }
+  return false;
+}
+
+size_t DeltaBuffer::Snapshot::Accumulate(size_t from,
+                                         const QueryFunctionSpec& spec,
+                                         const QueryInstance* const* queries,
+                                         size_t n, AggregateAccumulator* accs,
+                                         bool until_match) const {
+  if (std::max(from, begin_) >= end_) return 0;
+  size_t filtered = 0;
+  BatchScan& scan = BatchScan::ThreadLocal();
+  for (size_t first = 0; first < n; first += BatchScan::kMaxQueries) {
+    const size_t m = std::min(BatchScan::kMaxQueries, n - first);
+    AggregateAccumulator* lanes = accs + first;
+    scan.Prepare(spec, queries + first, m, num_columns_);
+    ForEachRun(from, end_, [&](size_t chunk, const double* run, size_t len) {
+      // Feed asks skip(i) once per query and run; the rest are filtered.
+      scan.Feed([run, this](size_t c) { return run + c * chunk_rows_; }, len,
+                run + spec.measure_col * chunk_rows_, lanes,
+                [&](size_t i) {
+                  const CompiledAxisRange* range = scan.compiled(i);
+                  const bool skip =
+                      (until_match && lanes[i].count() > 0) ||
+                      (range != nullptr && Disjoint(chunk, *range));
+                  if (!skip) filtered += len;
+                  return skip;
+                });
+      if (!until_match) return true;
+      for (size_t i = 0; i < m; ++i) {
+        if (lanes[i].count() == 0) return true;
+      }
+      return false;
+    });
+  }
+  return filtered;
+}
+
+void ExactWithDelta(const ExactEngine::PinnedBase& base,
+                    const QueryFunctionSpec& spec,
+                    const std::vector<QueryInstance>& queries,
+                    const std::vector<uint32_t>& idx,
+                    const DeltaBuffer::Snapshot& snap, double* out) {
+  const size_t from = std::max<size_t>(snap.begin(), base.folded);
+  // Groups of BatchScan::kMaxQueries queries, each finalized before the
+  // next starts, which bounds the MEDIAN value buffers alive at once.
+  const QueryInstance* group[BatchScan::kMaxQueries];
+  std::vector<AggregateAccumulator> accs;
+  for (size_t first = 0; first < idx.size();
+       first += BatchScan::kMaxQueries) {
+    const size_t m = std::min(BatchScan::kMaxQueries, idx.size() - first);
+    for (size_t j = 0; j < m; ++j) group[j] = &queries[idx[first + j]];
+    accs.assign(m, AggregateAccumulator(spec.agg));
+    ExactEngine::AccumulateBatchOver(*base.table, spec, group, m,
+                                     accs.data());
+    snap.Accumulate(from, spec, group, m, accs.data());
+    for (size_t j = 0; j < m; ++j) out[idx[first + j]] = accs[j].Finalize();
+  }
+}
+
 size_t DeltaBuffer::Trim(size_t upto) {
   std::lock_guard<std::mutex> lock(mu_);
   const size_t published = size_.load(std::memory_order_relaxed);

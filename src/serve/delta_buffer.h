@@ -35,7 +35,10 @@
 #include <mutex>
 #include <vector>
 
+#include "query/aggregate.h"
+#include "query/engine.h"
 #include "query/predicate.h"
+#include "query/query.h"
 
 namespace neurosketch {
 namespace serve {
@@ -108,17 +111,12 @@ class DeltaBuffer {
   /// shared_ptrs); keeps trimmed-away chunks alive while in scope.
   class Snapshot {
    public:
-    /// Rows per ForEachRun run at most.
-    static constexpr size_t kRun = 1024;
-
     Snapshot() = default;
 
     size_t begin() const { return begin_; }
     size_t end() const { return end_; }
     bool empty() const { return begin_ >= end_; }
     size_t num_columns() const { return num_columns_; }
-    /// Doubles between one column of a run and the next (ForEachRun).
-    size_t chunk_rows() const { return chunk_rows_; }
 
     /// \brief Visit logical rows [from, to) in order; `fn(row)` gets a
     /// pointer to num_columns() doubles, the row gathered out of its
@@ -127,28 +125,43 @@ class DeltaBuffer {
     template <typename Fn>
     void ForEachRow(size_t from, size_t to, Fn&& fn) const {
       std::vector<double> row(num_columns_);
-      ForEachRun(from, to, [&](size_t, size_t, const double* run,
-                               size_t len) {
+      ForEachRun(from, to, [&](size_t, const double* run, size_t len) {
         for (size_t j = 0; j < len; ++j) {
-          Gather(run + j, row.data());
+          for (size_t c = 0; c < num_columns_; ++c) {
+            row[c] = run[c * chunk_rows_ + j];
+          }
           fn(row.data());
         }
         return true;
       });
     }
 
-    /// \brief Copies the row whose column-0 cell is `cell` (a run
-    /// pointer plus the row's offset in the run) to row[0, num_columns()).
-    void Gather(const double* cell, double* row) const {
-      for (size_t c = 0; c < num_columns_; ++c) row[c] = cell[c * chunk_rows_];
-    }
+    /// \brief The delta walk of every exact delta scan: feeds the rows of
+    /// [from, end()) that match queries[i] to accs[i], i < n, in append
+    /// order, one BatchScan pass over the rows per BatchScan::kMaxQueries
+    /// queries (the shared walk ExactEngine::AccumulateBatchOver runs
+    /// over a table). A compiled query does not filter a run whose chunk
+    /// its zone map rules out (Disjoint). With `until_match`, a query
+    /// stops filtering after the first run that holds a match of it, and
+    /// a pass ends once every query of it has one: `accs[i].count() > 0`
+    /// then says whether any row matches, not how many (the accumulators
+    /// must start empty). Returns the rows filtered, summed over queries.
+    size_t Accumulate(size_t from, const QueryFunctionSpec& spec,
+                      const QueryInstance* const* queries, size_t n,
+                      AggregateAccumulator* accs,
+                      bool until_match = false) const;
 
-    /// \brief Calls `fn(chunk, first, run, len)` for logical rows
-    /// [from, to), clamped to [begin, end), in append order, one run of
-    /// at most kRun rows of one chunk at a time. `first` is the logical
-    /// index of the run's first row and `chunk` identifies its chunk for
-    /// Disjoint. The run is column-major: column c of the run's row j is
-    /// `run[c * chunk_rows() + j]`. `fn` returns false to stop the walk.
+   private:
+    friend class DeltaBuffer;
+
+    /// Rows per ForEachRun run at most: one BatchScan block.
+    static constexpr size_t kRun = BatchScan::kBlock;
+
+    /// \brief Calls `fn(chunk, run, len)` for logical rows [from, to),
+    /// clamped to [begin, end), in append order, one run of at most kRun
+    /// rows of one chunk at a time; `chunk` identifies the run's chunk
+    /// for Disjoint. The run is column-major: column c of the run's row j
+    /// is `run[c * chunk_rows_ + j]`. `fn` returns false to stop the walk.
     template <typename Fn>
     void ForEachRun(size_t from, size_t to, Fn&& fn) const {
       if (from < begin_) from = begin_;
@@ -162,9 +175,8 @@ class DeltaBuffer {
         const double* cells = chunks_[ci]->data.data() + off;
         for (size_t done = 0; done < len;) {
           const size_t run = std::min(kRun, len - done);
-          if (!fn(ci, from, cells + done, run)) return;
+          if (!fn(ci, cells + done, run)) return;
           done += run;
-          from += run;
         }
       }
     }
@@ -176,51 +188,7 @@ class DeltaBuffer {
     /// CompiledAxisRange), so a column with a NaN never rules its chunk
     /// out; a NaN bound makes both comparisons false, so it never rules
     /// one out either.
-    bool Disjoint(size_t chunk, const CompiledAxisRange& range) const {
-      const std::vector<ColumnZone>& zone =
-          chunk == open_chunk_ ? open_zone_ : chunks_[chunk]->zone;
-      for (size_t k = 0; k < range.num_active(); ++k) {
-        const ColumnZone& z = zone[range.column(k)];
-        if (!z.nan && (z.max < range.lo(k) || z.min >= range.hi(k))) {
-          return true;
-        }
-      }
-      return false;
-    }
-
-    /// \brief Calls `fn(first, measure, sel, k)` for the rows in
-    /// [from, end()) that match `range`, in append order, one run at a
-    /// time: the i-th match of the run is logical row `first + sel[i]`,
-    /// and its value in column `measure_col` is `measure[sel[i]]`. Chunks
-    /// that Disjoint rules out are not read; the rest are filtered
-    /// branch-free over unit-stride columns (CompiledAxisRange::Select).
-    /// `fn` returns false to stop the walk. Returns the number of rows
-    /// filtered.
-    template <typename Fn>
-    size_t ScanMatches(size_t from, const CompiledAxisRange& range,
-                       size_t measure_col, Fn&& fn) const {
-      size_t scanned = 0;
-      uint32_t sel[kRun];
-      ForEachRun(from, end_, [&](size_t chunk, size_t first,
-                                 const double* run, size_t len) {
-        if (Disjoint(chunk, range)) return true;
-        scanned += len;
-        const size_t k = range.Select(Columns(run), len, sel);
-        return k == 0 || fn(first, run + measure_col * chunk_rows_,
-                            static_cast<const uint32_t*>(sel), k);
-      });
-      return scanned;
-    }
-
-    /// \brief The `column_at` of a run for CompiledAxisRange::Select and
-    /// BatchScan::Feed: column c of the run starts at the returned
-    /// pointer.
-    auto Columns(const double* run) const {
-      return [run, pitch = chunk_rows_](size_t c) { return run + c * pitch; };
-    }
-
-   private:
-    friend class DeltaBuffer;
+    bool Disjoint(size_t chunk, const CompiledAxisRange& range) const;
 
     std::vector<std::shared_ptr<const Chunk>> chunks_;
     // The chunk still being filled at Snap time (SIZE_MAX if none) and a
@@ -270,6 +238,23 @@ class DeltaBuffer {
   uint64_t appends_ = 0;
   uint64_t rows_appended_ = 0;
 };
+
+/// \brief The exact answers of queries[idx[j]] over base + delta, written
+/// to out[idx[j]]: one accumulation per query, fed the pinned base table
+/// first (ExactEngine::AccumulateBatchOver), then every delta row the
+/// base does not already hold, in append order (Snapshot::Accumulate) —
+/// bit-identical to a from-scratch scan of the appended table for every
+/// aggregate (including the SUM/AVG row-order sum, Welford STD and
+/// MEDIAN's order-sensitive buffer). The delta walk starts at the pinned
+/// version's fold watermark: rows below it were compacted into the base
+/// and counting them from the delta too would double them. The caller
+/// takes the snapshot BEFORE pinning, so snap.begin() <= base.folded
+/// always holds and the pair covers the logical history exactly once.
+void ExactWithDelta(const ExactEngine::PinnedBase& base,
+                    const QueryFunctionSpec& spec,
+                    const std::vector<QueryInstance>& queries,
+                    const std::vector<uint32_t>& idx,
+                    const DeltaBuffer::Snapshot& snap, double* out);
 
 }  // namespace serve
 }  // namespace neurosketch

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -52,7 +53,8 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
   }
 
   // Ground truth reflects the appended table: the base rows plus every
-  // delta row the base does not already hold, in append order. The
+  // delta row the base does not already hold, in append order, answered
+  // by the serve path's ExactWithDelta over the pinned base in place. The
   // snapshot taken here is also the fold watermark a successful swap
   // publishes — rows appended after this instant stay unfolded and keep
   // being corrected by the serve path. Snapshot-before-pin (see
@@ -63,23 +65,15 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
   DeltaBuffer::Snapshot dsnap;
   if (view.delta != nullptr) dsnap = view.delta->Snap();
   const ExactEngine::PinnedBase pinned = base->Pin();
-  Table merged = *pinned.table;
-  if (!dsnap.empty()) {
-    const size_t from = dsnap.begin() < pinned.folded
-                            ? static_cast<size_t>(pinned.folded)
-                            : dsnap.begin();
-    std::vector<double> row(dsnap.num_columns());
-    dsnap.ForEachRow(from, dsnap.end(), [&](const double* r) {
-      row.assign(r, r + dsnap.num_columns());
-      // Column counts match by EnableStreaming's contract; a mismatch
-      // surfaces as missing rows in the (validated) post-retrain probe.
-      (void)merged.AppendRow(row);
-    });
-  }
-  const ExactEngine merged_engine(&merged);
+  auto exact = [&](const std::vector<QueryInstance>& queries) {
+    std::vector<uint32_t> all(queries.size());
+    std::iota(all.begin(), all.end(), 0u);
+    std::vector<double> answers(queries.size());
+    ExactWithDelta(pinned, spec, queries, all, dsnap, answers.data());
+    return answers;
+  };
 
-  const std::vector<double> truth = merged_engine.AnswerBatch(
-      spec, target.monitor.probes(), options_.probe_threads);
+  const std::vector<double> truth = exact(target.monitor.probes());
   const DriftReport report = target.monitor.CheckAgainst(*view.sketch, truth);
   out.probed = true;
   out.pre_mae = report.normalized_mae;
@@ -136,10 +130,7 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
   if (ok) {
     try {
       std::vector<double> train_a =
-          target.train_queries.empty()
-              ? truth
-              : merged_engine.AnswerBatch(spec, train_q,
-                                          options_.probe_threads);
+          target.train_queries.empty() ? truth : exact(train_q);
       const Status st = fresh.RetrainLeaves(out.stale_leaves, train_q,
                                             train_a, target.config);
       if (!st.ok()) {
@@ -156,8 +147,8 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
 
   if (ok) {
     // Validation gate: the retrained sketch must answer the probe set
-    // within the drift policy bound on the SAME merged truth, or it never
-    // reaches the store (the out-of-bound fault-injection path).
+    // within the drift policy bound on the SAME base + delta truth, or it
+    // never reaches the store (the out-of-bound fault-injection path).
     DriftReport post = target.monitor.CheckAgainst(fresh, truth);
     out.post_mae = post.normalized_mae;
     out.retrained = true;

@@ -37,9 +37,6 @@ struct RefreshOptions {
   /// Background cadence of Start()'s loop; each tick refreshes every
   /// registered target whose drift probe recommends it.
   int64_t interval_ms = 1000;
-  /// Threads for the exact probe/target answering over the merged
-  /// (base + delta) data. 0 = hardware concurrency, 1 = serial.
-  size_t probe_threads = 1;
   /// Consecutive failed refreshes of one target before the store is
   /// demoted to exact serving (0 disables demotion).
   size_t max_failures_before_demote = 3;
@@ -61,8 +58,8 @@ struct RefreshTarget {
   /// of NeuroSketch::RetrainLeaves to hold. `config.train_threads` is the
   /// retrain parallelism.
   NeuroSketchConfig config;
-  /// Training queries for the partial retrain; answered exactly on the
-  /// merged data each refresh. Empty = reuse the monitor's probes.
+  /// Training queries for the partial retrain; answered exactly over
+  /// base + delta each refresh. Empty = reuse the monitor's probes.
   std::vector<QueryInstance> train_queries;
 };
 
@@ -123,11 +120,12 @@ class RefreshController {
   void SetFaultHook(std::function<void(NeuroSketch*)> hook);
 
   /// \brief Synchronously refresh one target (probe, maybe retrain, maybe
-  /// swap). NotFound when no such target is registered; infrastructure
-  /// errors (no sketch / no engine) also surface as Status. A *failed
-  /// refresh* (fault hook throw, out-of-bound validation) is NOT a
-  /// Status error — it returns OK with outcome.failed=true, because the
-  /// controller handled it: the old version is still serving.
+  /// swap). InvalidArgument when no such target is registered;
+  /// FailedPrecondition when the target has no sketch or no exact engine
+  /// to probe with. A *failed refresh* (fault hook throw, out-of-bound
+  /// validation) is NOT a Status error — it returns OK with
+  /// outcome.failed=true, because the controller handled it: the old
+  /// version is still serving.
   Result<RefreshOutcome> RefreshNow(const std::string& dataset,
                                     const QueryFunctionSpec& spec);
 

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "query/predicate.h"
+#include <numeric>
 
 namespace neurosketch {
 namespace serve {
@@ -46,51 +45,6 @@ constexpr StageInfo kStageTable[] = {
     {&ServeStats::stage_fulfill, "fulfill"},
 };
 
-/// Exact match statistics of one query over a delta row range — the
-/// ingredients of the decomposable-aggregate composition.
-struct DeltaMatch {
-  size_t matched = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-/// Calls `fn(measure, sel, k)` for the delta rows in [from, snap.end())
-/// that match q, in append order: `measure[sel[i]]` is the measure of the
-/// i-th match of the call. An axis-range query is compiled once and runs
-/// the snapshot's branch-free, zone-map-skipping scan; any other
-/// predicate gathers each row for the per-row Matches test and reports
-/// each match alone. `fn` returns false to stop.
-template <typename Fn>
-void ForEachDeltaMatch(const DeltaBuffer::Snapshot& snap, size_t from,
-                       const QueryFunctionSpec& spec, const QueryInstance& q,
-                       Fn&& fn) {
-  const size_t dim = snap.num_columns();
-  const size_t mc = spec.measure_col;
-  CompiledAxisRange range;
-  if (range.Compile(*spec.predicate, q, dim)) {
-    snap.ScanMatches(from, range, mc,
-                     [&](size_t, const double* measure, const uint32_t* sel,
-                         size_t k) { return fn(measure, sel, k); });
-    return;
-  }
-  static constexpr uint32_t kFirst = 0;
-  thread_local std::vector<double> row;
-  row.resize(dim);
-  snap.ForEachRun(from, snap.end(), [&](size_t, size_t, const double* run,
-                                        size_t len) {
-    const double* measure = run + mc * snap.chunk_rows();
-    for (size_t j = 0; j < len; ++j) {
-      snap.Gather(run + j, row.data());
-      if (spec.predicate->Matches(q, row.data(), dim) &&
-          !fn(measure + j, &kFirst, size_t{1})) {
-        return false;
-      }
-    }
-    return true;
-  });
-}
-
 /// How ExecuteBatch produced a sketch-path answer.
 enum AnswerMode : uint8_t {
   kSketchAnswer,     ///< the sketch's own answer
@@ -114,90 +68,6 @@ bool Decomposable(Aggregate agg) {
   }
 }
 
-/// Exact match statistics of q over the delta rows [from, snap.end()).
-/// A non-decomposable aggregate only needs to know whether any row
-/// matches (it then recomputes over base + delta), so its scan stops at
-/// the first match and reports `matched` as 1.
-DeltaMatch ScanDelta(const DeltaBuffer::Snapshot& snap, size_t from,
-                     const QueryFunctionSpec& spec, const QueryInstance& q) {
-  DeltaMatch m;
-  const bool first_only = !Decomposable(spec.agg);
-  ForEachDeltaMatch(snap, from, spec, q,
-                    [&](const double* measure, const uint32_t* sel, size_t k) {
-                      if (first_only) {
-                        m.matched = 1;
-                        return false;
-                      }
-                      for (size_t i = 0; i < k; ++i) {
-                        const double v = measure[sel[i]];
-                        if (m.matched + i == 0) {
-                          m.min = m.max = v;
-                        } else {
-                          if (v < m.min) m.min = v;
-                          if (v > m.max) m.max = v;
-                        }
-                        m.sum += v;
-                      }
-                      m.matched += k;
-                      return true;
-                    });
-  return m;
-}
-
-/// The streaming exact path for the queries idx[0..] of a batch: one
-/// accumulation per query, fed the pinned base table first, then every
-/// delta row the base does not already hold, in append order —
-/// bit-identical to a from-scratch scan of the appended table for every
-/// aggregate (including the SUM/AVG row-order sum, Welford STD and
-/// MEDIAN's order-sensitive buffer). Both parts are shared walks
-/// (BatchScan): the base through ExactEngine::AccumulateBatchOver, the
-/// delta run by run, skipping for each query the chunks its zone map
-/// rules out. The delta walk starts at the pinned version's fold
-/// watermark: rows below it were compacted into the base and counting
-/// them from the delta too would double them.
-/// The caller took the snapshot BEFORE pinning, so snap.begin() <=
-/// base.folded always holds and the pair covers the logical history
-/// exactly once. Writes answer j to out[idx[j]].
-void ExactWithDelta(const ExactEngine::PinnedBase& base,
-                    const QueryFunctionSpec& spec,
-                    const std::vector<QueryInstance>& queries,
-                    const std::vector<uint32_t>& idx,
-                    const DeltaBuffer::Snapshot& snap, double* out) {
-  if (idx.empty()) return;
-  // The pointer list is dispatcher-thread scratch; the accumulators are
-  // not, so MEDIAN value buffers do not outlive the batch.
-  thread_local std::vector<const QueryInstance*> qs;
-  qs.clear();
-  for (uint32_t i : idx) qs.push_back(&queries[i]);
-  std::vector<AggregateAccumulator> accs(idx.size(),
-                                         AggregateAccumulator(spec.agg));
-  ExactEngine::AccumulateBatchOver(*base.table, spec, qs.data(), qs.size(),
-                                   accs.data());
-  const size_t from = snap.begin() < base.folded
-                          ? static_cast<size_t>(base.folded)
-                          : snap.begin();
-  static_assert(DeltaBuffer::Snapshot::kRun <= BatchScan::kBlock,
-                "a delta run must fit one BatchScan block");
-  if (from < snap.end()) {
-    BatchScan& scan = BatchScan::ThreadLocal();
-    for (size_t first = 0; first < qs.size(); first += BatchScan::kMaxQueries) {
-      const size_t m = std::min(BatchScan::kMaxQueries, qs.size() - first);
-      scan.Prepare(spec, qs.data() + first, m, snap.num_columns());
-      snap.ForEachRun(from, snap.end(), [&](size_t chunk, size_t,
-                                            const double* run, size_t len) {
-        scan.Feed(snap.Columns(run), len,
-                  run + spec.measure_col * snap.chunk_rows(),
-                  accs.data() + first,
-                  [&](size_t i) {
-                    const CompiledAxisRange* range = scan.compiled(i);
-                    return range != nullptr && snap.Disjoint(chunk, *range);
-                  });
-        return true;
-      });
-    }
-  }
-  for (size_t j = 0; j < idx.size(); ++j) out[idx[j]] = accs[j].Finalize();
-}
 }  // namespace
 
 ServeEngine::ServeEngine(const SketchStore* store, ServeOptions options)
@@ -565,8 +435,12 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
     // sketch's own answerability.
     thread_local std::vector<uint8_t> modes;
     thread_local std::vector<uint32_t> exact_idx;
+    // (delta start row, answer) of every answer with unfolded rows.
+    thread_local std::vector<std::pair<size_t, uint32_t>> scans;
     modes.assign(answers.size(), kSketchAnswer);
     exact_idx.clear();
+    scans.clear();
+    const bool decomposable = Decomposable(spec.agg);
     const std::vector<uint64_t>* folded = slot.leaf_folded.get();
     for (size_t i = 0; i < answers.size(); ++i) {
       if (std::isnan(answers[i])) {
@@ -593,28 +467,49 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
       if (from >= dsnap.end()) continue;  // leaf fully folded
       // Non-decomposable with no exact engine: serve the (stale) sketch
       // answer — there is nothing better to compose from.
-      if (!Decomposable(spec.agg) && engine == nullptr) continue;
-      const DeltaMatch m = ScanDelta(dsnap, from, spec, queries[i]);
-      if (m.matched == 0) continue;  // appends do not touch this query
-      switch (spec.agg) {
-        case Aggregate::kCount:
-          answers[i] += static_cast<double>(m.matched);
-          break;
-        case Aggregate::kSum:
-          answers[i] += m.sum;
-          break;
-        case Aggregate::kMin:
-          answers[i] = std::min(answers[i], m.min);
-          break;
-        case Aggregate::kMax:
-          answers[i] = std::max(answers[i], m.max);
-          break;
-        default:  // recomputed below
-          modes[i] = kRecomputed;
-          exact_idx.push_back(static_cast<uint32_t>(i));
-          continue;
+      if (!decomposable && engine == nullptr) continue;
+      scans.emplace_back(from, static_cast<uint32_t>(i));
+    }
+    // One shared delta walk per start row. A decomposable aggregate's
+    // lanes accumulate spec.agg, folded into the answer as a scalar
+    // correction; any other's are COUNT lanes that stop at their first
+    // match, which sends the answer to the exact recompute.
+    std::sort(scans.begin(), scans.end());
+    thread_local std::vector<const QueryInstance*> group;
+    thread_local std::vector<AggregateAccumulator> accs;
+    for (size_t g = 0, h; g < scans.size(); g = h) {
+      const size_t from = scans[g].first;
+      group.clear();
+      for (h = g; h < scans.size() && scans[h].first == from; ++h) {
+        group.push_back(&queries[scans[h].second]);
       }
-      modes[i] = kDeltaCorrected;
+      accs.assign(group.size(),
+                  AggregateAccumulator(decomposable ? spec.agg
+                                                    : Aggregate::kCount));
+      dsnap.Accumulate(from, spec, group.data(), group.size(), accs.data(),
+                       !decomposable);
+      for (size_t k = 0; k < group.size(); ++k) {
+        if (accs[k].count() == 0) continue;  // appends do not touch it
+        const uint32_t i = scans[g + k].second;
+        const double delta = accs[k].Finalize();
+        switch (spec.agg) {
+          case Aggregate::kCount:
+          case Aggregate::kSum:
+            answers[i] += delta;
+            break;
+          case Aggregate::kMin:
+            answers[i] = std::min(answers[i], delta);
+            break;
+          case Aggregate::kMax:
+            answers[i] = std::max(answers[i], delta);
+            break;
+          default:  // recomputed below
+            modes[i] = kRecomputed;
+            exact_idx.push_back(i);
+            continue;
+        }
+        modes[i] = kDeltaCorrected;
+      }
     }
     ExactWithDelta(pinned, spec, queries, exact_idx, dsnap, answers.data());
     size_t nans = 0;
@@ -684,9 +579,7 @@ ServeEngine::Clock::time_point ServeEngine::ExecuteBatch(
       // compaction.
       answers.resize(queries.size());
       std::vector<uint32_t> all(queries.size());
-      for (size_t i = 0; i < all.size(); ++i) {
-        all[i] = static_cast<uint32_t>(i);
-      }
+      std::iota(all.begin(), all.end(), 0u);
       ExactWithDelta(pinned, spec, queries, all, dsnap, answers.data());
     } else {
       answers = engine->AnswerBatch(spec, queries, options_.exact_batch_threads);

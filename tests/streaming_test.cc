@@ -66,6 +66,8 @@ QueryFunctionSpec AxisSpec(Aggregate agg, size_t measure) {
   return spec;
 }
 
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, 8) == 0; }
+
 NeuroSketchConfig SmallConfig() {
   NeuroSketchConfig cfg;
   cfg.tree_height = 2;
@@ -727,7 +729,6 @@ TEST(RefreshTest, RefreshRetrainsOnlyFlaggedLeafAndSwapsAtomically) {
   ASSERT_TRUE(store.AppendRows("gmm", s->drift_rows).ok());
 
   RefreshOptions ro;
-  ro.probe_threads = 0;  // hardware concurrency; batch results are thread-count invariant
   RefreshController ctrl(&store, nullptr, ro);
   ctrl.AddTarget(s->Target());
 
@@ -745,6 +746,17 @@ TEST(RefreshTest, RefreshRetrainsOnlyFlaggedLeafAndSwapsAtomically) {
   EXPECT_EQ(out.retrained_leaves, 1u);
   EXPECT_GT(out.pre_mae, s->policy.max_normalized_mae);
   EXPECT_LE(out.post_mae, s->policy.max_normalized_mae);
+  // The probe truth came from the pinned base plus the delta walk; a
+  // from-scratch scan of a copied base with the delta rows appended
+  // gives the same drift, bit for bit.
+  Table appended = s->base;
+  for (const auto& r : s->drift_rows) ASSERT_TRUE(appended.AppendRow(r).ok());
+  const DriftReport scratch =
+      DriftMonitor(s->spec, s->probes, s->policy)
+          .CheckAgainst(*old_sketch,
+                        ExactEngine(&appended).AnswerBatch(s->spec, s->probes));
+  EXPECT_TRUE(SameBits(out.pre_mae, scratch.normalized_mae))
+      << out.pre_mae << " vs " << scratch.normalized_mae;
 
   // The swap landed: a new version serves, the old one is still pinned
   // and usable by in-flight readers.
@@ -788,6 +800,27 @@ TEST(RefreshTest, RefreshRetrainsOnlyFlaggedLeafAndSwapsAtomically) {
   EXPECT_EQ(stats.failures, 0u);
 }
 
+TEST(RefreshTest, RefreshNowOfUnregisteredTargetIsInvalidArgument) {
+  const DriftScenario* s = &DriftScenario::Shared();
+  SketchStore store;
+  ASSERT_TRUE(store.RegisterDataset("gmm", s->engine.get()).ok());
+  ASSERT_TRUE(store.Register("gmm", s->spec, s->sketch).ok());
+  RefreshController ctrl(&store, nullptr);
+  ctrl.AddTarget(s->Target());
+  QueryFunctionSpec other = s->spec;
+  other.agg = Aggregate::kSum;
+  for (const auto& [dataset, spec] :
+       {std::make_pair(std::string("gmm"), other),
+        std::make_pair(std::string("other"), s->spec)}) {
+    const auto res = ctrl.RefreshNow(dataset, spec);
+    ASSERT_FALSE(res.ok()) << dataset;
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument)
+        << res.status().ToString();
+  }
+  EXPECT_EQ(ctrl.Stats().runs, 0u);
+  EXPECT_EQ(store.Lookup(ServeKey::From("gmm", s->spec)), s->sketch);
+}
+
 // ---------------------------------------------------------------------
 // Fault injection: a refresh that throws must leave the old version
 // serving and count a failure; a streak demotes the store to exact.
@@ -807,7 +840,6 @@ TEST(RefreshTest, ThrowingRefreshLeavesOldVersionServingThenDemotes) {
   ServeEngine serve(&store, so);
 
   RefreshOptions ro;
-  ro.probe_threads = 0;  // hardware concurrency; batch results are thread-count invariant
   ro.max_failures_before_demote = 2;
   RefreshController ctrl(&store, &serve, ro);
   ctrl.AddTarget(s->Target());
@@ -878,7 +910,6 @@ TEST(RefreshTest, OutOfBoundRetrainIsRejectedNotSwapped) {
     ASSERT_TRUE(store.AppendRows("gmm", s->drift_rows).ok());
 
     RefreshOptions ro;
-    ro.probe_threads = 0;  // hardware concurrency; batch results are thread-count invariant
     RefreshController ctrl(&store, nullptr, ro);
     RefreshTarget target = s->Target();
     target.config.plan_precision = tier;
@@ -930,7 +961,6 @@ TEST(RefreshTest, RepeatedSwapsKeepOneSketchPerKey) {
   ASSERT_TRUE(store.EnableStreaming("gmm", s->base.num_columns()).ok());
 
   RefreshOptions ro;
-  ro.probe_threads = 0;  // hardware concurrency; batch results are thread-count invariant
   RefreshController ctrl(&store, nullptr, ro);
   ctrl.AddTarget(s->Target());
 
@@ -990,7 +1020,6 @@ TEST(RefreshTest, RetrainTierChainFallsBackWithoutFailing) {
   ASSERT_TRUE(store.AppendRows("gmm", s->drift_rows).ok());
 
   RefreshOptions ro;
-  ro.probe_threads = 0;  // hardware concurrency; batch results are thread-count invariant
   RefreshController ctrl(&store, nullptr, ro);
   RefreshTarget target = s->Target();
   // Unachievable f32 bound: the retrain's re-validation must fall back
@@ -1075,7 +1104,6 @@ TEST(StreamingRaceTest, ServeAppendRefreshSnapshotConcurrently) {
 
   RefreshOptions ro;
   ro.interval_ms = 5;
-  ro.probe_threads = 0;  // hardware concurrency; batch results are thread-count invariant
   RefreshController ctrl(&store, &serve, ro);
   ctrl.AddTarget(s->Target());
   ctrl.Start();
@@ -1741,24 +1769,54 @@ TEST(CompactionRaceTest, AppendServeCompactRefreshStayExact) {
 // Delta zone maps: a chunk is skipped only when an active column holds
 // no NaN and its [min, max] lies outside the query's [lo, hi).
 
-/// Logical indices of the rows the zone-map scan reports for q from
-/// logical row `from`, and the number of rows it filtered.
+constexpr Aggregate kAllAggs[] = {
+    Aggregate::kCount, Aggregate::kSum, Aggregate::kAvg, Aggregate::kStd,
+    Aggregate::kMedian, Aggregate::kMin, Aggregate::kMax};
+
+/// What the delta walk (Snapshot::Accumulate) reports for the queries
+/// `qs` from logical row `from`, with measure column `measure`: per
+/// query, every aggregate of kAllAggs, the query's first-match COUNT lane
+/// and the rows filtered, each walk run over all of `qs` at once.
 struct ZoneScan {
-  std::vector<size_t> rows;
-  size_t scanned = 0;
+  std::vector<std::vector<double>> answers;  // [query][aggregate]
+  std::vector<bool> any;  // the first-match lane holds a match
+  size_t scanned = 0;     // rows filtered by one full walk
+  size_t first_scanned = 0;  // rows filtered by the first-match walk
 };
 ZoneScan ScanWithZoneMaps(const DeltaBuffer::Snapshot& snap, size_t from,
-                          const QueryInstance& q) {
-  CompiledAxisRange range;
-  EXPECT_TRUE(range.Compile(AxisRangePredicate(), q, snap.num_columns()));
+                          const std::vector<QueryInstance>& qs,
+                          size_t measure = 0) {
+  std::vector<const QueryInstance*> ptrs;
+  for (const QueryInstance& q : qs) {
+    CompiledAxisRange range;  // the zone-map path needs a compiled query
+    EXPECT_TRUE(range.Compile(AxisRangePredicate(), q, snap.num_columns()));
+    ptrs.push_back(&q);
+  }
   ZoneScan out;
-  out.scanned = snap.ScanMatches(
-      from, range, 0,
-      [&](size_t first, const double*, const uint32_t* sel, size_t k) {
-        for (size_t i = 0; i < k; ++i) out.rows.push_back(first + sel[i]);
-        return true;
-      });
+  out.answers.resize(qs.size());
+  for (Aggregate agg : kAllAggs) {
+    std::vector<AggregateAccumulator> accs(qs.size(),
+                                           AggregateAccumulator(agg));
+    const size_t scanned = snap.Accumulate(from, AxisSpec(agg, measure),
+                                           ptrs.data(), ptrs.size(),
+                                           accs.data());
+    if (agg == Aggregate::kCount) out.scanned = scanned;
+    EXPECT_EQ(scanned, out.scanned) << "filtered rows vary by aggregate";
+    for (size_t i = 0; i < qs.size(); ++i) {
+      out.answers[i].push_back(accs[i].Finalize());
+    }
+  }
+  std::vector<AggregateAccumulator> first(
+      qs.size(), AggregateAccumulator(Aggregate::kCount));
+  out.first_scanned =
+      snap.Accumulate(from, AxisSpec(Aggregate::kAvg, measure), ptrs.data(),
+                      ptrs.size(), first.data(), /*until_match=*/true);
+  for (const AggregateAccumulator& acc : first) out.any.push_back(acc.count());
   return out;
+}
+ZoneScan ScanWithZoneMaps(const DeltaBuffer::Snapshot& snap, size_t from,
+                          const QueryInstance& q) {
+  return ScanWithZoneMaps(snap, from, std::vector<QueryInstance>{q});
 }
 
 /// The per-row reference: the logical index of every row of [from, end)
@@ -1773,6 +1831,58 @@ std::vector<size_t> MatchingRows(const DeltaBuffer::Snapshot& snap,
     ++i;
   });
   return rows;
+}
+
+/// Every aggregate of kAllAggs over the measures of `rows` (rows of the
+/// `table` of all appended rows, by logical index), fed one Add at a time.
+std::vector<double> PerRowAnswers(
+    const std::vector<std::vector<double>>& table,
+    const std::vector<size_t>& rows, size_t measure) {
+  std::vector<double> out;
+  for (Aggregate agg : kAllAggs) {
+    AggregateAccumulator acc(agg);
+    for (size_t r : rows) acc.Add(table[r][measure]);
+    out.push_back(acc.Finalize());
+  }
+  return out;
+}
+
+/// Walk answers against the per-row reference for query i of `got`,
+/// bit for bit; the first-match lane agrees on whether any row matches.
+testing::AssertionResult SameAsPerRow(const ZoneScan& got, size_t i,
+                                      const std::vector<double>& want) {
+  for (size_t a = 0; a < want.size(); ++a) {
+    if (!SameBits(got.answers[i][a], want[a])) {
+      return testing::AssertionFailure()
+             << AggregateName(kAllAggs[a]) << ": walk " << got.answers[i][a]
+             << ", per-row " << want[a];
+    }
+  }
+  if (got.any[i] != (want[0] > 0.0)) {
+    return testing::AssertionFailure()
+           << "first-match lane says " << got.any[i] << " for "
+           << want[0] << " matches";
+  }
+  return testing::AssertionSuccess();
+}
+
+/// All rows a buffer received, by logical index, for the references.
+std::vector<std::vector<double>> HeldRows(const DeltaBuffer::Snapshot& snap) {
+  std::vector<std::vector<double>> rows(snap.begin());
+  snap.ForEachRow(snap.begin(), snap.end(), [&](const double* row) {
+    rows.emplace_back(row, row + snap.num_columns());
+  });
+  return rows;
+}
+
+/// The walk for q from `from` (measure column 0), checked against the
+/// per-row reference over the snapshot's held rows.
+ZoneScan ExpectPerRow(const DeltaBuffer::Snapshot& snap, size_t from,
+                      const QueryInstance& q) {
+  const ZoneScan got = ScanWithZoneMaps(snap, from, q);
+  EXPECT_TRUE(SameAsPerRow(
+      got, 0, PerRowAnswers(HeldRows(snap), MatchingRows(snap, from, q), 0)));
+  return got;
 }
 
 /// Two-column rows inside the box [0.90, 0.92) x [0.50, 0.52).
@@ -1797,16 +1907,16 @@ TEST(DeltaZoneMapTest, ChunkWithNaNInActiveColumnIsNeverSkipped) {
   // Column 0 in [0.1, 0.3): every non-NaN value lies above, so only the
   // chunks holding a NaN are read, and only the NaN rows match.
   const QueryInstance q = QueryInstance::AxisRange({0.1, 0.0}, {0.2, 1.0});
-  const ZoneScan got = ScanWithZoneMaps(snap, 0, q);
+  const ZoneScan got = ExpectPerRow(snap, 0, q);
   EXPECT_EQ(got.scanned, 5u);  // chunks 1 and 2; chunk 0 skipped
-  EXPECT_EQ(got.rows, MatchingRows(snap, 0, q));
-  EXPECT_EQ(got.rows.size(), 2u);
+  EXPECT_EQ(MatchingRows(snap, 0, q).size(), 2u);
+  EXPECT_EQ(got.answers[0][0], 2.0);  // COUNT
 
   // Column 1 holds no NaN anywhere: a range below it skips every chunk.
   const QueryInstance q1 = QueryInstance::AxisRange({0.0, 0.1}, {1.0, 0.3});
-  const ZoneScan none = ScanWithZoneMaps(snap, 0, q1);
+  const ZoneScan none = ExpectPerRow(snap, 0, q1);
   EXPECT_EQ(none.scanned, 0u);
-  EXPECT_TRUE(none.rows.empty());
+  EXPECT_EQ(none.answers[0][0], 0.0);  // COUNT
 }
 
 TEST(DeltaZoneMapTest, QueryWithNaNBoundsIsNeverSkipped) {
@@ -1817,17 +1927,18 @@ TEST(DeltaZoneMapTest, QueryWithNaNBoundsIsNeverSkipped) {
   // c = NaN: both bounds are NaN, both bound tests are false for every
   // row, so every row matches (as Matches says) and no chunk may skip.
   const QueryInstance nan_c = QueryInstance::AxisRange({kNaN, 0.0}, {0.3, 1.0});
-  const ZoneScan all = ScanWithZoneMaps(snap, 0, nan_c);
+  const ZoneScan all = ExpectPerRow(snap, 0, nan_c);
   EXPECT_EQ(all.scanned, 10u);
-  EXPECT_EQ(all.rows.size(), 10u);
-  EXPECT_EQ(all.rows, MatchingRows(snap, 0, nan_c));
+  EXPECT_EQ(MatchingRows(snap, 0, nan_c).size(), 10u);
+  EXPECT_EQ(all.answers[0][0], 10.0);  // COUNT
+  // Every row matches, so the first-match lane stops after one run.
+  EXPECT_EQ(all.first_scanned, 4u);
   // A NaN width leaves a finite lower bound: rows below it still fail,
   // rows at or above it match; the scan agrees with Matches either way.
   for (double c : {0.1, 0.91, 0.95}) {
     const QueryInstance nan_r = QueryInstance::AxisRange({c, 0.0}, {kNaN, 1.0});
-    EXPECT_EQ(ScanWithZoneMaps(snap, 0, nan_r).rows,
-              MatchingRows(snap, 0, nan_r))
-        << "c " << c;
+    SCOPED_TRACE(c);
+    ExpectPerRow(snap, 0, nan_r);
   }
 }
 
@@ -1841,9 +1952,10 @@ TEST(DeltaZoneMapTest, QueryDisjointFromEveryChunkVisitsZeroRows) {
           QueryInstance::AxisRange({0.0, 0.6}, {1.0, 0.3}),    // above col 1
           QueryInstance::AxisRange({0.92, 0.0}, {0.05, 1.0}),  // lo == max edge
           QueryInstance::AxisRange({0.5, 0.0}, {0.4, 1.0})}) {  // hi == 0.9
-      const ZoneScan got = ScanWithZoneMaps(snap, 0, q);
+      const ZoneScan got = ExpectPerRow(snap, 0, q);
       EXPECT_EQ(got.scanned, 0u) << q[0] << " " << q[1];
-      EXPECT_TRUE(got.rows.empty());
+      EXPECT_EQ(got.first_scanned, 0u);
+      EXPECT_EQ(got.answers[0][0], 0.0);  // COUNT
     }
     // An overlapping query reads every held row.
     const QueryInstance hit = QueryInstance::AxisRange({0.9, 0.0}, {0.05, 1.0});
@@ -1887,6 +1999,7 @@ TEST(DeltaZoneMapTest, ZoneMapScanMatchesPerRowReference) {
     if (trial % 3 == 0 && n > 0) buf.Trim(rng.Index(n));
     const DeltaBuffer::Snapshot snap = buf.Snap();
     size_t skipped_somewhere = 0;
+    std::vector<QueryInstance> queries;
     for (int qi = 0; qi < 12; ++qi) {
       std::vector<double> c(dim, 0.0), r(dim, 1.0);
       for (size_t a = 0; a < dim; ++a) {
@@ -1896,18 +2009,30 @@ TEST(DeltaZoneMapTest, ZoneMapScanMatchesPerRowReference) {
         r[a] = u > 0.97 ? kNaN : rng.Uniform(0.02, 0.3);
       }
       const QueryInstance q = QueryInstance::AxisRange(c, r);
+      queries.push_back(q);
       const size_t from = n > 0 ? rng.Index(n + 1) : 0;
-      const ZoneScan got = ScanWithZoneMaps(snap, from, q);
-      ASSERT_EQ(got.rows, MatchingRows(snap, from, q))
+      const ZoneScan got = ScanWithZoneMaps(snap, from, {q}, dim - 1);
+      ASSERT_TRUE(SameAsPerRow(
+          got, 0, PerRowAnswers(rows, MatchingRows(snap, from, q), dim - 1)))
           << "trial " << trial << " chunk_rows " << chunk_rows << " from "
           << from << " query " << qi;
       const size_t lo = std::max(from, snap.begin());
       const size_t held = snap.end() > lo ? snap.end() - lo : 0;
       ASSERT_LE(got.scanned, held);
+      ASSERT_LE(got.first_scanned, got.scanned);
       skipped_somewhere += got.scanned < held;
     }
     if (n > 500 && chunk_rows <= 64) {
       EXPECT_GT(skipped_somewhere, 0u) << "trial " << trial;
+    }
+    // All twelve queries as lanes of one walk from one start row.
+    const size_t from = n / 3;
+    const ZoneScan lanes = ScanWithZoneMaps(snap, from, queries, dim - 1);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_TRUE(SameAsPerRow(
+          lanes, i,
+          PerRowAnswers(rows, MatchingRows(snap, from, queries[i]), dim - 1)))
+          << "trial " << trial << " lane " << i;
     }
   }
 }
@@ -1920,8 +2045,6 @@ TEST(DeltaZoneMapTest, ZoneMapScanMatchesPerRowReference) {
 // reference bit for bit.
 
 constexpr size_t kLayoutChunkRows[] = {1, 3, 4, 1000, 1024};
-
-bool SameBits(double a, double b) { return std::memcmp(&a, &b, 8) == 0; }
 
 /// `n` rows of `dim` uniform values in [0, 1). About one cell in 60 is
 /// NaN, and one in 400 of column `measure`.
@@ -1952,7 +2075,7 @@ void AppendMixed(const std::vector<std::vector<double>>& rows, Rng* rng,
   }
 }
 
-TEST(DeltaColumnLayoutTest, ScanMatchesEqualsPerRowReferenceOnEveryChunkSize) {
+TEST(DeltaColumnLayoutTest, DeltaWalkEqualsPerRowReferenceOnEveryChunkSize) {
   constexpr size_t kDim = 3, kMeasure = 2;
   Rng rng(61);
   for (size_t chunk_rows : kLayoutChunkRows) {
@@ -2003,34 +2126,69 @@ TEST(DeltaColumnLayoutTest, ScanMatchesEqualsPerRowReferenceOnEveryChunkSize) {
                             end - 1,
                             end};
     size_t matched = 0;
-    for (const QueryInstance& q : queries) {
-      CompiledAxisRange range;
-      ASSERT_TRUE(range.Compile(AxisRangePredicate(), q, kDim));
-      for (size_t from : froms) {
-        std::vector<std::pair<size_t, double>> got, want;
-        snap.ScanMatches(from, range, kMeasure,
-                         [&](size_t first, const double* measure,
-                             const uint32_t* sel, size_t k) {
-                           for (size_t i = 0; i < k; ++i) {
-                             got.emplace_back(first + sel[i], measure[sel[i]]);
-                           }
-                           return true;
-                         });
+    for (size_t from : froms) {
+      SCOPED_TRACE(from);
+      // Every query is a lane of one walk.
+      const ZoneScan got = ScanWithZoneMaps(snap, from, queries, kMeasure);
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        std::vector<size_t> want;
         for (size_t i = std::max(from, begin); i < end; ++i) {
-          if (AxisRangePredicate().Matches(q, rows[i].data(), kDim)) {
-            want.emplace_back(i, rows[i][kMeasure]);
+          if (AxisRangePredicate().Matches(queries[qi], rows[i].data(), kDim)) {
+            want.push_back(i);
           }
         }
-        ASSERT_EQ(got.size(), want.size()) << "from " << from;
-        for (size_t i = 0; i < got.size(); ++i) {
-          ASSERT_EQ(got[i].first, want[i].first) << "from " << from;
-          ASSERT_TRUE(SameBits(got[i].second, want[i].second))
-              << "from " << from << " row " << want[i].first;
-        }
-        matched += got.size();
+        ASSERT_TRUE(SameAsPerRow(got, qi, PerRowAnswers(rows, want, kMeasure)))
+            << "query " << qi;
+        matched += want.size();
       }
     }
     EXPECT_GT(matched, 0u);
+  }
+}
+
+/// The per-row reference of a served sketch-path answer over the base
+/// table and the appended `rows` (by logical index, none folded into the
+/// base): the sketch answer `s` of q corrected by the rows of
+/// [w, rows.size()) that match q, folded in append order (COUNT, SUM,
+/// MIN, MAX), or else, when some of them match, the exact answer over the
+/// base then every appended row. A NaN `s` is repaired exactly. Sets
+/// *matched to the number of rows of [w, rows.size()) that match q.
+double ComposedReference(const Table& base, const QueryFunctionSpec& spec,
+                         const QueryInstance& q, double s,
+                         const std::vector<std::vector<double>>& rows,
+                         size_t w, size_t* matched) {
+  const size_t d = base.num_columns(), mc = spec.measure_col;
+  *matched = 0;
+  double sum = 0.0, lo = 0.0, hi = 0.0;
+  for (size_t r = w; r < rows.size(); ++r) {
+    if (!spec.predicate->Matches(q, rows[r].data(), d)) continue;
+    const double v = rows[r][mc];
+    if ((*matched)++ == 0) {
+      lo = hi = v;
+    } else {
+      if (v < lo) lo = v;
+      if (v > hi) hi = v;
+    }
+    sum += v;
+  }
+  AggregateAccumulator acc(spec.agg);
+  ExactEngine::AccumulateOver(base, spec, q, &acc);
+  for (const auto& row : rows) {
+    if (spec.predicate->Matches(q, row.data(), d)) acc.Add(row[mc]);
+  }
+  if (std::isnan(s)) return acc.Finalize();
+  if (*matched == 0) return s;
+  switch (spec.agg) {
+    case Aggregate::kCount:
+      return s + static_cast<double>(*matched);
+    case Aggregate::kSum:
+      return s + sum;
+    case Aggregate::kMin:
+      return std::min(s, lo);
+    case Aggregate::kMax:
+      return std::max(s, hi);
+    default:
+      return acc.Finalize();
   }
 }
 
@@ -2072,11 +2230,6 @@ TEST(DeltaColumnLayoutTest, ServedAnswersEqualPerRowReferenceOnEveryChunkSize) {
     ASSERT_TRUE(sk.ok()) << sk.status().ToString();
     fam.sketch = std::make_shared<const NeuroSketch>(std::move(sk).value());
   }
-  const Aggregate aggs[] = {Aggregate::kCount, Aggregate::kSum,
-                            Aggregate::kAvg,   Aggregate::kStd,
-                            Aggregate::kMedian, Aggregate::kMin,
-                            Aggregate::kMax};
-
   Rng rng(64);
   size_t corrected = 0, recomputed = 0;
   for (size_t chunk_rows : kLayoutChunkRows) {
@@ -2108,7 +2261,7 @@ TEST(DeltaColumnLayoutTest, ServedAnswersEqualPerRowReferenceOnEveryChunkSize) {
     };
     append(first);
     for (const Family& fam : families) {
-      for (Aggregate agg : aggs) {
+      for (Aggregate agg : kAllAggs) {
         QueryFunctionSpec spec = fam.spec;
         spec.agg = agg;
         ASSERT_TRUE(store
@@ -2138,7 +2291,7 @@ TEST(DeltaColumnLayoutTest, ServedAnswersEqualPerRowReferenceOnEveryChunkSize) {
     for (const Family& fam : families) {
       const std::vector<double> sketch_answers =
           fam.sketch->AnswerBatch(fam.probes);
-      for (Aggregate agg : aggs) {
+      for (Aggregate agg : kAllAggs) {
         SCOPED_TRACE(AggregateName(agg));
         QueryFunctionSpec spec = fam.spec;
         spec.agg = agg;
@@ -2147,57 +2300,111 @@ TEST(DeltaColumnLayoutTest, ServedAnswersEqualPerRowReferenceOnEveryChunkSize) {
         ASSERT_EQ(served.size(), fam.probes.size());
         for (size_t i = 0; i < fam.probes.size(); ++i) {
           const QueryInstance& q = fam.probes[i];
-          // The unfolded rows' matches, in append order, as ScanDelta
-          // composes them.
           size_t matched = 0;
-          double sum = 0.0, lo = 0.0, hi = 0.0;
-          for (size_t r = w; r < rows.size(); ++r) {
-            if (!spec.predicate->Matches(q, rows[r].data(), d)) continue;
-            const double v = rows[r][mc];
-            if (matched++ == 0) {
-              lo = hi = v;
-            } else {
-              if (v < lo) lo = v;
-              if (v > hi) hi = v;
-            }
-            sum += v;
-          }
-          // The exact answer: the base, then every appended row in order.
-          AggregateAccumulator acc(agg);
-          ExactEngine::AccumulateOver(base, spec, q, &acc);
-          for (const auto& row : rows) {
-            if (spec.predicate->Matches(q, row.data(), d)) acc.Add(row[mc]);
-          }
-          const double s = sketch_answers[i];
-          double want = s;
-          if (std::isnan(s)) {
-            want = acc.Finalize();
-          } else if (matched > 0) {
-            switch (agg) {
-              case Aggregate::kCount:
-                want = s + static_cast<double>(matched);
-                break;
-              case Aggregate::kSum:
-                want = s + sum;
-                break;
-              case Aggregate::kMin:
-                want = std::min(s, lo);
-                break;
-              case Aggregate::kMax:
-                want = std::max(s, hi);
-                break;
-              default:
-                want = acc.Finalize();
-                ++recomputed;
-                break;
-            }
+          const double want = ComposedReference(base, spec, q,
+                                                 sketch_answers[i], rows, w,
+                                                 &matched);
+          if (!std::isnan(sketch_answers[i]) && matched > 0) {
             corrected += agg == Aggregate::kCount;
+            recomputed += agg == Aggregate::kAvg || agg == Aggregate::kStd ||
+                          agg == Aggregate::kMedian;
           }
           ASSERT_TRUE(SameBits(served[i].value, want) ||
                       (std::isnan(served[i].value) && std::isnan(want)))
               << "probe " << i << ": served " << served[i].value
               << ", want " << want;
         }
+      }
+    }
+  }
+  EXPECT_GT(corrected, 0u);
+  EXPECT_GT(recomputed, 0u);
+}
+
+TEST(DeltaWatermarkTest, OneBatchCorrectsEachLeafFromItsOwnWatermark) {
+  // The leaves of one sketch folded the delta up to four different rows:
+  // none of it, mid-chunk, a chunk edge and all of it. Every aggregate's
+  // probes go out in one SubmitMany, so one batch holds answers whose
+  // delta walks start at different rows, for the axis range (compiled
+  // filter) and the rotated rectangle (per-row Matches) alike.
+  Dataset ds = MakeGmmDataset(600, 3, 3, /*seed=*/71);
+  const Table base = Normalizer::Fit(ds.table).Transform(ds.table);
+  const size_t d = base.num_columns();
+  const size_t mc = ds.measure_col;
+  ExactEngine engine(&base);
+  constexpr size_t kChunkRows = 64;
+  Rng rng(72);
+  const auto rows = LayoutRows(3 * kChunkRows + 20, d, mc, &rng);
+  const uint64_t marks[] = {0, kChunkRows + 30, 2 * kChunkRows, rows.size()};
+
+  std::vector<QueryFunctionSpec> families(2, AxisSpec(Aggregate::kCount, mc));
+  families[1].predicate = RotatedRectPredicate::Make();
+  size_t corrected = 0, recomputed = 0;
+  for (size_t f = 0; f < families.size(); ++f) {
+    SCOPED_TRACE(f);
+    WorkloadConfig wc;
+    wc.num_active = 2;
+    wc.seed = 73 + f;
+    WorkloadGenerator gen(d, wc);
+    auto make = [&](size_t n) {
+      return f == 0 ? gen.GenerateMany(n, &engine, &families[f])
+                    : gen.GenerateRotatedRects(n, &engine, &families[f]);
+    };
+    const std::vector<QueryInstance> train_q = make(200);
+    const std::vector<QueryInstance> probes = make(64);
+    NeuroSketchConfig cfg = SmallConfig();
+    cfg.train.epochs = 5;
+    auto trained = NeuroSketch::Train(
+        train_q, engine.AnswerBatch(families[f], train_q), cfg);
+    ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+    const auto sketch =
+        std::make_shared<const NeuroSketch>(std::move(trained).value());
+    ASSERT_GE(sketch->num_partitions(), std::size(marks));
+    // Leaf l folded the rows below marks[l % 4].
+    auto folded = std::make_shared<std::vector<uint64_t>>();
+    for (size_t l = 0; l < sketch->num_partitions(); ++l) {
+      folded->push_back(marks[l % std::size(marks)]);
+    }
+    std::vector<double> sketch_answers(probes.size());
+    std::vector<int> leaf(probes.size());
+    sketch->AnswerBatchVectorizedTo(probes, sketch_answers.data(),
+                                    leaf.data());
+    std::vector<size_t> per_mark(std::size(marks), 0);
+    for (int l : leaf) ++per_mark[static_cast<size_t>(l) % std::size(marks)];
+    for (size_t m = 0; m < per_mark.size(); ++m) {
+      ASSERT_GT(per_mark[m], 0u) << "no probe routes to watermark " << marks[m];
+    }
+
+    SketchStore store;
+    ASSERT_TRUE(store.RegisterDataset("ds", &engine).ok());
+    ASSERT_TRUE(store.EnableStreaming("ds", d, kChunkRows).ok());
+    ASSERT_TRUE(store.AppendRows("ds", rows).ok());
+    ServeOptions so;
+    so.num_shards = 1;
+    so.batch_window_us = 0.0;
+    ServeEngine serve(&store, so);
+    for (Aggregate agg : kAllAggs) {
+      SCOPED_TRACE(AggregateName(agg));
+      QueryFunctionSpec spec = families[f];
+      spec.agg = agg;
+      ASSERT_TRUE(store.Register("ds", spec, sketch, folded).ok());
+      const std::vector<ServeResult> served =
+          serve.SubmitMany("ds", spec, probes).get();
+      ASSERT_EQ(served.size(), probes.size());
+      for (size_t i = 0; i < probes.size(); ++i) {
+        size_t matched = 0;
+        const double want =
+            ComposedReference(base, spec, probes[i], sketch_answers[i], rows,
+                              (*folded)[leaf[i]], &matched);
+        if (!std::isnan(sketch_answers[i]) && matched > 0) {
+          corrected += agg == Aggregate::kSum;
+          recomputed += agg == Aggregate::kMedian;
+        }
+        ASSERT_TRUE(SameBits(served[i].value, want) ||
+                    (std::isnan(served[i].value) && std::isnan(want)))
+            << "probe " << i << " (leaf " << leaf[i] << ", watermark "
+            << (*folded)[leaf[i]] << "): served " << served[i].value
+            << ", want " << want;
       }
     }
   }
